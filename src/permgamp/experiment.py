@@ -75,7 +75,6 @@ def run_estimate(
     jacobian_method: str = "analytic",
     with_oracle: bool = False,
     grid_step: float = 0.05,
-    check_invariants: bool = False,
 ) -> tuple[EstimateReport, dict]:
     """Prepare, solve, and (optionally) compare against the grid oracle."""
     prob = prepare_problem(scenario, dataset)
@@ -86,7 +85,6 @@ def run_estimate(
         prob.y,
         config,
         jacobian_method=jacobian_method,
-        check_invariants=check_invariants,
     )
     info: dict = {"dropped_links": prob.dropped, "n_used": len(prob.kept)}
     if with_oracle:

@@ -19,12 +19,15 @@ polarization (TE by default):
 
     Gamma_TE = (cos t - sqrt(eps - sin^2 t)) / (cos t + sqrt(eps - sin^2 t))
     Gamma_TM = (eps cos t - sqrt(eps - sin^2 t)) / (eps cos t + sqrt(eps - sin^2 t))
+
+All gains go through one array kernel, link_totals; ray_gain_linear is its reference.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,50 +42,49 @@ DEFAULT_FD_STEP = 1e-6
 JACOBIAN_METHODS = ("analytic", "central_fd")
 
 
-def fresnel_power_coeff(eps, theta, polarization: str = "TE"):
-    """Power reflection coefficient |Gamma|^2; accepts scalars or arrays.
-
-    eps >= 1 keeps sqrt(eps - sin^2 theta) real, so the coefficient of a
-    lossless dielectric is a plain square.
-    """
-    eps = np.asarray(eps, dtype=float)
-    if np.any(eps < 1.0):
-        raise ValueError(f"eps={eps} below 1 (passive dielectric)")
-    if not 0.0 <= theta < math.pi / 2.0:
-        raise ValueError(f"theta={theta} outside [0, pi/2)")
-    c = math.cos(theta)
+def _fresnel(eps, c, polarization: str, deriv: bool = False):
+    """|Gamma|^2, or with deriv=True d|Gamma|^2 / d eps, elementwise over
+    arrays of eps and c = cos(theta); no domain checks."""
     # eps - sin^2 = (eps - 1) + cos^2: exact at eps = 1, no cancellation
     s = np.sqrt((eps - 1.0) + c * c)
     if polarization == "TE":
-        gamma = (c - s) / (c + s)
+        num, den = c - s, c + s
     elif polarization == "TM":
-        gamma = (eps * c - s) / (eps * c + s)
+        num, den = eps * c - s, eps * c + s
     else:
         raise ValueError(f"polarization={polarization!r} not in ('TE', 'TM')")
-    out = np.where(eps == 1.0, 0.0, gamma * gamma)  # vacuum reflects nothing
-    return out if out.ndim else float(out)
+    # Vacuum reflects nothing: at eps = 1, s = sqrt(c * c) == c exactly in
+    # binary floating point, so num, Gamma and the derivative are exactly 0.
+    gamma = num / den
+    if not deriv:
+        return gamma * gamma
+    # chain rule through sqrt(eps - sin^2); eps - 2 sin^2 = (eps - 2) + 2 cos^2;
+    # float_power is libm pow for scalars and arrays alike (** squares arrays)
+    if polarization == "TE":
+        dgamma = -c / (s * np.float_power(den, 2))
+    else:
+        dgamma = c * ((eps - 2.0) + 2.0 * c * c) / (s * np.float_power(den, 2))
+    return 2.0 * gamma * dgamma
 
 
-def fresnel_power_coeff_deriv(eps, theta, polarization: str = "TE"):
-    """d|Gamma|^2 / d eps, closed form (chain rule through sqrt(eps - sin^2))."""
+def _checked_fresnel(eps, theta, polarization: str, deriv: bool):
     eps = np.asarray(eps, dtype=float)
     if np.any(eps < 1.0):
         raise ValueError(f"eps={eps} below 1 (passive dielectric)")
     if not 0.0 <= theta < math.pi / 2.0:
         raise ValueError(f"theta={theta} outside [0, pi/2)")
-    c = math.cos(theta)
-    sin2 = math.sin(theta) ** 2
-    s = np.sqrt((eps - 1.0) + c * c)
-    if polarization == "TE":
-        gamma = (c - s) / (c + s)
-        dgamma = -c / (s * (c + s) ** 2)
-    elif polarization == "TM":
-        gamma = (eps * c - s) / (eps * c + s)
-        dgamma = c * (eps - 2.0 * sin2) / (s * (eps * c + s) ** 2)
-    else:
-        raise ValueError(f"polarization={polarization!r} not in ('TE', 'TM')")
-    out = np.where(eps == 1.0, 0.0, 2.0 * gamma * dgamma)
+    out = _fresnel(eps, math.cos(theta), polarization, deriv)
     return out if out.ndim else float(out)
+
+
+def fresnel_power_coeff(eps, theta, polarization: str = "TE"):
+    """Power reflection coefficient |Gamma|^2; accepts scalars or arrays."""
+    return _checked_fresnel(eps, theta, polarization, deriv=False)
+
+
+def fresnel_power_coeff_deriv(eps, theta, polarization: str = "TE"):
+    """d|Gamma|^2 / d eps, closed form; accepts scalars or arrays."""
+    return _checked_fresnel(eps, theta, polarization, deriv=True)
 
 
 def ray_gain_linear(ray: Ray, eps, wavelength_m: float, polarization: str = "TE"):
@@ -96,30 +98,97 @@ def ray_gain_linear(ray: Ray, eps, wavelength_m: float, polarization: str = "TE"
     return g
 
 
+class RayTable(NamedTuple):
+    """Rays padded to (bounces K, rays R, links L) slots: padding rays have
+    Friis factor 0 and padding bounces |Gamma|^2 = 1, exact in the products
+    and sums. groups holds, per material m, the flat slots of its bounces
+    in (link, ray, bounce) order and their cos(incidence), from math.cos."""
+
+    friis: np.ndarray      # (R, L)
+    n_bounces: int         # K
+    groups: tuple[tuple[int, np.ndarray, np.ndarray], ...]  # (m, slots, cos)
+
+
+def ray_table(ray_cache, wavelength_m: float) -> RayTable:
+    n_rays = max(map(len, ray_cache), default=0)
+    n_bounces = max((r.n_bounces for rays in ray_cache for r in rays), default=0)
+    friis = np.zeros((n_rays, len(ray_cache)))
+    groups: dict[int, tuple[list, list]] = {}
+    for n, rays in enumerate(ray_cache):
+        for j, ray in enumerate(rays):
+            friis[j, n] = (wavelength_m / (4.0 * math.pi * ray.total_length_m)) ** 2
+            for b, ref in enumerate(ray.reflections):
+                slots, cos = groups.setdefault(ref.material_index - 1, ([], []))
+                slots.append((b * n_rays + j) * len(ray_cache) + n)
+                cos.append(math.cos(ref.incidence_angle))
+    return RayTable(friis, n_bounces, tuple(
+        (m, np.array(slots, np.intp), np.array(cos))
+        for m, (slots, cos) in sorted(groups.items())
+    ))
+
+
+def link_totals(table: RayTable, eps, polarization: str, deriv: bool = False):
+    """Summed linear gains (B, L) of every link at a batch of permittivity
+    vectors eps (B, M); with deriv=True also their derivatives (B, L, M).
+
+    Sums run over rays in ray order. Without deriv each ray's gain folds its
+    bounces into friis left to right, as ray_gain_linear does, so totals are
+    bit-identical to summing it. With deriv a ray's gain is friis x (product
+    of its bounces), grouped like its derivative terms friis x (product of
+    the other bounces) x d|Gamma|^2; those come from prefix and suffix
+    products, never g / Gamma, so Gamma = 0 (eps = 1, Brewster) stays exact.
+    """
+    eps = np.asarray(eps, dtype=float)
+    if (eps < 1.0).any():
+        raise ValueError(f"eps={eps} below 1 (passive dielectric)")
+    shape = (len(eps), table.n_bounces) + table.friis.shape    # (B, K, R, L)
+    coeff = np.ones(shape)
+    for m, slots, cos in table.groups:
+        c = _fresnel(eps[:, m, None], cos, polarization)
+        coeff.reshape(len(eps), -1)[:, slots] = c
+    if deriv:
+        g = table.friis * np.prod(coeff, axis=1)
+    else:
+        g = table.friis
+        for b in range(table.n_bounces):
+            g = g * coeff[:, b]
+    total = sum((g[..., j, :] for j in range(shape[2])), np.zeros((len(eps), shape[3])))
+    if not deriv:
+        return total
+    prefix, suffix = np.ones(shape), np.ones(shape)
+    for b in range(1, table.n_bounces):
+        prefix[:, b] = prefix[:, b - 1] * coeff[:, b - 1]
+        suffix[:, -1 - b] = coeff[:, -b] * suffix[:, -b]
+    others = (table.friis * (prefix * suffix)).reshape(len(eps), -1)
+    dtotal = np.zeros(total.shape + eps.shape[1:])
+    for m, slots, cos in table.groups:
+        d = _fresnel(eps[:, m, None], cos, polarization, deriv=True)
+        # unbuffered, in slot order: each link's sum runs over (ray, bounce)
+        np.add.at(dtotal[..., m], (slice(None), slots % shape[3]), others[:, slots] * d)
+    return total, dtotal
+
+
+def _gains_db(ray_cache, eps, wavelength_m: float, polarization: str) -> np.ndarray:
+    """Per-link 10 log10 (math.log10); raises naming a link below the floor."""
+    eps = np.asarray(eps, dtype=float)
+    total = link_totals(ray_table(ray_cache, wavelength_m), eps[None], polarization)[0]
+    low = np.flatnonzero(total < GAIN_FLOOR)
+    if low.size:
+        raise UnusableLinkError(
+            f"link {low[0]}: total linear gain {total[low[0]]:.3e} below floor "
+            f"at eps={eps}"
+        )
+    return np.array([10.0 * math.log10(t) for t in total.tolist()])
+
+
 def link_gain_db(rays, eps, wavelength_m: float, polarization: str = "TE") -> float:
     """10 log10 of the summed linear ray gains (energy superposition)."""
-    total = 0.0
-    for ray in rays:
-        total += ray_gain_linear(ray, eps, wavelength_m, polarization)
-    if total < GAIN_FLOOR:
-        raise UnusableLinkError(
-            f"total linear gain {total:.3e} below floor at eps={np.asarray(eps)}"
-        )
-    return 10.0 * math.log10(total)
+    return float(_gains_db([rays], eps, wavelength_m, polarization)[0])
 
 
 def forward(scenario: Scenario, ray_cache, eps) -> np.ndarray:
     """dB link gains for every link at the permittivity vector eps."""
-    eps = np.asarray(eps, dtype=float)
-    out = np.empty(len(ray_cache))
-    for n, rays in enumerate(ray_cache):
-        try:
-            out[n] = link_gain_db(
-                rays, eps, scenario.wavelength_m, scenario.polarization
-            )
-        except UnusableLinkError as exc:
-            raise UnusableLinkError(f"link {n}: {exc}") from exc
-    return out
+    return _gains_db(ray_cache, eps, scenario.wavelength_m, scenario.polarization)
 
 
 @dataclass(frozen=True)
@@ -130,37 +199,6 @@ class Linearization:
     mu: np.ndarray           # (N,), dB
     expansion_point: np.ndarray
     warnings: tuple[str, ...] = ()
-
-
-def _analytic_rows(scenario: Scenario, ray_cache, eps: np.ndarray) -> np.ndarray:
-    wl, pol = scenario.wavelength_m, scenario.polarization
-    n_links, n_mat = len(ray_cache), len(eps)
-    a = np.zeros((n_links, n_mat))
-    for n, rays in enumerate(ray_cache):
-        total = 0.0
-        dtotal = np.zeros(n_mat)
-        for ray in rays:
-            friis = (wl / (4.0 * math.pi * ray.total_length_m)) ** 2
-            coeffs = [
-                fresnel_power_coeff(eps[r.material_index - 1], r.incidence_angle, pol)
-                for r in ray.reflections
-            ]
-            g = friis * math.prod(coeffs)
-            total += g
-            # Product rule: each bounce contributes the product of the other
-            # coefficients times its own derivative in eps.
-            for b, ref in enumerate(ray.reflections):
-                others = math.prod(c for i, c in enumerate(coeffs) if i != b)
-                d = fresnel_power_coeff_deriv(
-                    eps[ref.material_index - 1], ref.incidence_angle, pol
-                )
-                dtotal[ref.material_index - 1] += friis * others * d
-        if total < GAIN_FLOOR:
-            raise UnusableLinkError(
-                f"link {n}: total linear gain below floor at eps={eps}"
-            )
-        a[n] = DB_PER_LN * dtotal / total
-    return a
 
 
 def jacobian(
@@ -178,33 +216,30 @@ def jacobian(
     is flagged in the warnings.
     """
     eps = np.asarray(eps, dtype=float)
+    if method not in JACOBIAN_METHODS:
+        raise ValueError(f"method={method!r} not in {JACOBIAN_METHODS}")
+    g0 = forward(scenario, ray_cache, eps)  # names the link if one is unusable
     warnings: list[str] = []
     if method == "analytic":
-        a = _analytic_rows(scenario, ray_cache, eps)
-    elif method == "central_fd":
-        n_mat = len(eps)
-        a = np.zeros((len(ray_cache), n_mat))
-        for m in range(n_mat):
-            e_hi = eps.copy()
+        table = ray_table(ray_cache, scenario.wavelength_m)
+        total, dtotal = link_totals(table, eps[None], scenario.polarization, True)
+        a = DB_PER_LN * dtotal[0] / total[0][:, None]
+    else:
+        a = np.zeros((len(ray_cache), len(eps)))
+        for m in range(len(eps)):
+            e_hi, e_lo = eps.copy(), eps.copy()
             e_hi[m] += fd_step
+            width = 2.0 * fd_step
             if eps[m] - fd_step >= 1.0:
-                e_lo = eps.copy()
                 e_lo[m] -= fd_step
-                a[:, m] = (
-                    forward(scenario, ray_cache, e_hi)
-                    - forward(scenario, ray_cache, e_lo)
-                ) / (2.0 * fd_step)
             else:
-                a[:, m] = (
-                    forward(scenario, ray_cache, e_hi)
-                    - forward(scenario, ray_cache, eps)
-                ) / fd_step
+                width = fd_step
                 warnings.append(
                     f"fd: one-sided difference for material {m + 1} at eps={eps[m]}"
                 )
-    else:
-        raise ValueError(f"method={method!r} not in {JACOBIAN_METHODS}")
-    g0 = forward(scenario, ray_cache, eps)
+            a[:, m] = (
+                forward(scenario, ray_cache, e_hi) - forward(scenario, ray_cache, e_lo)
+            ) / width
     mu = g0 - a @ eps
     return Linearization(
         a_matrix=a, mu=mu, expansion_point=eps.copy(), warnings=tuple(warnings)

@@ -9,7 +9,6 @@ Gaussian message-passing loop:
       repeat k_gamp times:
           output step   tau_p_i = sum_m a_im^2 tau_x_m
                         p_i     = sum_m a_im x_m - tau_p_i s_i
-                        z_i     = sum_m a_im x_m          (diagnostic only)
                         s_i     = (y_i - mu_i - p_i) / (tau_w + tau_p_i)
                         tau_s_i = 1 / (tau_p_i + tau_w)
           input step    tau_c_m = 1 / sum_i a_im^2 tau_s_i
@@ -112,20 +111,8 @@ class GampState:
     tau_s: np.ndarray
     c_hat: np.ndarray              # input-channel pseudo-observation (M,)
     tau_c: np.ndarray
-    z_hat: np.ndarray              # plain prediction A x (N,), diagnostic
-    trust: list[Interval]
     k: int = 0
     warnings: list[str] = field(default_factory=list)
-
-
-def _trust_regions(
-    lo: np.ndarray, hi: np.ndarray, center: np.ndarray, delta: np.ndarray
-) -> list[Interval]:
-    return [
-        Interval(max(lo[m], center[m] - delta[m] / 2.0),
-                 min(hi[m], center[m] + delta[m] / 2.0))
-        for m in range(len(center))
-    ]
 
 
 def init_state(scenario: Scenario, config: GampConfig) -> GampState:
@@ -138,7 +125,6 @@ def init_state(scenario: Scenario, config: GampConfig) -> GampState:
     if np.any(config.x0 < lo) or np.any(config.x0 > hi):
         raise ValidationError(f"x0={config.x0} outside the prior box")
     n = scenario.n_links
-    m = scenario.n_materials
     return GampState(
         x_hat=config.x0.copy(),
         tau_x=(hi - lo) ** 2 / 12.0,
@@ -148,8 +134,6 @@ def init_state(scenario: Scenario, config: GampConfig) -> GampState:
         tau_s=np.zeros(n),
         c_hat=config.x0.copy(),
         tau_c=(hi - lo) ** 2 / 12.0,
-        z_hat=np.zeros(n),
-        trust=_trust_regions(lo, hi, config.x0, config.delta_tr),
     )
 
 
@@ -160,13 +144,12 @@ def output_step(
     tau_w: float,
     damping: float = 1.0,
 ) -> GampState:
-    """Per-measurement update: tau_p, p, z, s, tau_s (mutates state)."""
+    """Per-measurement update: tau_p, p, s, tau_s (mutates state)."""
     a = linearization.a_matrix
     with np.errstate(invalid="ignore", over="ignore"):  # checked just below
         a_sq = a * a
         tau_p = a_sq @ state.tau_x
-        z_hat = a @ state.x_hat
-        p_hat = z_hat - tau_p * state.s_hat
+        p_hat = a @ state.x_hat - tau_p * state.s_hat
         s_new = (np.asarray(y) - linearization.mu - p_hat) / (tau_w + tau_p)
         if damping < 1.0:
             s_new = damping * s_new + (1.0 - damping) * state.s_hat
@@ -178,7 +161,7 @@ def output_step(
                 f"output step: non-finite {name} at link {int(bad[0])} "
                 f"(iteration {state.k})"
             )
-    state.tau_p, state.p_hat, state.z_hat = tau_p, p_hat, z_hat
+    state.tau_p, state.p_hat = tau_p, p_hat
     state.s_hat, state.tau_s = s_new, tau_s
     return state
 
@@ -294,7 +277,6 @@ def solve(
     y: np.ndarray,
     config: GampConfig,
     jacobian_method: str = "analytic",
-    check_invariants: bool = False,
 ) -> EstimateReport:
     """Run the full outer/inner recursion and report the estimate.
 
@@ -321,6 +303,7 @@ def solve(
     resid0 = _rms(y - _forward_or_abort(state.x_hat, "the initial point"))
     trajectory = [state.x_hat.copy()]
     iterations = 0
+    half = config.delta_tr / 2.0
 
     for k1 in range(config.k_iter):
         expansion = np.array(
@@ -335,8 +318,8 @@ def solve(
         for w in lin.warnings:
             if w not in warnings:
                 warnings.append(w)
-        trust = _trust_regions(lo, hi, expansion, config.delta_tr)
-        state.trust = trust
+        t_lo, t_hi = np.maximum(lo, expansion - half), np.minimum(hi, expansion + half)
+        trust = [Interval(a, b) for a, b in zip(t_lo, t_hi)]
 
         for _ in range(config.k_gamp):
             x_prev = state.x_hat.copy()
@@ -345,10 +328,9 @@ def solve(
             state.k += 1
             iterations += 1
             trajectory.append(state.x_hat.copy())
-            if check_invariants:
-                _check_invariants(
-                    state, lo, hi, expansion, config.delta_tr, lin.a_matrix
-                )
+            _check_invariants(
+                state, lo, hi, expansion, config.delta_tr, lin.a_matrix
+            )
             if (
                 config.early_stop_tol > 0
                 and np.max(np.abs(state.x_hat - x_prev)) < config.early_stop_tol

@@ -1,10 +1,10 @@
 """Independent ground-truth machinery for tests and acceptance checks.
 
-Everything here is deliberately brute force: the exact log-posterior of the
-estimation problem, an exhaustive grid argmax over the prior box, and
-adaptive-quadrature moments of the truncated-Gaussian input channel. The
-iterative solver never imports this module (and this module never imports
-the solver), so the two sides stay independent.
+The exact log-posterior of the estimation problem, a brute-force grid
+argmax over the prior box (its gains come from the forward model's array
+kernel), and adaptive-quadrature moments of the truncated-Gaussian input
+channel. The iterative solver never imports this module (and this module
+never imports the solver), so the two sides stay independent.
 """
 
 from __future__ import annotations
@@ -17,11 +17,12 @@ import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
 from .errors import GridSizeError, ValidationError
-from .forward_model import forward, fresnel_power_coeff
+from .forward_model import forward, link_totals, ray_table
 from .scenario import Scenario
 from .trunc_gauss import Interval
 
 GRID_GUARD = 10_000_000  # max number of grid nodes
+GRID_CHUNK_ELEMENTS = 1 << 15  # nodes x bounce slots per kernel call
 SIGMA_VAR_FLOOR = 1e-12  # dB^2; keeps sigma_z = 0 arithmetic finite
 QUAD_ABS_TARGET = 1e-11
 
@@ -61,28 +62,6 @@ def grid_axes(scenario: Scenario, grid: GridSpec) -> list[np.ndarray]:
     return axes
 
 
-def _grid_gains(scenario: Scenario, ray_cache, eps_nodes: np.ndarray) -> np.ndarray:
-    """Forward gains for every grid node: (n_nodes, n_links).
-
-    Same Friis-times-Fresnel arithmetic as the forward map, evaluated with
-    the permittivity axis vectorized so exhaustive scans stay cheap.
-    """
-    wl, pol = scenario.wavelength_m, scenario.polarization
-    n_nodes = eps_nodes.shape[0]
-    gains = np.empty((n_nodes, len(ray_cache)))
-    for n, rays in enumerate(ray_cache):
-        total = np.zeros(n_nodes)
-        for ray in rays:
-            g = np.full(n_nodes, (wl / (4.0 * math.pi * ray.total_length_m)) ** 2)
-            for ref in ray.reflections:
-                g = g * fresnel_power_coeff(
-                    eps_nodes[:, ref.material_index - 1], ref.incidence_angle, pol
-                )
-            total += g
-        gains[:, n] = 10.0 * np.log10(total)
-    return gains
-
-
 def grid_map(scenario: Scenario, ray_cache, y, sigma_z: float, grid: GridSpec) -> np.ndarray:
     """Exhaustive argmax of the log posterior over the Cartesian prior grid.
 
@@ -96,8 +75,14 @@ def grid_map(scenario: Scenario, ray_cache, y, sigma_z: float, grid: GridSpec) -
         raise GridSizeError(f"grid has {size} nodes (> {GRID_GUARD})")
     mesh = np.meshgrid(*axes, indexing="ij")
     eps_nodes = np.stack([m.reshape(-1) for m in mesh], axis=1)
-    gains = _grid_gains(scenario, ray_cache, eps_nodes)
-    ssr = np.einsum("ij,ij->i", gains - np.asarray(y), gains - np.asarray(y))
+    table = ray_table(ray_cache, scenario.wavelength_m)
+    slots = max(1, table.friis.size * max(1, table.n_bounces))
+    chunk = max(1, GRID_CHUNK_ELEMENTS // slots)  # bounded temporaries, no gains matrix
+    ssr = np.empty(size)
+    for start in range(0, size, chunk):
+        totals = link_totals(table, eps_nodes[start:start + chunk], scenario.polarization)
+        resid = 10.0 * np.log10(totals) - np.asarray(y)
+        ssr[start:start + chunk] = np.einsum("ij,ij->i", resid, resid)
     best = int(np.argmin(ssr))  # first occurrence = lexicographically smallest
     return eps_nodes[best].copy()
 

@@ -37,7 +37,6 @@ class Ray:
 
     total_length_m: float
     reflections: tuple[Reflection, ...] = ()
-    blocked: bool = False
     points: tuple[Point, ...] = field(default=(), compare=False)  # bounce points
 
     @property

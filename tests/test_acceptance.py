@@ -140,22 +140,19 @@ def test_criterion_2_jacobian():
 # 3/4/5 share their solve runs.
 # ---------------------------------------------------------------------------
 
-def _criterion3_runs(check_invariants: bool):
+def _criterion3_runs():
     sc = load_scenario(bundled_scenario_path("canyon"))
     rays = trace_scenario(sc)
     out = []
     for seed in range(100, 110):
         ds = synthesize_dataset(sc, 0.5, seed=seed)
         y = normalize_measurements(sc, ds)
-        rep = solve(
-            sc, rays, y, default_config(sc, ds.noise_var),
-            check_invariants=check_invariants,
-        )
+        rep = solve(sc, rays, y, default_config(sc, ds.noise_var))
         out.append((sc, rays, y, rep))
     return out
 
 
-def _criterion4_runs(check_invariants: bool):
+def _criterion4_runs():
     reports = []
     for n_mat in (1, 2):
         for seed in range(10):
@@ -163,10 +160,7 @@ def _criterion4_runs(check_invariants: bool):
             rays = trace_scenario(sc)
             ds = synthesize_dataset(sc, 0.0, seed=seed)
             y = normalize_measurements(sc, ds)
-            rep = solve(
-                sc, rays, y, default_config(sc, ds.noise_var),
-                check_invariants=check_invariants,
-            )
+            rep = solve(sc, rays, y, default_config(sc, ds.noise_var))
             reports.append((n_mat, seed, float(np.max(np.abs(rep.eps_hat - sc.true_eps_vector())))))
     return reports
 
@@ -175,7 +169,7 @@ def test_criterion_3_oracle_equivalence():
     t0 = time.perf_counter()
     hits = 0
     worst = 0.0
-    for sc, rays, y, rep in _criterion3_runs(check_invariants=False):
+    for sc, rays, y, rep in _criterion3_runs():
         eps_map = grid_map(sc, rays, y, 0.5, GridSpec(0.05))
         gap = float(np.max(np.abs(rep.eps_hat - eps_map)))
         worst = max(worst, gap)
@@ -193,7 +187,7 @@ def test_criterion_3_oracle_equivalence():
 
 def test_criterion_4_noiseless_recovery():
     t0 = time.perf_counter()
-    runs = _criterion4_runs(check_invariants=False)
+    runs = _criterion4_runs()
     worst = max(err for _, _, err in runs)
     ok_runs = sum(err <= 0.05 for _, _, err in runs)
     elapsed = time.perf_counter() - t0
@@ -208,14 +202,14 @@ def test_criterion_4_noiseless_recovery():
 
 
 def test_criterion_5_trust_region_invariants():
-    # The instrumented solve raises on any containment or positivity
-    # violation, so completing every criterion-3/4 run means zero
-    # violations across all of their iterations.
+    # Every solve checks containment and positivity after each inner step
+    # and raises on a violation, so completing every criterion-3/4 run
+    # means zero violations across all of their iterations.
     t0 = time.perf_counter()
     n_solves = 0
-    for _ in _criterion3_runs(check_invariants=True):
+    for _ in _criterion3_runs():
         n_solves += 1
-    for _ in _criterion4_runs(check_invariants=True):
+    for _ in _criterion4_runs():
         n_solves += 1
     elapsed = time.perf_counter() - t0
     _verdict(

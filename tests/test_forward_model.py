@@ -21,7 +21,7 @@ from permgamp import (
     trace_link,
     trace_scenario,
 )
-from permgamp.forward_model import fresnel_power_coeff_deriv
+from permgamp.forward_model import fresnel_power_coeff_deriv, link_totals, ray_table
 from permgamp.raytracer import Ray, Reflection
 
 # mpmath (50 digits) evaluation of the stated TM formula at eps=4, theta=pi/3
@@ -159,12 +159,26 @@ def test_link_gain_all_annihilated_raises():
         link_gain_db(rays, np.array([1.0]), 0.3)
 
 
+def _canyon3():
+    """10-link canyon at 3 bounces: mixed-material rays with up to 3 bounces."""
+    sc = make_canyon_scenario(n_links=10, max_reflections=3)
+    rays = trace_scenario(sc)
+    assert any(
+        r.n_bounces == 3 and len({b.material_index for b in r.reflections}) == 2
+        for link in rays for r in link
+    )
+    return sc, rays
+
+
 def test_canyon_link_gain_matches_direct_recomputation(canyon, canyon_rays):
     eps = np.array([4.0, 7.0])
-    for n in (0, 33, 99):
+    sc3, rays3 = _canyon3()
+    cases = [(canyon, canyon_rays, n) for n in (0, 33, 99)]
+    cases += [(sc3, rays3, n) for n in range(sc3.n_links)]
+    for sc, rays, n in cases:
         total = 0.0
-        for ray in canyon_rays[n]:
-            g = (canyon.wavelength_m / (4 * math.pi * ray.total_length_m)) ** 2
+        for ray in rays[n]:
+            g = (sc.wavelength_m / (4 * math.pi * ray.total_length_m)) ** 2
             for ref in ray.reflections:
                 e = eps[ref.material_index - 1]
                 c = math.cos(ref.incidence_angle)
@@ -172,16 +186,27 @@ def test_canyon_link_gain_matches_direct_recomputation(canyon, canyon_rays):
                 g *= ((c - s) / (c + s)) ** 2
             total += g
         expect = 10 * math.log10(total)
-        got = link_gain_db(canyon_rays[n], eps, canyon.wavelength_m)
+        got = link_gain_db(rays[n], eps, sc.wavelength_m)
         assert abs(got - expect) <= 1e-12
+    # the array kernel reproduces the scalar per-ray reference bit for bit
+    out = forward(sc3, rays3, eps)
+    for n in range(sc3.n_links):
+        ref = sum(ray_gain_linear(r, eps, sc3.wavelength_m) for r in rays3[n])
+        assert out[n] == 10 * math.log10(ref)
+    single = [[r] for link in rays3 for r in link]
+    per_ray = link_totals(ray_table(single, sc3.wavelength_m), eps[None], "TE")[0]
+    assert per_ray.tolist() == [
+        ray_gain_linear(r, eps, sc3.wavelength_m) for (r,) in single
+    ]
 
 
 def test_forward_is_per_link_composition(canyon, canyon_rays):
     eps = np.array([3.3, 6.1])
-    out = forward(canyon, canyon_rays, eps)
-    assert out.shape == (canyon.n_links,)
-    for n in range(0, canyon.n_links, 9):
-        assert out[n] == link_gain_db(canyon_rays[n], eps, canyon.wavelength_m)
+    for sc, rays, stride in ((canyon, canyon_rays, 9), (*_canyon3(), 1)):
+        out = forward(sc, rays, eps)
+        assert out.shape == (sc.n_links,)
+        for n in range(0, sc.n_links, stride):
+            assert out[n] == link_gain_db(rays[n], eps, sc.wavelength_m)
 
 
 def test_forward_error_names_the_link():
@@ -244,12 +269,43 @@ def test_jacobian_single_bounce_closed_form():
 
 
 def test_analytic_matches_central_fd(canyon, canyon_rays):
-    eps = np.array([3.7, 6.2])
-    la = jacobian(canyon, canyon_rays, eps, method="analytic")
-    lf = jacobian(canyon, canyon_rays, eps, method="central_fd")
-    scale = np.maximum(np.abs(la.a_matrix), 1e-9)
-    assert np.max(np.abs(la.a_matrix - lf.a_matrix) / scale) <= 1e-5
-    assert np.allclose(la.mu, lf.mu, rtol=0, atol=1e-4)
+    # Zero reflection coefficients: material 1 at eps = 1 (vacuum), and a
+    # TM canyon with material 1 at the Brewster permittivity of one bounce.
+    vac = make_canyon_scenario(n_links=10, priors=((1.0, 10.0), (3.0, 12.0)))
+    tm = Scenario(
+        surfaces=canyon.surfaces,
+        materials=canyon.materials,
+        links=canyon.links,
+        wavelength_m=canyon.wavelength_m,
+        max_reflections=canyon.max_reflections,
+        polarization="TM",
+    )
+    tm_rays = trace_scenario(tm)
+    theta = min(
+        (b.incidence_angle for link in tm_rays for r in link for b in r.reflections
+         if b.material_index == 1),
+        key=lambda t: abs(math.tan(t) ** 2 - 7.0),
+    )
+    eps_b = math.tan(theta) ** 2
+    assert fresnel_power_coeff(eps_b, theta, "TM") <= 1e-28
+    cases = [
+        (canyon, canyon_rays, np.array([3.7, 6.2])),
+        (vac, trace_scenario(vac), np.array([1.0, 6.2])),
+        (tm, tm_rays, np.array([eps_b, 6.2])),
+    ]
+    for sc, rays, eps in cases:
+        la = jacobian(sc, rays, eps, method="analytic")
+        lf = jacobian(sc, rays, eps, method="central_fd")
+        assert np.all(np.isfinite(la.a_matrix))
+        # At eps = 1 the FD step is one-sided, with an O(step) error that a
+        # relative check cannot absorb; there d|Gamma|^2/d eps is exactly 0.
+        central = eps > 1.0
+        assert np.all(la.a_matrix[:, ~central] == 0.0)
+        assert np.all(np.abs(lf.a_matrix[:, ~central]) <= 1e-4)
+        a, f = la.a_matrix[:, central], lf.a_matrix[:, central]
+        scale = np.maximum(np.abs(a), 1e-9)
+        assert np.max(np.abs(a - f) / scale) <= 1e-5
+        assert np.allclose(la.mu, lf.mu, rtol=0, atol=1e-4)
 
 
 def test_linearization_exact_at_expansion_point(canyon, canyon_rays):

@@ -40,8 +40,6 @@ def _state(x0, tau_x, n):
         tau_s=np.zeros(n),
         c_hat=x0.copy(),
         tau_c=np.ones(m),
-        z_hat=np.zeros(n),
-        trust=[Interval(-1e9, 1e9) for _ in range(m)],
     )
 
 
@@ -92,7 +90,6 @@ def test_output_step_scalar_substitution():
     assert st.p_hat.tolist() == [0.0]
     assert st.s_hat.tolist() == [0.5]
     assert st.tau_s.tolist() == [0.5]
-    assert st.z_hat.tolist() == [0.0]
 
 
 def test_output_step_zero_matrix():
@@ -125,7 +122,6 @@ def test_output_step_matches_plain_loops(rng):
         s = (y[i] - mu[i] - p) / (tau_w + tau_p)
         tau_s = 1.0 / (tau_p + tau_w)
         assert abs(st.tau_p[i] - tau_p) <= 1e-12 * max(1, tau_p)
-        assert abs(st.z_hat[i] - z) <= 1e-12
         assert abs(st.p_hat[i] - p) <= 1e-12
         assert abs(st.s_hat[i] - s) <= 1e-12
         assert abs(st.tau_s[i] - tau_s) <= 1e-12
@@ -267,7 +263,7 @@ def test_solve_noiseless_single_material():
     ds = synthesize_dataset(sc, 0.0, seed=1)
     y = normalize_measurements(sc, ds)
     cfg = default_config(sc, ds.noise_var, k_iter=20, k_gamp=5, delta_tr=2.0)
-    rep = solve(sc, rays, y, cfg, check_invariants=True)
+    rep = solve(sc, rays, y, cfg)
     assert abs(rep.eps_hat[0] - 6.0) <= 0.05
     assert rep.iterations_run == 100
 
@@ -311,7 +307,7 @@ def test_solve_invariants_and_report(canyon, canyon_rays):
     ds = synthesize_dataset(canyon, 0.5, seed=2)
     y = normalize_measurements(canyon, ds)
     cfg = default_config(canyon, ds.noise_var)
-    rep = solve(canyon, canyon_rays, y, cfg, check_invariants=True)
+    rep = solve(canyon, canyon_rays, y, cfg)
     lo, hi = canyon.prior_bounds()
     assert np.all(rep.eps_hat >= lo) and np.all(rep.eps_hat <= hi)
     assert len(rep.trajectory) == rep.iterations_run + 1
@@ -385,7 +381,7 @@ def test_solve_with_damping_still_recovers(canyon, canyon_rays):
     ds = synthesize_dataset(canyon, 0.0, seed=4)
     y = normalize_measurements(canyon, ds)
     cfg = default_config(canyon, ds.noise_var, damping=0.7)
-    rep = solve(canyon, canyon_rays, y, cfg, check_invariants=True)
+    rep = solve(canyon, canyon_rays, y, cfg)
     assert np.max(np.abs(rep.eps_hat - canyon.true_eps_vector())) <= 0.05
 
 
@@ -412,7 +408,7 @@ def test_solve_tm_polarization(canyon, canyon_rays):
     rays = trace_scenario(tm)
     ds = synthesize_dataset(tm, 0.0, seed=1)
     y = normalize_measurements(tm, ds)
-    rep = solve(tm, rays, y, default_config(tm, ds.noise_var), check_invariants=True)
+    rep = solve(tm, rays, y, default_config(tm, ds.noise_var))
     assert np.max(np.abs(rep.eps_hat - tm.true_eps_vector())) <= 0.05
 
 
@@ -421,8 +417,7 @@ def test_solve_survives_huge_noise(canyon, canyon_rays):
     # inside the box, and invariant-clean.
     ds = synthesize_dataset(canyon, 50.0, seed=0)
     y = normalize_measurements(canyon, ds)
-    rep = solve(canyon, canyon_rays, y, default_config(canyon, ds.noise_var),
-                check_invariants=True)
+    rep = solve(canyon, canyon_rays, y, default_config(canyon, ds.noise_var))
     lo, hi = canyon.prior_bounds()
     assert np.all(np.isfinite(rep.eps_hat))
     assert np.all(rep.eps_hat >= lo) and np.all(rep.eps_hat <= hi)
