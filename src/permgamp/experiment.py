@@ -1,26 +1,27 @@
 """Harness plumbing: problem preparation, single estimations, noise sweeps.
 
-A sweep fans (sigma, seed) points out over a process pool (worker count
-from the PERMGAMP_WORKERS environment variable, default: all cores) and
-merges the per-run rows back in deterministic (sigma, seed, material)
-order, so the emitted CSVs are byte-stable no matter how the pool
-schedules. A failed run keeps its rows (status column carries the error
-tag) and the sweep continues.
+A sweep traces its scenario once and shares the prepared problem with
+every (sigma, seed) point, which only draws its noise and solves. Points
+fan out over a process pool (workers=, default: all cores) and the rows
+merge back in deterministic (sigma, seed, material) order, so the emitted
+CSVs are byte-stable no matter how the pool schedules. A failed run keeps
+its rows (status column carries the error tag) and the sweep continues.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import UnusableLinkError, ValidationError
-from .forward_model import forward
+from .forward_model import forward, usable_links
 from .gamp import EstimateReport, default_config, solve
 from .oracle import GridSpec, grid_map
 from .raytracer import Ray, trace_link
@@ -28,9 +29,9 @@ from .scenario import (
     Dataset,
     Scenario,
     load_scenario,
+    measurement_noise,
     normalize_measurements,
-    scenario_from_dict,
-    scenario_to_dict,
+    scenario_from_dict,  # unused here: bench/tracing.py wraps both names here
     synthesize_dataset,
 )
 
@@ -45,27 +46,34 @@ class PreparedProblem:
     dropped: list[int]
 
 
+def _trace_all(scenario: Scenario) -> list[list[Ray]]:
+    """Rays of every link; a link without an unblocked ray gets []."""
+    ray_cache = []
+    for n in range(scenario.n_links):
+        try:
+            ray_cache.append(trace_link(scenario, n))
+        except UnusableLinkError:
+            ray_cache.append([])
+    return ray_cache
+
+
+def _split_links(scenario: Scenario, ray_cache, y_all) -> PreparedProblem:
+    """Keep the links usable at the prior midpoint (one kernel pass): a
+    link without rays or with zero gain there is dropped."""
+    lo, hi = scenario.prior_bounds()
+    usable = usable_links(scenario, ray_cache, 0.5 * (lo + hi))
+    kept = np.flatnonzero(usable).tolist()
+    if not kept:
+        raise UnusableLinkError("every link is unusable")
+    rays = [ray_cache[n] for n in kept]
+    return PreparedProblem(y_all[kept], rays, kept, np.flatnonzero(~usable).tolist())
+
+
 def prepare_problem(scenario: Scenario, dataset: Dataset) -> PreparedProblem:
     """Trace all links and drop the unusable ones (no ray, or zero gain at
     the prior midpoint) from both the measurements and the ray cache."""
     y_all = normalize_measurements(scenario, dataset)
-    lo, hi = scenario.prior_bounds()
-    x0 = 0.5 * (lo + hi)
-    kept, dropped, rays_kept = [], [], []
-    for n in range(scenario.n_links):
-        try:
-            rays = trace_link(scenario, n)
-            forward(scenario, [rays], x0)
-        except UnusableLinkError:
-            dropped.append(n)
-            continue
-        kept.append(n)
-        rays_kept.append(rays)
-    if not kept:
-        raise UnusableLinkError("every link is unusable")
-    return PreparedProblem(
-        y=y_all[kept], ray_cache=rays_kept, kept=kept, dropped=dropped
-    )
+    return _split_links(scenario, _trace_all(scenario), y_all)
 
 
 def run_estimate(
@@ -124,8 +132,6 @@ SUMMARY_FIELDS = [
     "stderr_abs_err",
 ]
 
-WORKERS_ENV = "PERMGAMP_WORKERS"
-
 
 @dataclass
 class ExperimentConfig:
@@ -137,8 +143,8 @@ class ExperimentConfig:
     include_timing: bool = False
 
     def __post_init__(self):
-        if len(self.sigmas) < 1:
-            raise ValidationError("sigmas: need at least one value")
+        if len(self.sigmas) < 1 or not all(math.isfinite(s) and s >= 0 for s in self.sigmas):
+            raise ValidationError(f"sigmas={list(self.sigmas)}: need one or more finite values >= 0")
         if self.n_seeds < 1:
             raise ValidationError(f"n_seeds={self.n_seeds} must be >= 1")
 
@@ -156,80 +162,64 @@ class ExperimentConfig:
         )
 
 
+def _run_rows(scenario: Scenario, sigma, seed, report, status: str) -> list[dict]:
+    """The M rows of one point; without a report the estimate cells are empty."""
+    rows = []
+    for m, truth in enumerate(scenario.true_eps_vector().tolist()):
+        row = dict.fromkeys(RUN_FIELDS, "")
+        row.update(sigma_z=sigma, seed=seed, material=m + 1, eps_true=truth, status=status)
+        if report is not None:
+            eps_hat = float(report.eps_hat[m])
+            row.update(eps_hat=eps_hat, abs_err=abs(eps_hat - truth),
+                       iterations=report.iterations_run, wall_ms=report.wall_ms)
+        rows.append(row)
+    return rows
+
+
 def _sweep_point(args) -> list[dict]:
     """One (sigma, seed) run; returns M rows. Top-level so pools can pickle."""
-    scenario_dict, sigma, seed, overrides = args
-    scenario = scenario_from_dict(scenario_dict)
-    eps_true = scenario.true_eps_vector()
-    base = {"sigma_z": sigma, "seed": seed}
+    scenario, prob, sweep, sigma, seed = args
     try:
-        dataset = synthesize_dataset(scenario, sigma, seed)
-        report, _ = run_estimate(scenario, dataset, overrides=overrides)
-        return [
-            {
-                **base,
-                "material": m + 1,
-                "eps_true": float(eps_true[m]),
-                "eps_hat": float(report.eps_hat[m]),
-                "abs_err": float(abs(report.eps_hat[m] - eps_true[m])),
-                "iterations": report.iterations_run,
-                "wall_ms": report.wall_ms,
-                "status": "ok",
-            }
-            for m in range(scenario.n_materials)
-        ]
+        noise = measurement_noise(sigma, seed, scenario.n_links)
+        if isinstance(prob, Exception):  # the shared step failed
+            raise prob
+        # prob.y holds the gains at the true eps; adding and removing the
+        # offsets rounds y exactly as synthesize_dataset + prepare_problem do
+        offsets = scenario.link_offsets()[prob.kept]
+        y = offsets + prob.y + noise[prob.kept] - offsets
+        config = default_config(scenario, sigma**2, **sweep.overrides)
+        report = solve(scenario, prob.ray_cache, y, config)
     except Exception as exc:  # single-run failure must not kill the sweep
-        return [
-            {
-                **base,
-                "material": m + 1,
-                "eps_true": float(eps_true[m]),
-                "eps_hat": "",
-                "abs_err": "",
-                "iterations": "",
-                "wall_ms": "",
-                "status": f"error:{type(exc).__name__}",
-            }
-            for m in range(scenario.n_materials)
-        ]
-
-
-def _worker_count(workers: Optional[int]) -> int:
-    if workers is not None:
-        return max(1, workers)
-    env = os.environ.get(WORKERS_ENV)
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+        return _run_rows(scenario, sigma, seed, None, f"error:{type(exc).__name__}")
+    if not sweep.include_timing:
+        report = replace(report, wall_ms=0.0)
+    return _run_rows(scenario, sigma, seed, report, "ok")
 
 
 def run_sweep(
-    config: ExperimentConfig,
-    scenario: Optional[Scenario] = None,
-    workers: Optional[int] = None,
+    config: ExperimentConfig, workers: Optional[int] = None
 ) -> tuple[list[dict], list[dict]]:
     """All (sigma, seed) points of the experiment; returns (rows, summary)."""
-    if scenario is None:
-        scenario = load_scenario(config.scenario_path)
-    scenario.true_eps_vector()  # sweeps synthesize: fail fast without truths
-    scenario_dict = scenario_to_dict(scenario)
+    scenario = load_scenario(config.scenario_path)
+    eps_true = scenario.true_eps_vector()  # sweeps synthesize: fail fast without truths
+    try:  # the problem every point shares, with y = gains at the true eps
+        ray_cache = _trace_all(scenario)
+        prob = _split_links(scenario, ray_cache, forward(scenario, ray_cache, eps_true))
+    except Exception as exc:  # e.g. a link without rays: every point reports it
+        prob = exc
     tasks = [
-        (scenario_dict, float(sigma), seed, dict(config.overrides))
+        (scenario, prob, config, float(sigma), seed)
         for sigma in config.sigmas
         for seed in range(config.n_seeds)
     ]
-    n_workers = _worker_count(workers)
-    if n_workers == 1 or len(tasks) == 1:
+    n_workers = (os.cpu_count() or 1) if workers is None else max(1, workers)
+    if n_workers == 1 or len(tasks) == 1 or isinstance(prob, Exception):
         results = [_sweep_point(t) for t in tasks]
     else:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             results = list(pool.map(_sweep_point, tasks, chunksize=1))
     rows = [row for batch in results for row in batch]
     rows.sort(key=lambda r: (r["sigma_z"], r["seed"], r["material"]))
-    if not config.include_timing:
-        for r in rows:
-            if r["status"] == "ok":
-                r["wall_ms"] = 0.0
 
     summary = []
     for sigma in config.sigmas:

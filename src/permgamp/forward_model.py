@@ -168,10 +168,10 @@ def link_totals(table: RayTable, eps, polarization: str, deriv: bool = False):
     return total, dtotal
 
 
-def _gains_db(ray_cache, eps, wavelength_m: float, polarization: str) -> np.ndarray:
+def _gains_db(table: RayTable, eps, polarization: str) -> np.ndarray:
     """Per-link 10 log10 (math.log10); raises naming a link below the floor."""
     eps = np.asarray(eps, dtype=float)
-    total = link_totals(ray_table(ray_cache, wavelength_m), eps[None], polarization)[0]
+    total = link_totals(table, eps[None], polarization)[0]
     low = np.flatnonzero(total < GAIN_FLOOR)
     if low.size:
         raise UnusableLinkError(
@@ -183,12 +183,18 @@ def _gains_db(ray_cache, eps, wavelength_m: float, polarization: str) -> np.ndar
 
 def link_gain_db(rays, eps, wavelength_m: float, polarization: str = "TE") -> float:
     """10 log10 of the summed linear ray gains (energy superposition)."""
-    return float(_gains_db([rays], eps, wavelength_m, polarization)[0])
+    return float(_gains_db(ray_table([rays], wavelength_m), eps, polarization)[0])
 
 
 def forward(scenario: Scenario, ray_cache, eps) -> np.ndarray:
     """dB link gains for every link at the permittivity vector eps."""
-    return _gains_db(ray_cache, eps, scenario.wavelength_m, scenario.polarization)
+    return _gains_db(ray_table(ray_cache, scenario.wavelength_m), eps, scenario.polarization)
+
+
+def usable_links(scenario: Scenario, ray_cache, eps) -> np.ndarray:
+    """Mask of the links whose total linear gain at eps is not below GAIN_FLOOR."""
+    table = ray_table(ray_cache, scenario.wavelength_m)
+    return ~(link_totals(table, np.atleast_2d(eps), scenario.polarization)[0] < GAIN_FLOOR)
 
 
 @dataclass(frozen=True)
@@ -218,11 +224,12 @@ def jacobian(
     eps = np.asarray(eps, dtype=float)
     if method not in JACOBIAN_METHODS:
         raise ValueError(f"method={method!r} not in {JACOBIAN_METHODS}")
-    g0 = forward(scenario, ray_cache, eps)  # names the link if one is unusable
+    table = ray_table(ray_cache, scenario.wavelength_m)
+    pol = scenario.polarization
+    g0 = _gains_db(table, eps, pol)  # names the link if one is unusable
     warnings: list[str] = []
     if method == "analytic":
-        table = ray_table(ray_cache, scenario.wavelength_m)
-        total, dtotal = link_totals(table, eps[None], scenario.polarization, True)
+        total, dtotal = link_totals(table, eps[None], pol, True)
         a = DB_PER_LN * dtotal[0] / total[0][:, None]
     else:
         a = np.zeros((len(ray_cache), len(eps)))
@@ -237,9 +244,7 @@ def jacobian(
                 warnings.append(
                     f"fd: one-sided difference for material {m + 1} at eps={eps[m]}"
                 )
-            a[:, m] = (
-                forward(scenario, ray_cache, e_hi) - forward(scenario, ray_cache, e_lo)
-            ) / width
+            a[:, m] = (_gains_db(table, e_hi, pol) - _gains_db(table, e_lo, pol)) / width
     mu = g0 - a @ eps
     return Linearization(
         a_matrix=a, mu=mu, expansion_point=eps.copy(), warnings=tuple(warnings)

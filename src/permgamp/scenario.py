@@ -152,6 +152,10 @@ class Scenario:
             vals.append(m.true_eps)
         return np.array(vals, dtype=float)
 
+    def link_offsets(self) -> np.ndarray:
+        """Known dB terms P_n + Gtx_n + Grx_n of each link's measured level."""
+        return np.array([l.tx_power_dbm + l.tx_gain_db + l.rx_gain_db for l in self.links])
+
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
@@ -318,27 +322,28 @@ def gaussian_draws(rng: np.random.Generator, n: int) -> np.ndarray:
     return np.sqrt(-2.0 * np.log1p(-u1)) * np.cos(2.0 * np.pi * u2)
 
 
+def measurement_noise(sigma_z: float, seed: int, n: int) -> np.ndarray:
+    """sigma_z times n draws of the PCG64(seed) Gaussian stream."""
+    if sigma_z < 0:
+        raise ValidationError(f"sigma_z={sigma_z} must be >= 0")
+    return sigma_z * gaussian_draws(np.random.Generator(np.random.PCG64(seed)), n)
+
+
 def synthesize_dataset(scenario: Scenario, sigma_z: float, seed: int) -> Dataset:
     """Draw measured levels from the forward model at the true permittivities.
 
     measured_n = p_dbm_n + g_tx_db_n + g_rx_db_n + gain_db_n(true eps) + z_n,
     z_n ~ N(0, sigma_z^2) on the PCG64(seed) stream.
     """
-    if sigma_z < 0:
-        raise ValidationError(f"sigma_z={sigma_z} must be >= 0")
+    noise = measurement_noise(sigma_z, seed, scenario.n_links)
     # Local import: forward_model sits above this module in the import graph.
     from . import forward_model, raytracer
 
     eps_true = scenario.true_eps_vector()
     ray_cache = raytracer.trace_scenario(scenario)
     gains = forward_model.forward(scenario, ray_cache, eps_true)
-    offsets = np.array(
-        [l.tx_power_dbm + l.tx_gain_db + l.rx_gain_db for l in scenario.links]
-    )
-    rng = np.random.Generator(np.random.PCG64(seed))
-    noise = sigma_z * gaussian_draws(rng, scenario.n_links)
     return Dataset(
-        measured_db=offsets + gains + noise,
+        measured_db=scenario.link_offsets() + gains + noise,
         noise_var=sigma_z**2,
         seed=seed,
     )
@@ -351,10 +356,7 @@ def normalize_measurements(scenario: Scenario, dataset: Dataset) -> np.ndarray:
             f"measured_db has {len(dataset.measured_db)} entries for "
             f"{scenario.n_links} links"
         )
-    offsets = np.array(
-        [l.tx_power_dbm + l.tx_gain_db + l.rx_gain_db for l in scenario.links]
-    )
-    return dataset.measured_db - offsets
+    return dataset.measured_db - scenario.link_offsets()
 
 
 # ---------------------------------------------------------------------------

@@ -15,11 +15,14 @@ from permgamp import (
     bundled_scenario_path,
     load_scenario,
     prepare_problem,
+    run_estimate,
     run_sweep,
     save_scenario,
     synthesize_dataset,
+    trace_link,
     write_sweep_outputs,
 )
+from permgamp import experiment, raytracer
 from permgamp.cli import main
 from permgamp.experiment import RUN_FIELDS, SUMMARY_FIELDS
 
@@ -231,6 +234,57 @@ def test_sweep_rejects_zero_seeds(tmp_path, capsys):
     )
     assert code == 2
     assert "n_seeds" in err
+
+
+@pytest.mark.parametrize("sigmas", ["-1", "0.5,nan", "inf"])
+def test_sweep_rejects_bad_sigmas(tmp_path, capsys, sigmas):
+    code, _, err = _run(
+        capsys, "sweep", "--scenario", bundled_scenario_path("canyon"),
+        f"--sigmas={sigmas}", "--seeds", "1", "--out-dir", str(tmp_path),
+    )
+    assert code == 2
+    assert "sigmas" in err
+    assert not (tmp_path / "runs.csv").exists()
+
+
+def test_sweep_points_equal_single_estimates_and_trace_once(monkeypatch):
+    sc = load_scenario(bundled_scenario_path("canyon"))
+    config = ExperimentConfig(
+        scenario_path=bundled_scenario_path("canyon"),
+        sigmas=[0.4, 1.5],
+        n_seeds=2,
+        overrides={"k_iter": 6},
+    )
+    expected = {}
+    for sigma in config.sigmas:
+        for seed in range(config.n_seeds):
+            report, _ = run_estimate(
+                sc, synthesize_dataset(sc, sigma, seed), overrides=config.overrides
+            )
+            for m in range(sc.n_materials):
+                expected[sigma, seed, m + 1] = (
+                    float(report.eps_hat[m]), report.iterations_run
+                )
+    for workers in (1, 2):
+        rows, _ = run_sweep(config, workers=workers)
+        assert len(rows) == len(expected)
+        for r in rows:
+            assert r["status"] == "ok"
+            eps_hat, iterations = expected[r["sigma_z"], r["seed"], r["material"]]
+            assert r["eps_hat"] == eps_hat  # float for float
+            assert r["iterations"] == iterations
+            assert r["abs_err"] == abs(eps_hat - r["eps_true"])
+
+    calls = []
+
+    def counted(scenario, n):
+        calls.append(n)
+        return trace_link(scenario, n)
+
+    monkeypatch.setattr(raytracer, "trace_link", counted)
+    monkeypatch.setattr(experiment, "trace_link", counted)
+    run_sweep(config, workers=1)
+    assert sorted(calls) == list(range(sc.n_links))  # each link traced once
 
 
 def test_sweep_failure_rows_keep_schema(tmp_path):

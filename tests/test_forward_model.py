@@ -21,7 +21,13 @@ from permgamp import (
     trace_link,
     trace_scenario,
 )
-from permgamp.forward_model import fresnel_power_coeff_deriv, link_totals, ray_table
+from permgamp import forward_model
+from permgamp.forward_model import (
+    fresnel_power_coeff_deriv,
+    link_totals,
+    ray_table,
+    usable_links,
+)
 from permgamp.raytracer import Ray, Reflection
 
 # mpmath (50 digits) evaluation of the stated TM formula at eps=4, theta=pi/3
@@ -221,6 +227,21 @@ def test_forward_error_names_the_link():
         forward(sc, rays, np.array([1.0]))
 
 
+def test_usable_links_matches_per_link_floor_test():
+    # link 0 LOS, link 1 a single bounce annihilated at eps = 1, link 2 no ray
+    rays = [[_los(5.0)], [_bounce(5.0, 1, 0.2)], []]
+    sc = Scenario(
+        surfaces=(),
+        materials=(Material(1, 1.0, 13.0),),
+        links=tuple(Link((0, n), (5, n), 30, 2, 2) for n in range(3)),
+        wavelength_m=0.1,
+    )
+    assert usable_links(sc, rays, np.array([1.0])).tolist() == [True, False, False]
+    assert usable_links(sc, rays, np.array([4.0])).tolist() == [True, True, False]
+    with pytest.raises(UnusableLinkError, match="link 2"):
+        forward(sc, rays, np.array([4.0]))
+
+
 def test_forward_single_link_reduces_to_link_gain():
     sc = Scenario(
         surfaces=(),
@@ -345,6 +366,19 @@ def test_fd_one_sided_at_boundary():
     assert any("one-sided" in w and "material 1" in w for w in lin.warnings)
     lin2 = jacobian(sc, rays, np.array([3.0, 5.0]), method="central_fd")
     assert lin2.warnings == ()
+
+
+@pytest.mark.parametrize("method", ["analytic", "central_fd"])
+def test_jacobian_builds_one_ray_table(canyon, canyon_rays, monkeypatch, method):
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return ray_table(*args)
+
+    monkeypatch.setattr(forward_model, "ray_table", counted)
+    jacobian(canyon, canyon_rays, np.array([3.0, 6.0]), method=method)
+    assert len(calls) == 1
 
 
 def test_jacobian_rejects_unknown_method(canyon, canyon_rays):
