@@ -125,7 +125,6 @@ def cmd_estimate(args) -> int:
         scenario,
         dataset,
         overrides=_solver_overrides(args),
-        jacobian_method=args.jacobian,
         with_oracle=args.oracle,
         grid_step=args.grid_step,
     )
@@ -211,7 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--dataset", default=None)
     e.add_argument("--sigma", type=float, default=None, help="synthesize with this noise")
     e.add_argument("--seed", type=int, default=0)
-    e.add_argument("--jacobian", choices=("analytic", "central_fd"), default="analytic")
     e.add_argument("--oracle", action="store_true", help="append grid-search comparison")
     e.add_argument("--grid-step", type=float, default=0.05)
     e.add_argument("--timing", action="store_true", help="report measured wall time")

@@ -80,20 +80,13 @@ def run_estimate(
     scenario: Scenario,
     dataset: Dataset,
     overrides: Optional[dict] = None,
-    jacobian_method: str = "analytic",
     with_oracle: bool = False,
     grid_step: float = 0.05,
 ) -> tuple[EstimateReport, dict]:
     """Prepare, solve, and (optionally) compare against the grid oracle."""
     prob = prepare_problem(scenario, dataset)
     config = default_config(scenario, dataset.noise_var, **(overrides or {}))
-    report = solve(
-        scenario,
-        prob.ray_cache,
-        prob.y,
-        config,
-        jacobian_method=jacobian_method,
-    )
+    report = solve(scenario, prob.ray_cache, prob.y, config)
     info: dict = {"dropped_links": prob.dropped, "n_used": len(prob.kept)}
     if with_oracle:
         sigma_z = float(np.sqrt(dataset.noise_var))
@@ -203,8 +196,8 @@ def run_sweep(
     scenario = load_scenario(config.scenario_path)
     eps_true = scenario.true_eps_vector()  # sweeps synthesize: fail fast without truths
     try:  # the problem every point shares, with y = gains at the true eps
-        ray_cache = _trace_all(scenario)
-        prob = _split_links(scenario, ray_cache, forward(scenario, ray_cache, eps_true))
+        prob = _split_links(scenario, _trace_all(scenario), np.zeros(scenario.n_links))
+        prob.y = forward(scenario, prob.ray_cache, eps_true)  # kept links only
     except Exception as exc:  # e.g. a link without rays: every point reports it
         prob = exc
     tasks = [

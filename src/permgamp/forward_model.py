@@ -37,9 +37,6 @@ from .scenario import Scenario
 
 GAIN_FLOOR = 1e-30          # linear; below this a link is unusable at that eps
 DB_PER_LN = 10.0 / math.log(10.0)
-DEFAULT_FD_STEP = 1e-6
-
-JACOBIAN_METHODS = ("analytic", "central_fd")
 
 
 def _fresnel(eps, c, polarization: str, deriv: bool = False):
@@ -199,53 +196,18 @@ def usable_links(scenario: Scenario, ray_cache, eps) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Linearization:
-    """Affine surrogate around expansion_point: gain(x) ~= a_matrix @ x + mu."""
+    """Affine surrogate of the forward map: gain(x) ~= a_matrix @ x + mu."""
 
     a_matrix: np.ndarray     # (N, M), dB per unit permittivity
     mu: np.ndarray           # (N,), dB
-    expansion_point: np.ndarray
-    warnings: tuple[str, ...] = ()
 
 
-def jacobian(
-    scenario: Scenario,
-    ray_cache,
-    eps,
-    method: str = "analytic",
-    fd_step: float = DEFAULT_FD_STEP,
-) -> Linearization:
-    """Linearization (A, mu) of the forward map at eps.
-
-    "analytic" differentiates the Fresnel products in closed form;
-    "central_fd" is the finite-difference cross-check. A central step that
-    would cross the eps = 1 boundary degrades to a one-sided difference and
-    is flagged in the warnings.
-    """
+def jacobian(scenario: Scenario, table: RayTable, eps) -> Linearization:
+    """Linearization (A, mu) of the forward map at eps, with the Fresnel
+    products differentiated in closed form over a prebuilt ray table."""
     eps = np.asarray(eps, dtype=float)
-    if method not in JACOBIAN_METHODS:
-        raise ValueError(f"method={method!r} not in {JACOBIAN_METHODS}")
-    table = ray_table(ray_cache, scenario.wavelength_m)
     pol = scenario.polarization
     g0 = _gains_db(table, eps, pol)  # names the link if one is unusable
-    warnings: list[str] = []
-    if method == "analytic":
-        total, dtotal = link_totals(table, eps[None], pol, True)
-        a = DB_PER_LN * dtotal[0] / total[0][:, None]
-    else:
-        a = np.zeros((len(ray_cache), len(eps)))
-        for m in range(len(eps)):
-            e_hi, e_lo = eps.copy(), eps.copy()
-            e_hi[m] += fd_step
-            width = 2.0 * fd_step
-            if eps[m] - fd_step >= 1.0:
-                e_lo[m] -= fd_step
-            else:
-                width = fd_step
-                warnings.append(
-                    f"fd: one-sided difference for material {m + 1} at eps={eps[m]}"
-                )
-            a[:, m] = (_gains_db(table, e_hi, pol) - _gains_db(table, e_lo, pol)) / width
-    mu = g0 - a @ eps
-    return Linearization(
-        a_matrix=a, mu=mu, expansion_point=eps.copy(), warnings=tuple(warnings)
-    )
+    total, dtotal = link_totals(table, eps[None], pol, True)
+    a = DB_PER_LN * dtotal[0] / total[0][:, None]
+    return Linearization(a_matrix=a, mu=g0 - a @ eps)

@@ -34,9 +34,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import SolverError, UnusableLinkError, ValidationError
-from .forward_model import Linearization, forward, jacobian
+from .forward_model import Linearization, forward, jacobian, ray_table
 from .scenario import Scenario
-from .trunc_gauss import Interval, clamp_to_interval, truncated_moments
+from .trunc_gauss import Interval, truncated_moments
 
 TAU_W_FLOOR = 1e-6  # dB^2; output step divides by tau_w + tau_p
 
@@ -115,8 +115,9 @@ class GampState:
     warnings: list[str] = field(default_factory=list)
 
 
-def init_state(scenario: Scenario, config: GampConfig) -> GampState:
-    """Start at x0 with the uniform-prior variances (b-a)^2/12 and s = 0."""
+def init_state(scenario: Scenario, config: GampConfig, n_links: int) -> GampState:
+    """Start at x0 with the uniform-prior variances (b-a)^2/12 and s = 0 on
+    each of the n_links measurements."""
     lo, hi = scenario.prior_bounds()
     if len(config.x0) != scenario.n_materials:
         raise ValidationError(
@@ -124,14 +125,13 @@ def init_state(scenario: Scenario, config: GampConfig) -> GampState:
         )
     if np.any(config.x0 < lo) or np.any(config.x0 > hi):
         raise ValidationError(f"x0={config.x0} outside the prior box")
-    n = scenario.n_links
     return GampState(
         x_hat=config.x0.copy(),
         tau_x=(hi - lo) ** 2 / 12.0,
-        s_hat=np.zeros(n),
-        p_hat=np.zeros(n),
-        tau_p=np.zeros(n),
-        tau_s=np.zeros(n),
+        s_hat=np.zeros(n_links),
+        p_hat=np.zeros(n_links),
+        tau_p=np.zeros(n_links),
+        tau_s=np.zeros(n_links),
         c_hat=config.x0.copy(),
         tau_c=(hi - lo) ** 2 / 12.0,
     )
@@ -276,7 +276,6 @@ def solve(
     ray_cache,
     y: np.ndarray,
     config: GampConfig,
-    jacobian_method: str = "analytic",
 ) -> EstimateReport:
     """Run the full outer/inner recursion and report the estimate.
 
@@ -291,7 +290,8 @@ def solve(
         )
     lo, hi = scenario.prior_bounds()
     priors = [Interval(lo[m], hi[m]) for m in range(scenario.n_materials)]
-    state = init_state(scenario, config)
+    state = init_state(scenario, config, len(y))
+    table = ray_table(ray_cache, scenario.wavelength_m)  # one per solve
     warnings: list[str] = []
 
     def _forward_or_abort(eps, where):
@@ -306,18 +306,13 @@ def solve(
     half = config.delta_tr / 2.0
 
     for k1 in range(config.k_iter):
-        expansion = np.array(
-            [clamp_to_interval(v, priors[m]) for m, v in enumerate(state.x_hat)]
-        )
+        expansion = state.x_hat.copy()
         try:
-            lin = jacobian(scenario, ray_cache, expansion, method=jacobian_method)
+            lin = jacobian(scenario, table, expansion)
         except UnusableLinkError as exc:
             raise SolverError(
                 f"linearization failed at outer iteration {k1}: {exc}"
             ) from exc
-        for w in lin.warnings:
-            if w not in warnings:
-                warnings.append(w)
         t_lo, t_hi = np.maximum(lo, expansion - half), np.minimum(hi, expansion + half)
         trust = [Interval(a, b) for a, b in zip(t_lo, t_hi)]
 

@@ -2,9 +2,10 @@
 
 The exact log-posterior of the estimation problem, a brute-force grid
 argmax over the prior box (its gains come from the forward model's array
-kernel), and adaptive-quadrature moments of the truncated-Gaussian input
-channel. The iterative solver never imports this module (and this module
-never imports the solver), so the two sides stay independent.
+kernel), a central-difference Jacobian of the forward map, and
+adaptive-quadrature moments of the truncated-Gaussian input channel. The
+iterative solver never imports this module (and this module never imports
+the solver), so the two sides stay independent.
 """
 
 from __future__ import annotations
@@ -40,6 +41,27 @@ def log_posterior(scenario: Scenario, ray_cache, y, eps, sigma_z: float) -> floa
     var = max(sigma_z**2, SIGMA_VAR_FLOOR)
     resid = np.asarray(y, dtype=float) - forward(scenario, ray_cache, eps)
     return float(-0.5 * np.dot(resid, resid) / var)
+
+
+def fd_jacobian(scenario: Scenario, ray_cache, eps, step: float = 1e-6):
+    """Central-difference d gain_db / d eps, the cross-check of the solver's
+    analytic Jacobian; returns (a_matrix, warnings). A central step that
+    would cross the eps = 1 boundary degrades to a one-sided difference and
+    is flagged in the warnings."""
+    eps = np.asarray(eps, dtype=float)
+    a = np.zeros((len(ray_cache), len(eps)))
+    warns = []
+    for m in range(len(eps)):
+        e_hi, e_lo = eps.copy(), eps.copy()
+        e_hi[m] += step
+        width = 2.0 * step
+        if eps[m] - step >= 1.0:
+            e_lo[m] -= step
+        else:
+            width = step
+            warns.append(f"fd: one-sided difference for material {m + 1} at eps={eps[m]}")
+        a[:, m] = (forward(scenario, ray_cache, e_hi) - forward(scenario, ray_cache, e_lo)) / width
+    return a, warns
 
 
 @dataclass(frozen=True)

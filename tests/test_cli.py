@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from permgamp import (
+    Dataset,
     ExperimentConfig,
     Link,
     Material,
@@ -17,6 +18,7 @@ from permgamp import (
     prepare_problem,
     run_estimate,
     run_sweep,
+    save_dataset,
     save_scenario,
     synthesize_dataset,
     trace_link,
@@ -122,6 +124,15 @@ def test_estimate_needs_sigma_or_dataset(capsys):
     code, _, err = _run(capsys, "estimate", "--scenario", bundled_scenario_path("canyon"))
     assert code == 2
     assert "--dataset or --sigma" in err
+
+
+def test_estimate_has_no_jacobian_option(capsys):
+    # the finite-difference Jacobian is a test reference (oracle.fd_jacobian)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["estimate", "--scenario", bundled_scenario_path("canyon"), "--sigma", "0.5",
+              "--jacobian", "central_fd"])
+    assert exit_info.value.code == 2
+    assert "--jacobian" in capsys.readouterr().err
 
 
 def test_estimate_dataset_length_mismatch_exits_2(tmp_path, capsys):
@@ -367,29 +378,60 @@ def test_oracle_subcommand(capsys):
 # prepare_problem
 # ---------------------------------------------------------------------------
 
-def test_prepare_problem_drops_unusable_links(canyon):
-    # canyon variant with one extra link sealed inside a small box
+def _canyon_plus_sealed_link(canyon):
+    """The canyon with one extra link (index 100) sealed inside a small box."""
     box = [
         Surface((-0.5, -0.5), (0.5, -0.5), 1),
         Surface((0.5, -0.5), (0.5, 0.5), 1),
         Surface((0.5, 0.5), (-0.5, 0.5), 1),
         Surface((-0.5, 0.5), (-0.5, -0.5), 1),
     ]
-    sc = Scenario(
+    return Scenario(
         surfaces=canyon.surfaces + tuple(box),
         materials=canyon.materials,
         links=canyon.links + (Link((0.0, 0.0), (30.0, 0.0), 30, 2, 2),),
         wavelength_m=canyon.wavelength_m,
         max_reflections=canyon.max_reflections,
     )
-    from permgamp import Dataset
 
+
+def _sealed_link_dataset(canyon):
     base = synthesize_dataset(canyon, 0.0, seed=0)  # data for the sane links
-    measured = np.concatenate([base.measured_db, [-120.0]])
-    prob = prepare_problem(sc, Dataset(measured_db=measured, noise_var=0.0))
+    return Dataset(measured_db=np.concatenate([base.measured_db, [-120.0]]), noise_var=0.0)
+
+
+def test_prepare_problem_drops_unusable_links(canyon):
+    sc = _canyon_plus_sealed_link(canyon)
+    prob = prepare_problem(sc, _sealed_link_dataset(canyon))
     assert prob.dropped == [100]
     assert len(prob.kept) == 100
     assert len(prob.y) == 100
+
+
+def test_estimate_solves_without_the_dropped_link(canyon, tmp_path, capsys):
+    scenario_path, dataset_path = tmp_path / "sc.json", tmp_path / "ds.json"
+    save_scenario(_canyon_plus_sealed_link(canyon), scenario_path)
+    save_dataset(_sealed_link_dataset(canyon), dataset_path)
+    code, out, _ = _run(
+        capsys, "estimate", "--scenario", str(scenario_path), "--dataset", str(dataset_path)
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["dropped_links"] == [100]
+    assert payload["n_links_used"] == 100
+    err = np.abs(np.array(payload["eps_hat"]) - canyon.true_eps_vector())
+    assert np.max(err) <= 0.05
+
+
+def test_sweep_drops_a_link_without_rays(canyon, tmp_path):
+    path = tmp_path / "sc.json"
+    save_scenario(_canyon_plus_sealed_link(canyon), path)
+    config = ExperimentConfig(scenario_path=str(path), sigmas=[0.0, 0.5], n_seeds=2)
+    rows, summary = run_sweep(config, workers=1)
+    assert len(rows) == 8
+    assert all(r["status"] == "ok" for r in rows)
+    assert all(r["abs_err"] <= 0.05 for r in rows if r["sigma_z"] == 0.0)
+    assert all(s["n_ok"] == 2 for s in summary)
 
 
 def test_prepare_problem_all_unusable_raises(tmp_path):
@@ -405,7 +447,5 @@ def test_prepare_problem_all_unusable_raises(tmp_path):
         links=(Link((0.0, 0.0), (5.0, 5.0), 30, 2, 2),),
         wavelength_m=0.1,
     )
-    from permgamp import Dataset
-
     with pytest.raises(UnusableLinkError):
         prepare_problem(sc, Dataset(measured_db=np.zeros(1), noise_var=0.25))

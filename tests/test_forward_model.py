@@ -12,22 +12,25 @@ from permgamp import (
     Scenario,
     Surface,
     UnusableLinkError,
+    default_config,
     forward,
     fresnel_power_coeff,
     jacobian,
     link_gain_db,
     make_canyon_scenario,
     ray_gain_linear,
+    solve,
     trace_link,
     trace_scenario,
 )
-from permgamp import forward_model
+from permgamp import forward_model, gamp
 from permgamp.forward_model import (
     fresnel_power_coeff_deriv,
     link_totals,
     ray_table,
     usable_links,
 )
+from permgamp.oracle import fd_jacobian
 from permgamp.raytracer import Ray, Reflection
 
 # mpmath (50 digits) evaluation of the stated TM formula at eps=4, theta=pi/3
@@ -259,6 +262,10 @@ def test_forward_single_link_reduces_to_link_gain():
 # Linearization.
 # ---------------------------------------------------------------------------
 
+def _linearize(sc, rays, eps):
+    return jacobian(sc, ray_table(rays, sc.wavelength_m), eps)
+
+
 def test_jacobian_zero_for_los_only():
     sc = Scenario(
         surfaces=(),
@@ -267,7 +274,7 @@ def test_jacobian_zero_for_los_only():
         wavelength_m=0.1,
     )
     rays = trace_scenario(sc)
-    lin = jacobian(sc, rays, np.array([4.0, 6.0]))
+    lin = _linearize(sc, rays, np.array([4.0, 6.0]))
     assert np.all(lin.a_matrix == 0.0)
 
 
@@ -281,11 +288,11 @@ def test_jacobian_single_bounce_closed_form():
     )
     bounce_only = [[r for r in trace_link(sc, 0) if r.reflections]]
     for eps in (2.0, 4.0, 9.0):
-        lin = jacobian(sc, bounce_only, np.array([eps]))
+        lin = _linearize(sc, bounce_only, np.array([eps]))
         expect = (10 / math.log(10)) * 2.0 / (math.sqrt(eps) * (eps - 1.0))
         assert abs(lin.a_matrix[0, 0] - expect) <= 1e-10 * expect
     # the quoted value at eps=4
-    lin = jacobian(sc, bounce_only, np.array([4.0]))
+    lin = _linearize(sc, bounce_only, np.array([4.0]))
     assert abs(lin.a_matrix[0, 0] - 1.4476) <= 1e-4
 
 
@@ -315,23 +322,24 @@ def test_analytic_matches_central_fd(canyon, canyon_rays):
         (tm, tm_rays, np.array([eps_b, 6.2])),
     ]
     for sc, rays, eps in cases:
-        la = jacobian(sc, rays, eps, method="analytic")
-        lf = jacobian(sc, rays, eps, method="central_fd")
+        la = _linearize(sc, rays, eps)
+        fd, _ = fd_jacobian(sc, rays, eps)
         assert np.all(np.isfinite(la.a_matrix))
         # At eps = 1 the FD step is one-sided, with an O(step) error that a
         # relative check cannot absorb; there d|Gamma|^2/d eps is exactly 0.
         central = eps > 1.0
         assert np.all(la.a_matrix[:, ~central] == 0.0)
-        assert np.all(np.abs(lf.a_matrix[:, ~central]) <= 1e-4)
-        a, f = la.a_matrix[:, central], lf.a_matrix[:, central]
+        assert np.all(np.abs(fd[:, ~central]) <= 1e-4)
+        a, f = la.a_matrix[:, central], fd[:, central]
         scale = np.maximum(np.abs(a), 1e-9)
         assert np.max(np.abs(a - f) / scale) <= 1e-5
-        assert np.allclose(la.mu, lf.mu, rtol=0, atol=1e-4)
+        fd_mu = forward(sc, rays, eps) - fd @ eps
+        assert np.allclose(la.mu, fd_mu, rtol=0, atol=1e-4)
 
 
 def test_linearization_exact_at_expansion_point(canyon, canyon_rays):
     for eps in (np.array([2.0, 4.0]), np.array([4.5, 9.0])):
-        lin = jacobian(canyon, canyon_rays, eps)
+        lin = _linearize(canyon, canyon_rays, eps)
         g = forward(canyon, canyon_rays, eps)
         recon = lin.a_matrix @ eps + lin.mu
         assert np.max(np.abs(recon - g)) <= 1e-10 * np.max(np.abs(g))
@@ -340,7 +348,7 @@ def test_linearization_exact_at_expansion_point(canyon, canyon_rays):
 def test_first_order_remainder_ratio(canyon, canyon_rays, rng):
     # Halving the perturbation must shrink the Taylor remainder ~4x.
     eps = np.array([3.0, 6.0])
-    lin = jacobian(canyon, canyon_rays, eps)
+    lin = _linearize(canyon, canyon_rays, eps)
 
     def remainder(delta):
         g = forward(canyon, canyon_rays, eps + delta)
@@ -362,14 +370,15 @@ def test_fd_one_sided_at_boundary():
     # eps exactly 1: a central step would cross the physical boundary
     sc = make_canyon_scenario(n_links=10, priors=((1.0, 10.0), (1.0, 12.0)))
     rays = trace_scenario(sc)
-    lin = jacobian(sc, rays, np.array([1.0, 5.0]), method="central_fd")
-    assert any("one-sided" in w and "material 1" in w for w in lin.warnings)
-    lin2 = jacobian(sc, rays, np.array([3.0, 5.0]), method="central_fd")
-    assert lin2.warnings == ()
+    _, warns = fd_jacobian(sc, rays, np.array([1.0, 5.0]))
+    assert any("one-sided" in w and "material 1" in w for w in warns)
+    _, warns = fd_jacobian(sc, rays, np.array([3.0, 5.0]))
+    assert warns == []
 
 
-@pytest.mark.parametrize("method", ["analytic", "central_fd"])
-def test_jacobian_builds_one_ray_table(canyon, canyon_rays, monkeypatch, method):
+def test_solve_builds_ray_tables_once(canyon, canyon_rays, monkeypatch):
+    # jacobian takes a prebuilt table; a solve builds one for its 20
+    # linearizations and forward builds one at each of its 2 residuals
     calls = []
 
     def counted(*args):
@@ -377,10 +386,11 @@ def test_jacobian_builds_one_ray_table(canyon, canyon_rays, monkeypatch, method)
         return ray_table(*args)
 
     monkeypatch.setattr(forward_model, "ray_table", counted)
-    jacobian(canyon, canyon_rays, np.array([3.0, 6.0]), method=method)
-    assert len(calls) == 1
-
-
-def test_jacobian_rejects_unknown_method(canyon, canyon_rays):
-    with pytest.raises(ValueError):
-        jacobian(canyon, canyon_rays, np.array([3.0, 6.0]), method="nope")
+    monkeypatch.setattr(gamp, "ray_table", counted)
+    table = ray_table(canyon_rays, canyon.wavelength_m)
+    jacobian(canyon, table, np.array([3.0, 6.0]))
+    assert calls == []
+    y = forward(canyon, canyon_rays, canyon.true_eps_vector())
+    calls.clear()
+    solve(canyon, canyon_rays, y, default_config(canyon, 0.0))
+    assert len(calls) == 3
