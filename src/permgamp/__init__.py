@@ -30,23 +30,12 @@ from .scenario import (
     synthesize_dataset,
 )
 from .raytracer import Ray, Reflection, trace_link, trace_scenario
-from .forward_model import (
-    Linearization,
-    forward,
-    fresnel_power_coeff,
-    jacobian,
-    link_gain_db,
-    ray_gain_linear,
-)
-from .trunc_gauss import Interval, clamp_to_interval, truncated_moments
+from .forward_model import forward, fresnel_power_coeff, link_gain_db
+from .trunc_gauss import Interval, truncated_moments
 from .gamp import (
     EstimateReport,
     GampConfig,
-    GampState,
     default_config,
-    init_state,
-    input_step,
-    output_step,
     report_to_dict,
     report_to_json,
     solve,
@@ -67,11 +56,9 @@ __all__ = [
     "EstimateReport",
     "ExperimentConfig",
     "GampConfig",
-    "GampState",
     "GridSizeError",
     "GridSpec",
     "Interval",
-    "Linearization",
     "Link",
     "Material",
     "ParseError",
@@ -83,14 +70,10 @@ __all__ = [
     "UnusableLinkError",
     "ValidationError",
     "bundled_scenario_path",
-    "clamp_to_interval",
     "default_config",
     "forward",
     "fresnel_power_coeff",
     "grid_map",
-    "init_state",
-    "input_step",
-    "jacobian",
     "link_gain_db",
     "load_dataset",
     "load_scenario",
@@ -98,10 +81,8 @@ __all__ = [
     "make_canyon_scenario",
     "make_free_space_scenario",
     "normalize_measurements",
-    "output_step",
     "prepare_problem",
     "quadrature_moments",
-    "ray_gain_linear",
     "report_to_dict",
     "report_to_json",
     "run_estimate",

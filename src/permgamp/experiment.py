@@ -15,14 +15,14 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import UnusableLinkError, ValidationError
 from .forward_model import forward, usable_links
-from .gamp import EstimateReport, default_config, solve
+from .gamp import EstimateReport, GampConfig, default_config, solve
 from .oracle import GridSpec, grid_map
 from .raytracer import Ray, trace_link
 from .scenario import (
@@ -140,6 +140,10 @@ class ExperimentConfig:
             raise ValidationError(f"sigmas={list(self.sigmas)}: need one or more finite values >= 0")
         if self.n_seeds < 1:
             raise ValidationError(f"n_seeds={self.n_seeds} must be >= 1")
+        known = [f.name for f in fields(GampConfig)]
+        for key in self.overrides:
+            if key not in known:
+                raise ValidationError(f"overrides: unknown solver key {key!r}; known: {known}")
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":

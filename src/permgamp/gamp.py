@@ -5,7 +5,7 @@ Gaussian message-passing loop:
 
   for k1 in 0..k_iter-1:
       (A, mu) <- linearize the forward map at the current estimate
-      trust_m <- [max(a_m, x_m - d/2), min(b_m, x_m + d/2)]
+      support_m <- [max(a_m, x_m - d/2), min(b_m, x_m + d/2)]
       repeat k_gamp times:
           output step   tau_p_i = sum_m a_im^2 tau_x_m
                         p_i     = sum_m a_im x_m - tau_p_i s_i
@@ -14,11 +14,12 @@ Gaussian message-passing loop:
           input step    tau_c_m = 1 / sum_i a_im^2 tau_s_i
                         c_m     = x_m + tau_c_m sum_i a_im s_i
                         (x_m, tau_x_m) <- truncated-Gaussian moments of
-                                          N(c_m, tau_c_m) on prior ∩ trust
+                                          N(c_m, tau_c_m) on support_m
 
-The trust interval pins every iterate within half a step width of the
-expansion point, which is what keeps the affine surrogate honest; s_i
-carries across re-linearizations (the iteration index runs continuously).
+The support box, prior ∩ trust region, pins every iterate within half a
+step width of the expansion point, which is what keeps the affine
+surrogate honest; s_i carries across re-linearizations (the iteration
+index runs continuously).
 The pseudo-residual state s may optionally be damped (s <- rho * s_new +
 (1 - rho) * s_old) for configurations where the small, dense sensing
 matrix makes the undamped recursion ring.
@@ -39,6 +40,7 @@ from .scenario import Scenario
 from .trunc_gauss import Interval, truncated_moments
 
 TAU_W_FLOOR = 1e-6  # dB^2; output step divides by tau_w + tau_p
+VARIANCE_FLOOR = 1e-12  # least tau_x the input step hands on
 
 
 @dataclass(frozen=True)
@@ -49,8 +51,6 @@ class GampConfig:
     k_iter: int = 20               # linearization (outer) iterations
     k_gamp: int = 10               # message-passing steps per linearization
     damping: float = 1.0           # 1.0 = undamped
-    early_stop_tol: float = 0.0    # 0 = run all k_gamp steps
-    variance_floor: float = 1e-12
 
     def __post_init__(self):
         object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float))
@@ -69,10 +69,6 @@ class GampConfig:
             raise ValidationError(f"tau_w={self.tau_w} must be > 0")
         if not 0.0 < self.damping <= 1.0:
             raise ValidationError(f"damping={self.damping} must be in (0, 1]")
-        if self.early_stop_tol < 0:
-            raise ValidationError("early_stop_tol must be >= 0")
-        if not self.variance_floor > 0:
-            raise ValidationError("variance_floor must be > 0")
 
     def to_dict(self) -> dict:
         return {
@@ -82,8 +78,6 @@ class GampConfig:
             "k_iter": self.k_iter,
             "k_gamp": self.k_gamp,
             "damping": self.damping,
-            "early_stop_tol": self.early_stop_tol,
-            "variance_floor": self.variance_floor,
         }
 
 
@@ -169,12 +163,11 @@ def output_step(
 def input_step(
     state: GampState,
     linearization: Linearization,
-    priors: Sequence[Interval],
-    trust: Sequence[Interval],
-    variance_floor: float = 1e-12,
+    prior_var: np.ndarray,
+    support: Sequence[Interval],
 ) -> GampState:
     """Per-parameter update: tau_c, c, then truncated-Gaussian moments on
-    prior ∩ trust (mutates state).
+    the support box, prior ∩ trust region (mutates state).
 
     A parameter whose sensing column is all zero is unobservable this
     round: its estimate is held, its variance reset to the prior variance,
@@ -186,7 +179,7 @@ def input_step(
     corr = a.T @ state.s_hat
     for m in range(len(state.x_hat)):
         if denom[m] <= 0.0:
-            state.tau_x[m] = priors[m].width**2 / 12.0
+            state.tau_x[m] = prior_var[m]
             state.tau_c[m] = state.tau_x[m]
             state.c_hat[m] = state.x_hat[m]
             msg = f"input step: material {m + 1} unobserved (zero column), estimate held"
@@ -200,11 +193,10 @@ def input_step(
                 f"input step: non-finite pseudo-observation for material "
                 f"{m + 1} (iteration {state.k})"
             )
-        support = priors[m].intersect(trust[m])
-        mean, var = truncated_moments(c_hat, tau_c, support)
+        mean, var = truncated_moments(c_hat, tau_c, support[m])
         state.c_hat[m], state.tau_c[m] = c_hat, tau_c
         state.x_hat[m] = mean
-        state.tau_x[m] = max(var, variance_floor)
+        state.tau_x[m] = max(var, VARIANCE_FLOOR)
     return state
 
 
@@ -242,23 +234,13 @@ def _rms(v: np.ndarray) -> float:
 
 
 def _check_invariants(
-    state: GampState,
-    lo: np.ndarray,
-    hi: np.ndarray,
-    expansion: np.ndarray,
-    delta: np.ndarray,
-    a: np.ndarray,
+    state: GampState, support: Sequence[Interval], a: np.ndarray
 ) -> None:
     x = state.x_hat
-    for m in range(len(x)):
-        if not (lo[m] <= x[m] <= hi[m]):
+    for m, box in enumerate(support):
+        if not (box.lo <= x[m] <= box.hi):
             raise SolverError(
-                f"invariant: x[{m}]={x[m]} outside prior [{lo[m]}, {hi[m]}]"
-            )
-        if abs(x[m] - expansion[m]) > delta[m] / 2.0:
-            raise SolverError(
-                f"invariant: x[{m}]={x[m]} strayed {abs(x[m] - expansion[m])} "
-                f"from expansion point (limit {delta[m] / 2.0})"
+                f"invariant: x[{m}]={x[m]} outside support [{box.lo}, {box.hi}]"
             )
     if not (np.all(np.isfinite(state.tau_x)) and np.all(state.tau_x > 0)):
         raise SolverError("invariant: tau_x not finite-positive")
@@ -289,7 +271,7 @@ def solve(
             f"y has {len(y)} entries for {len(ray_cache)} ray lists"
         )
     lo, hi = scenario.prior_bounds()
-    priors = [Interval(lo[m], hi[m]) for m in range(scenario.n_materials)]
+    prior_var = (hi - lo) ** 2 / 12.0
     state = init_state(scenario, config, len(y))
     table = ray_table(ray_cache, scenario.wavelength_m)  # one per solve
     warnings: list[str] = []
@@ -302,7 +284,6 @@ def solve(
 
     resid0 = _rms(y - _forward_or_abort(state.x_hat, "the initial point"))
     trajectory = [state.x_hat.copy()]
-    iterations = 0
     half = config.delta_tr / 2.0
 
     for k1 in range(config.k_iter):
@@ -314,23 +295,14 @@ def solve(
                 f"linearization failed at outer iteration {k1}: {exc}"
             ) from exc
         t_lo, t_hi = np.maximum(lo, expansion - half), np.minimum(hi, expansion + half)
-        trust = [Interval(a, b) for a, b in zip(t_lo, t_hi)]
+        support = [Interval(a, b) for a, b in zip(t_lo, t_hi)]
 
         for _ in range(config.k_gamp):
-            x_prev = state.x_hat.copy()
             output_step(state, lin, y, config.tau_w, config.damping)
-            input_step(state, lin, priors, trust, config.variance_floor)
+            input_step(state, lin, prior_var, support)
             state.k += 1
-            iterations += 1
             trajectory.append(state.x_hat.copy())
-            _check_invariants(
-                state, lo, hi, expansion, config.delta_tr, lin.a_matrix
-            )
-            if (
-                config.early_stop_tol > 0
-                and np.max(np.abs(state.x_hat - x_prev)) < config.early_stop_tol
-            ):
-                break
+            _check_invariants(state, support, lin.a_matrix)
 
     eps_hat = state.x_hat.copy()
     resid = _rms(y - _forward_or_abort(eps_hat, "the final point"))
@@ -343,7 +315,7 @@ def solve(
         eps_hat=eps_hat,
         trajectory=trajectory,
         residual_db=resid,
-        iterations_run=iterations,
+        iterations_run=state.k,
         warnings=warnings,
         config=config,
         wall_ms=(time.perf_counter() - t0) * 1e3,

@@ -43,6 +43,12 @@ class Material:
     true_eps: Optional[float] = None
 
     def __post_init__(self):
+        for name in ("prior_lo", "prior_hi", "true_eps"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValidationError(
+                    f"material {self.index}: {name}={value} must be finite"
+                )
         if self.prior_lo < 1.0:
             raise ValidationError(
                 f"material {self.index}: prior_lo={self.prior_lo} must be >= 1"

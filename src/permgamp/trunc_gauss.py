@@ -58,13 +58,6 @@ class Interval:
     def width(self) -> float:
         return self.hi - self.lo
 
-    def intersect(self, other: "Interval") -> "Interval":
-        return Interval(max(self.lo, other.lo), min(self.hi, other.hi))
-
-
-def clamp_to_interval(x: float, interval: Interval) -> float:
-    return min(interval.hi, max(interval.lo, x))
-
 
 def _mills(x: float) -> float:
     """Phi_c(x) / phi(x) = sqrt(pi/2) * erfcx(x / sqrt(2)), for x >= 0."""

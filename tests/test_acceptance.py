@@ -19,7 +19,6 @@ from permgamp import (
     default_config,
     forward,
     grid_map,
-    jacobian,
     load_scenario,
     make_canyon_scenario,
     normalize_measurements,
@@ -31,7 +30,7 @@ from permgamp import (
     truncated_moments,
 )
 from permgamp.cli import main as cli_main
-from permgamp.forward_model import ray_table
+from permgamp.forward_model import jacobian, ray_table
 from permgamp.oracle import fd_jacobian
 
 

@@ -258,6 +258,23 @@ def test_sweep_rejects_bad_sigmas(tmp_path, capsys, sigmas):
     assert not (tmp_path / "runs.csv").exists()
 
 
+@pytest.mark.parametrize("key", ["k_iterr", "early_stop_tol", "variance_floor"])
+def test_sweep_rejects_unknown_override(tmp_path, capsys, key):
+    cfg = {
+        "scenario_path": bundled_scenario_path("canyon"),
+        "sigmas": [0.3],
+        "n_seeds": 1,
+        "overrides": {key: 5},
+        "out_dir": str(tmp_path / "out"),
+    }
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps(cfg))
+    code, _, err = _run(capsys, "sweep", "--config", str(cfg_path), "--workers", "1")
+    assert code == 2
+    assert key in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_sweep_points_equal_single_estimates_and_trace_once(monkeypatch):
     sc = load_scenario(bundled_scenario_path("canyon"))
     config = ExperimentConfig(

@@ -15,10 +15,8 @@ from permgamp import (
     default_config,
     forward,
     fresnel_power_coeff,
-    jacobian,
     link_gain_db,
     make_canyon_scenario,
-    ray_gain_linear,
     solve,
     trace_link,
     trace_scenario,
@@ -26,7 +24,9 @@ from permgamp import (
 from permgamp import forward_model, gamp
 from permgamp.forward_model import (
     fresnel_power_coeff_deriv,
+    jacobian,
     link_totals,
+    ray_gain_linear,
     ray_table,
     usable_links,
 )

@@ -2,23 +2,19 @@
 end-to-end recovery."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
 from permgamp import (
-    GampState,
     Interval,
-    Linearization,
     SolverError,
     ValidationError,
     default_config,
     forward,
-    init_state,
-    input_step,
     make_canyon_scenario,
     normalize_measurements,
-    output_step,
     quadrature_moments,
     report_to_json,
     solve,
@@ -27,6 +23,8 @@ from permgamp import (
     truncated_moments,
 )
 from permgamp import gamp
+from permgamp.forward_model import Linearization
+from permgamp.gamp import GampState, init_state, input_step, output_step
 from permgamp.oracle import fd_jacobian
 
 
@@ -156,9 +154,8 @@ def test_input_step_zero_column_holds_estimate():
     a = np.array([[1.0, 0.0], [0.5, 0.0], [-1.0, 0.0]])
     st.tau_s = np.full(n, 0.5)
     st.s_hat = np.array([0.1, -0.2, 0.3])
-    priors = [Interval(1.0, 13.0), Interval(1.0, 13.0)]
-    trust = [Interval(3.0, 5.0), Interval(5.0, 7.0)]
-    input_step(st, _lin(a, np.zeros(n)), priors, trust)
+    support = [Interval(3.0, 5.0), Interval(5.0, 7.0)]  # trust inside [1, 13]
+    input_step(st, _lin(a, np.zeros(n)), np.array([12.0, 12.0]), support)
     assert st.x_hat[1] == 6.0  # unobserved: held
     assert st.tau_x[1] == 12.0  # reset to the prior variance
     assert any("unobserved" in w for w in st.warnings)
@@ -171,9 +168,7 @@ def test_input_step_untruncated_limit_returns_c_hat():
     a = np.full((n, 1), 3.0)
     st.tau_s = np.full(n, 100.0)  # tau_c = 1 / (9 * 100 * 40): tiny
     st.s_hat = np.full(n, 0.01)
-    priors = [Interval(0.0, 10.0)]
-    trust = [Interval(0.0, 10.0)]
-    input_step(st, _lin(a, np.zeros(n)), priors, trust)
+    input_step(st, _lin(a, np.zeros(n)), np.array([100.0 / 12.0]), [Interval(0.0, 10.0)])
     tau_c = 1.0 / (9.0 * 100.0 * n)
     c_expect = 5.0 + tau_c * 3.0 * 0.01 * n
     assert abs(st.x_hat[0] - c_expect) <= 1e-9
@@ -189,14 +184,10 @@ def test_composed_step_matches_quadrature(rng):
     st = _state(x, np.array([2.0, 3.0]), n)
     lin = _lin(a, mu)
     output_step(st, lin, y, tau_w=0.5)
-    priors = [Interval(1.0, 13.0), Interval(1.0, 13.0)]
-    trust = [Interval(3.0, 5.0), Interval(5.0, 7.0)]
-    input_step(st, lin, priors, trust)
+    support = [Interval(3.0, 5.0), Interval(5.0, 7.0)]  # trust inside [1, 13]
+    input_step(st, lin, np.array([12.0, 12.0]), support)
     for k in range(m):
-        support = Interval(
-            max(priors[k].lo, trust[k].lo), min(priors[k].hi, trust[k].hi)
-        )
-        qm, qv = quadrature_moments(st.c_hat[k], st.tau_c[k], support)
+        qm, qv = quadrature_moments(st.c_hat[k], st.tau_c[k], support[k])
         assert abs(st.x_hat[k] - qm) <= 1e-9
         assert abs(st.tau_x[k] - qv) <= 1e-9
 
@@ -211,7 +202,7 @@ def _run_frozen(a, mu, y, tau_w, prior, iters=400):
     lin = _lin(a, mu)
     for _ in range(iters):
         output_step(st, lin, y, tau_w=tau_w)
-        input_step(st, lin, [prior], [prior])
+        input_step(st, lin, np.array([prior.width**2 / 12.0]), [prior])
     return st
 
 
@@ -322,14 +313,25 @@ def test_solve_noiseless_residual_never_worse(canyon, canyon_rays):
     assert not any("exceeds initial" in w for w in rep.warnings)
 
 
-def test_solve_early_stop_shortens_inner_loop(canyon, canyon_rays):
+@pytest.mark.parametrize(
+    "broken,named",
+    [
+        (lambda mean, var, box: (np.nextafter(box.hi, np.inf), var), r"x\[0\]"),
+        (lambda mean, var, box: (mean, math.nan), "tau_x"),
+    ],
+    ids=["mean_above_support", "nan_variance"],
+)
+def test_solve_invariant_check_fires(canyon, canyon_rays, monkeypatch, broken, named):
+    # a moment kernel that leaves the support box or loses its variance
+    # must stop the solve with an error naming what broke
+    def faulty(c_hat, tau_c, box):
+        return broken(*truncated_moments(c_hat, tau_c, box), box)
+
     ds = synthesize_dataset(canyon, 0.5, seed=2)
     y = normalize_measurements(canyon, ds)
-    cfg = default_config(canyon, ds.noise_var, early_stop_tol=1e-8)
-    rep = solve(canyon, canyon_rays, y, cfg)
-    assert rep.iterations_run < cfg.k_iter * cfg.k_gamp
-    full = solve(canyon, canyon_rays, y, default_config(canyon, ds.noise_var))
-    assert np.max(np.abs(rep.eps_hat - full.eps_hat)) <= 1e-4
+    monkeypatch.setattr(gamp, "truncated_moments", faulty)
+    with pytest.raises(SolverError, match=named):
+        solve(canyon, canyon_rays, y, default_config(canyon, ds.noise_var))
 
 
 def test_report_json_deterministic_and_complete(canyon, canyon_rays):

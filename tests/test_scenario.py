@@ -81,6 +81,8 @@ def test_malformed_json_is_parse_error(tmp_path):
         (lambda d: d["links"][0].update(rx=[0, 0]), "tx_pos"),
         (lambda d: d.update(wavelength_m=-1.0), "wavelength_m"),
         (lambda d: d["surfaces"].append({"a": [0, 0], "b": [1, 0], "material": 9}), "material"),
+        (lambda d: d["materials"][0].update(prior_hi=float("inf")), "prior_hi"),
+        (lambda d: d["materials"][0].update(true_eps=float("nan")), "true_eps"),
     ],
 )
 def test_validation_errors_name_the_field(tmp_path, mutate, field):

@@ -6,7 +6,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from permgamp import Interval, clamp_to_interval, quadrature_moments, truncated_moments
+from permgamp import Interval, quadrature_moments, truncated_moments
 
 # Frozen 50-digit reference (mpmath: phi/Phi of the defining formulas) for
 # c=0, tau=1, interval [0, 1].
@@ -171,15 +171,3 @@ def test_rejects_bad_inputs():
     with pytest.raises(ValueError):
         Interval(2.0, 1.0)
 
-
-def test_clamp_to_interval():
-    iv = Interval(0.0, 1.0)
-    assert clamp_to_interval(0.5, iv) == 0.5
-    assert clamp_to_interval(-1.0, iv) == 0.0
-    assert clamp_to_interval(2.0, iv) == 1.0
-
-
-def test_interval_intersect():
-    assert Interval(0, 2).intersect(Interval(1, 3)) == Interval(1, 2)
-    with pytest.raises(ValueError):
-        Interval(0, 1).intersect(Interval(2, 3))
