@@ -1,6 +1,6 @@
 """Estimation error versus measurement noise on the bundled canyon.
 
-Runs 4 noise levels x 8 seeds across the local process pool and prints the
+Runs 4 noise levels x 8 seeds as one batched solve and prints the
 per-material error summary (the CSV-producing equivalent is
 `permgamp sweep --scenario ... --sigmas 0.1,1,2,4 --seeds 20 --out-dir out`).
 

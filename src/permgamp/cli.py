@@ -143,6 +143,7 @@ def cmd_estimate(args) -> int:
 def cmd_sweep(args) -> int:
     if args.config:
         config = ExperimentConfig.from_json(args.config)
+        config.overrides = {**config.overrides, **_solver_overrides(args)}
         if args.out_dir:
             config.out_dir = args.out_dir
         config.include_timing = config.include_timing or args.timing
@@ -161,7 +162,7 @@ def cmd_sweep(args) -> int:
         )
     if not config.out_dir:
         raise ValidationError("sweep needs --out-dir (or out_dir in the config)")
-    rows, summary = run_sweep(config, workers=args.workers)
+    rows, summary = run_sweep(config)
     runs_path, summary_path = write_sweep_outputs(rows, summary, config.out_dir)
     n_err = sum(1 for r in rows if r["status"] != "ok")
     _log(f"sweep: {len(rows)} rows ({n_err} failed) -> {runs_path}, {summary_path}")
@@ -223,7 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--sigmas", default=None, help="comma-separated noise stds (dB)")
     s.add_argument("--seeds", type=int, default=20, help="seeds per sigma")
     s.add_argument("--out-dir", default=None)
-    s.add_argument("--workers", type=int, default=None)
     s.add_argument("--timing", action="store_true")
     _add_solver_flags(s)
     s.set_defaults(func=cmd_sweep)

@@ -1,11 +1,12 @@
 """Harness plumbing: problem preparation, single estimations, noise sweeps.
 
-A sweep traces its scenario once and shares the prepared problem with
-every (sigma, seed) point, which only draws its noise and solves. Points
-fan out over a process pool (workers=, default: all cores) and the rows
-merge back in deterministic (sigma, seed, material) order, so the emitted
-CSVs are byte-stable no matter how the pool schedules. A failed run keeps
-its rows (status column carries the error tag) and the sweep continues.
+A sweep traces its scenario once and builds every (sigma, seed) point's
+solver config before any solve, then solves all points in this process as
+one gamp.solve_batch call, bit for bit each point's own solve; a point's
+wall_ms is the batch's wall time over the number of points. If the batch
+fails, each point is solved alone, so only a failed point gets error rows
+(the status column carries the error tag). Rows come out in (sigma, seed,
+material) order, so the emitted CSVs are byte-stable.
 """
 
 from __future__ import annotations
@@ -14,15 +15,14 @@ import csv
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import UnusableLinkError, ValidationError
+from .errors import ParseError, UnusableLinkError, ValidationError
 from .forward_model import forward, usable_links
-from .gamp import EstimateReport, GampConfig, default_config, solve
+from .gamp import EstimateReport, GampConfig, default_config, solve, solve_batch
 from .oracle import GridSpec, grid_map
 from .raytracer import Ray, trace_link
 from .scenario import (
@@ -147,75 +147,85 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
-        with open(path) as fh:
-            raw = json.load(fh)
-        return cls(
-            scenario_path=raw["scenario_path"],
-            sigmas=[float(s) for s in raw["sigmas"]],
-            n_seeds=int(raw["n_seeds"]),
-            overrides=raw.get("overrides", {}),
-            out_dir=raw.get("out_dir"),
-            include_timing=bool(raw.get("include_timing", False)),
-        )
+        try:
+            with open(path) as fh:
+                raw = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path}: not valid JSON ({exc})") from exc
+        try:
+            kwargs = dict(
+                scenario_path=raw["scenario_path"],
+                sigmas=[float(s) for s in raw["sigmas"]],
+                n_seeds=int(raw["n_seeds"]),
+                overrides=dict(raw.get("overrides", {})),
+                out_dir=raw.get("out_dir"),
+                include_timing=bool(raw.get("include_timing", False)),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ParseError(f"{path}: missing or malformed key ({exc!r})") from exc
+        return cls(**kwargs)
 
 
-def _run_rows(scenario: Scenario, sigma, seed, report, status: str) -> list[dict]:
-    """The M rows of one point; without a report the estimate cells are empty."""
+def _run_rows(scenario: Scenario, sigma, seed, outcome, include_timing: bool) -> list[dict]:
+    """The M rows of one point; outcome is its report or the exception
+    that stopped it, which leaves the estimate cells empty."""
+    failed = isinstance(outcome, Exception)
+    status = f"error:{type(outcome).__name__}" if failed else "ok"
     rows = []
     for m, truth in enumerate(scenario.true_eps_vector().tolist()):
         row = dict.fromkeys(RUN_FIELDS, "")
         row.update(sigma_z=sigma, seed=seed, material=m + 1, eps_true=truth, status=status)
-        if report is not None:
-            eps_hat = float(report.eps_hat[m])
+        if not failed:
+            eps_hat = float(outcome.eps_hat[m])
             row.update(eps_hat=eps_hat, abs_err=abs(eps_hat - truth),
-                       iterations=report.iterations_run, wall_ms=report.wall_ms)
+                       iterations=outcome.iterations_run,
+                       wall_ms=outcome.wall_ms if include_timing else 0.0)
         rows.append(row)
     return rows
-
-
-def _sweep_point(args) -> list[dict]:
-    """One (sigma, seed) run; returns M rows. Top-level so pools can pickle."""
-    scenario, prob, sweep, sigma, seed = args
-    try:
-        noise = measurement_noise(sigma, seed, scenario.n_links)
-        if isinstance(prob, Exception):  # the shared step failed
-            raise prob
-        # prob.y holds the gains at the true eps; adding and removing the
-        # offsets rounds y exactly as synthesize_dataset + prepare_problem do
-        offsets = scenario.link_offsets()[prob.kept]
-        y = offsets + prob.y + noise[prob.kept] - offsets
-        config = default_config(scenario, sigma**2, **sweep.overrides)
-        report = solve(scenario, prob.ray_cache, y, config)
-    except Exception as exc:  # single-run failure must not kill the sweep
-        return _run_rows(scenario, sigma, seed, None, f"error:{type(exc).__name__}")
-    if not sweep.include_timing:
-        report = replace(report, wall_ms=0.0)
-    return _run_rows(scenario, sigma, seed, report, "ok")
 
 
 def run_sweep(
     config: ExperimentConfig, workers: Optional[int] = None
 ) -> tuple[list[dict], list[dict]]:
-    """All (sigma, seed) points of the experiment; returns (rows, summary)."""
+    """All (sigma, seed) points of the experiment; returns (rows, summary).
+
+    workers has no effect: every point is solved in this process, in one
+    batch. The keyword remains only for callers that still pass it.
+    """
     scenario = load_scenario(config.scenario_path)
     eps_true = scenario.true_eps_vector()  # sweeps synthesize: fail fast without truths
-    try:  # the problem every point shares, with y = gains at the true eps
+    points = [(float(sigma), seed) for sigma in config.sigmas for seed in range(config.n_seeds)]
+    try:
+        configs = [default_config(scenario, sigma**2, **config.overrides) for sigma, _ in points]
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"overrides {config.overrides}: {exc}") from exc
+    try:  # the problem every point shares: kept links, gains at the true eps
         prob = _split_links(scenario, _trace_all(scenario), np.zeros(scenario.n_links))
-        prob.y = forward(scenario, prob.ray_cache, eps_true)  # kept links only
+        gains = forward(scenario, prob.ray_cache, eps_true)
     except Exception as exc:  # e.g. a link without rays: every point reports it
-        prob = exc
-    tasks = [
-        (scenario, prob, config, float(sigma), seed)
-        for sigma in config.sigmas
-        for seed in range(config.n_seeds)
-    ]
-    n_workers = (os.cpu_count() or 1) if workers is None else max(1, workers)
-    if n_workers == 1 or len(tasks) == 1 or isinstance(prob, Exception):
-        results = [_sweep_point(t) for t in tasks]
+        outcomes = [exc] * len(points)
     else:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(_sweep_point, tasks, chunksize=1))
-    rows = [row for batch in results for row in batch]
+        # adding and removing the offsets rounds y exactly as
+        # synthesize_dataset + prepare_problem do
+        offsets = scenario.link_offsets()[prob.kept]
+        Y = np.array([
+            offsets + gains + measurement_noise(sigma, seed, scenario.n_links)[prob.kept] - offsets
+            for sigma, seed in points
+        ])
+        try:
+            outcomes = solve_batch(scenario, prob.ray_cache, Y, configs)
+        except Exception:  # solve alone, so only the failing points get error rows
+            outcomes = []
+            for y, point_config in zip(Y, configs):
+                try:
+                    outcomes.append(solve(scenario, prob.ray_cache, y, point_config))
+                except Exception as exc:  # one failure must not kill the sweep
+                    outcomes.append(exc)
+    rows = [
+        row
+        for (sigma, seed), outcome in zip(points, outcomes)
+        for row in _run_rows(scenario, sigma, seed, outcome, config.include_timing)
+    ]
     rows.sort(key=lambda r: (r["sigma_z"], r["seed"], r["material"]))
 
     summary = []

@@ -166,16 +166,20 @@ def link_totals(table: RayTable, eps, polarization: str, deriv: bool = False):
 
 
 def _gains_db(table: RayTable, eps, polarization: str) -> np.ndarray:
-    """Per-link 10 log10 (math.log10); raises naming a link below the floor."""
+    """Per-link 10 log10 (math.log10) at one eps (M,) or a batch (B, M);
+    raises naming a link below the floor."""
     eps = np.asarray(eps, dtype=float)
-    total = link_totals(table, eps[None], polarization)[0]
-    low = np.flatnonzero(total < GAIN_FLOOR)
+    batch = np.atleast_2d(eps)
+    total = link_totals(table, batch, polarization)
+    low = np.argwhere(total < GAIN_FLOOR)
     if low.size:
+        b, n = low[0]
         raise UnusableLinkError(
-            f"link {low[0]}: total linear gain {total[low[0]]:.3e} below floor "
-            f"at eps={eps}"
+            f"link {n}: total linear gain {total[b, n]:.3e} below floor "
+            f"at eps={batch[b]}"
         )
-    return np.array([10.0 * math.log10(t) for t in total.tolist()])
+    db = np.array([[10.0 * math.log10(t) for t in row] for row in total.tolist()])
+    return db if eps.ndim == 2 else db[0]
 
 
 def link_gain_db(rays, eps, wavelength_m: float, polarization: str = "TE") -> float:
@@ -184,7 +188,8 @@ def link_gain_db(rays, eps, wavelength_m: float, polarization: str = "TE") -> fl
 
 
 def forward(scenario: Scenario, ray_cache, eps) -> np.ndarray:
-    """dB link gains for every link at the permittivity vector eps."""
+    """dB link gains for every link at one permittivity vector eps (M,),
+    or at each row of a batch (B, M)."""
     return _gains_db(ray_table(ray_cache, scenario.wavelength_m), eps, scenario.polarization)
 
 
@@ -196,18 +201,20 @@ def usable_links(scenario: Scenario, ray_cache, eps) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Linearization:
-    """Affine surrogate of the forward map: gain(x) ~= a_matrix @ x + mu."""
+    """Affine surrogates of the forward map at a batch of B points:
+    gain(x_b) ~= a_matrix[b] @ x_b + mu[b]."""
 
-    a_matrix: np.ndarray     # (N, M), dB per unit permittivity
-    mu: np.ndarray           # (N,), dB
+    a_matrix: np.ndarray     # (B, N, M), dB per unit permittivity
+    mu: np.ndarray           # (B, N), dB
 
 
 def jacobian(scenario: Scenario, table: RayTable, eps) -> Linearization:
-    """Linearization (A, mu) of the forward map at eps, with the Fresnel
-    products differentiated in closed form over a prebuilt ray table."""
+    """Linearizations (A, mu) of the forward map at each row of eps (B, M),
+    the Fresnel products differentiated in closed form over a prebuilt
+    ray table."""
     eps = np.asarray(eps, dtype=float)
     pol = scenario.polarization
     g0 = _gains_db(table, eps, pol)  # names the link if one is unusable
-    total, dtotal = link_totals(table, eps[None], pol, True)
-    a = DB_PER_LN * dtotal[0] / total[0][:, None]
-    return Linearization(a_matrix=a, mu=g0 - a @ eps)
+    total, dtotal = link_totals(table, eps, pol, True)
+    a = DB_PER_LN * dtotal / total[..., None]
+    return Linearization(a_matrix=a, mu=g0 - (a @ eps[..., None])[..., 0])

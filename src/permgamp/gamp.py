@@ -23,13 +23,21 @@ index runs continuously).
 The pseudo-residual state s may optionally be damped (s <- rho * s_new +
 (1 - rho) * s_old) for configurations where the small, dense sensing
 matrix makes the undamped recursion ring.
+
+solve_batch runs B problems on one ray table as this same recursion with a
+leading batch axis: their messages never mix, every product is a stacked
+matmul (so each result equals the problem's own solve bit for bit), and only
+the truncated-Gaussian moments loop over (problem, material). Batched
+problems share k_iter, k_gamp and damping; x0, tau_w and delta_tr are per
+problem. solve is solve_batch at B = 1; a batched report's wall_ms is the
+batch's wall time divided by B.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -97,62 +105,75 @@ def default_config(scenario: Scenario, noise_var: float, **overrides) -> GampCon
 
 @dataclass
 class GampState:
-    x_hat: np.ndarray              # current estimate (M,)
-    tau_x: np.ndarray              # its variance (M,)
-    s_hat: np.ndarray              # output-channel pseudo-residual (N,)
-    p_hat: np.ndarray              # Onsager-corrected prediction (N,)
+    """Recursion state of B problems; every array has a leading batch axis."""
+
+    x_hat: np.ndarray              # current estimates (B, M)
+    tau_x: np.ndarray              # their variances (B, M)
+    s_hat: np.ndarray              # output-channel pseudo-residuals (B, N)
+    p_hat: np.ndarray              # Onsager-corrected predictions (B, N)
     tau_p: np.ndarray
     tau_s: np.ndarray
-    c_hat: np.ndarray              # input-channel pseudo-observation (M,)
+    c_hat: np.ndarray              # input-channel pseudo-observations (B, M)
     tau_c: np.ndarray
+    warnings: list[list[str]]      # per problem, in order of first occurrence
     k: int = 0
-    warnings: list[str] = field(default_factory=list)
 
 
-def init_state(scenario: Scenario, config: GampConfig, n_links: int) -> GampState:
-    """Start at x0 with the uniform-prior variances (b-a)^2/12 and s = 0 on
-    each of the n_links measurements."""
+def init_state(scenario: Scenario, configs: Sequence[GampConfig], n_links: int) -> GampState:
+    """Start each problem at its x0 with the uniform-prior variances
+    (b-a)^2/12 and s = 0 on each of the n_links measurements."""
     lo, hi = scenario.prior_bounds()
-    if len(config.x0) != scenario.n_materials:
-        raise ValidationError(
-            f"x0 has {len(config.x0)} entries for {scenario.n_materials} materials"
-        )
-    if np.any(config.x0 < lo) or np.any(config.x0 > hi):
-        raise ValidationError(f"x0={config.x0} outside the prior box")
+    for config in configs:
+        if len(config.x0) != scenario.n_materials:
+            raise ValidationError(
+                f"x0 has {len(config.x0)} entries for {scenario.n_materials} materials"
+            )
+        if np.any(config.x0 < lo) or np.any(config.x0 > hi):
+            raise ValidationError(f"x0={config.x0} outside the prior box")
+    x0 = np.array([config.x0 for config in configs])
+    prior_var = np.broadcast_to((hi - lo) ** 2 / 12.0, x0.shape)
     return GampState(
-        x_hat=config.x0.copy(),
-        tau_x=(hi - lo) ** 2 / 12.0,
-        s_hat=np.zeros(n_links),
-        p_hat=np.zeros(n_links),
-        tau_p=np.zeros(n_links),
-        tau_s=np.zeros(n_links),
-        c_hat=config.x0.copy(),
-        tau_c=(hi - lo) ** 2 / 12.0,
+        x_hat=x0,
+        tau_x=prior_var.copy(),
+        s_hat=np.zeros((len(x0), n_links)),
+        p_hat=np.zeros((len(x0), n_links)),
+        tau_p=np.zeros((len(x0), n_links)),
+        tau_s=np.zeros((len(x0), n_links)),
+        c_hat=x0.copy(),
+        tau_c=prior_var.copy(),
+        warnings=[[] for _ in configs],
     )
+
+
+def _mv(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """a[b] @ x[b] for every b as one stacked matmul, which rounds each
+    product as a lone a[b] @ x[b] does (einsum does not)."""
+    return (a @ x[..., None])[..., 0]
 
 
 def output_step(
     state: GampState,
     linearization: Linearization,
     y: np.ndarray,
-    tau_w: float,
+    tau_w,
     damping: float = 1.0,
 ) -> GampState:
-    """Per-measurement update: tau_p, p, s, tau_s (mutates state)."""
+    """Per-measurement update of every problem: tau_p, p, s, tau_s (mutates
+    state). y is (B, N); tau_w is a scalar or one value per problem (B, 1)."""
     a = linearization.a_matrix
     with np.errstate(invalid="ignore", over="ignore"):  # checked just below
         a_sq = a * a
-        tau_p = a_sq @ state.tau_x
-        p_hat = a @ state.x_hat - tau_p * state.s_hat
+        tau_p = _mv(a_sq, state.tau_x)
+        p_hat = _mv(a, state.x_hat) - tau_p * state.s_hat
         s_new = (np.asarray(y) - linearization.mu - p_hat) / (tau_w + tau_p)
         if damping < 1.0:
             s_new = damping * s_new + (1.0 - damping) * state.s_hat
         tau_s = 1.0 / (tau_p + tau_w)
-    for name, vec in (("tau_p", tau_p), ("p_hat", p_hat), ("s_hat", s_new)):
-        bad = np.flatnonzero(~np.isfinite(vec))
-        if bad.size:
+    for name, arr in (("tau_p", tau_p), ("p_hat", p_hat), ("s_hat", s_new)):
+        bad = ~np.isfinite(arr)
+        if bad.any():
             raise SolverError(
-                f"output step: non-finite {name} at link {int(bad[0])} "
+                f"output step: non-finite {name} at link {bad.nonzero()[-1][0]} "
                 f"(iteration {state.k})"
             )
     state.tau_p, state.p_hat = tau_p, p_hat
@@ -164,10 +185,12 @@ def input_step(
     state: GampState,
     linearization: Linearization,
     prior_var: np.ndarray,
-    support: Sequence[Interval],
+    lo: np.ndarray,
+    hi: np.ndarray,
 ) -> GampState:
-    """Per-parameter update: tau_c, c, then truncated-Gaussian moments on
-    the support box, prior ∩ trust region (mutates state).
+    """Per-parameter update of every problem: tau_c, c, then truncated-
+    Gaussian moments on the support box [lo, hi] (B, M), prior ∩ trust
+    region (mutates state).
 
     A parameter whose sensing column is all zero is unobservable this
     round: its estimate is held, its variance reset to the prior variance,
@@ -175,28 +198,29 @@ def input_step(
     """
     a = linearization.a_matrix
     a_sq = a * a
-    denom = a_sq.T @ state.tau_s
-    corr = a.T @ state.s_hat
-    for m in range(len(state.x_hat)):
-        if denom[m] <= 0.0:
-            state.tau_x[m] = prior_var[m]
-            state.tau_c[m] = state.tau_x[m]
-            state.c_hat[m] = state.x_hat[m]
+    denom = _mv(a_sq.swapaxes(-1, -2), state.tau_s)
+    corr = _mv(a.swapaxes(-1, -2), state.s_hat)
+    held = denom <= 0.0  # a zero column: that parameter is unobserved
+    tau_c = 1.0 / np.where(held, 1.0, denom)
+    c_hat = state.x_hat + tau_c * corr
+    if not np.isfinite(c_hat).all():  # also when tau_c is not finite
+        raise SolverError(
+            f"input step: non-finite pseudo-observation for material "
+            f"{(~np.isfinite(c_hat)).nonzero()[-1][0] + 1} (iteration {state.k})"
+        )
+    mean, var = np.empty_like(c_hat), np.empty_like(c_hat)
+    for b, m in np.ndindex(c_hat.shape):
+        box = Interval(lo[b, m], hi[b, m])
+        mean[b, m], v = truncated_moments(c_hat[b, m], tau_c[b, m], box)
+        var[b, m] = max(v, VARIANCE_FLOOR)
+    if held.any():
+        mean, var = np.where(held, state.x_hat, mean), np.where(held, prior_var, var)
+        c_hat, tau_c = np.where(held, state.x_hat, c_hat), np.where(held, prior_var, tau_c)
+        for b, m in zip(*held.nonzero()):
             msg = f"input step: material {m + 1} unobserved (zero column), estimate held"
-            if msg not in state.warnings:
-                state.warnings.append(msg)
-            continue
-        tau_c = 1.0 / denom[m]
-        c_hat = state.x_hat[m] + tau_c * corr[m]
-        if not np.isfinite(c_hat) or not np.isfinite(tau_c):
-            raise SolverError(
-                f"input step: non-finite pseudo-observation for material "
-                f"{m + 1} (iteration {state.k})"
-            )
-        mean, var = truncated_moments(c_hat, tau_c, support[m])
-        state.c_hat[m], state.tau_c[m] = c_hat, tau_c
-        state.x_hat[m] = mean
-        state.tau_x[m] = max(var, VARIANCE_FLOOR)
+            if msg not in state.warnings[b]:
+                state.warnings[b].append(msg)
+    state.c_hat, state.tau_c, state.x_hat, state.tau_x = c_hat, tau_c, mean, var
     return state
 
 
@@ -233,24 +257,86 @@ def _rms(v: np.ndarray) -> float:
     return float(np.sqrt(np.mean(v * v)))
 
 
-def _check_invariants(
-    state: GampState, support: Sequence[Interval], a: np.ndarray
-) -> None:
+def _check_invariants(state: GampState, lo, hi, active: np.ndarray) -> None:
+    """x inside its box [lo, hi], finite-positive variances, tau_p > 0 on
+    the active (nonzero) rows of A."""
     x = state.x_hat
-    for m, box in enumerate(support):
-        if not (box.lo <= x[m] <= box.hi):
-            raise SolverError(
-                f"invariant: x[{m}]={x[m]} outside support [{box.lo}, {box.hi}]"
-            )
-    if not (np.all(np.isfinite(state.tau_x)) and np.all(state.tau_x > 0)):
-        raise SolverError("invariant: tau_x not finite-positive")
-    if not (np.all(np.isfinite(state.tau_c)) and np.all(state.tau_c > 0)):
-        raise SolverError("invariant: tau_c not finite-positive")
-    if not (np.all(np.isfinite(state.tau_s)) and np.all(state.tau_s > 0)):
-        raise SolverError("invariant: tau_s not finite-positive")
-    row_nonzero = np.any(a != 0.0, axis=1)
-    if not np.all(np.isfinite(state.tau_p)) or np.any(state.tau_p[row_nonzero] <= 0):
+    outside = ~((lo <= x) & (x <= hi))
+    if outside.any():
+        b, m = np.argwhere(outside)[0]
+        raise SolverError(
+            f"invariant: x[{m}]={x[b, m]} outside support [{lo[b, m]}, {hi[b, m]}]"
+        )
+    for name in ("tau_x", "tau_c", "tau_s"):
+        v = getattr(state, name)
+        if not (np.isfinite(v).all() and (v > 0).all()):
+            raise SolverError(f"invariant: {name} not finite-positive")
+    if not np.isfinite(state.tau_p).all() or (state.tau_p[active] <= 0).any():
         raise SolverError("invariant: tau_p not finite-positive on active rows")
+
+
+def solve_batch(
+    scenario: Scenario, ray_cache, Y: np.ndarray, configs: Sequence[GampConfig]
+) -> list[EstimateReport]:
+    """Run the full outer/inner recursion for B problems, one row of Y
+    (B, N) and one config each, and report each estimate (see solve)."""
+    t0 = time.perf_counter()
+    Y = np.asarray(Y, dtype=float)
+    if Y.shape != (len(configs), len(ray_cache)):
+        raise ValidationError(
+            f"Y has shape {Y.shape} for {len(configs)} configs and "
+            f"{len(ray_cache)} ray lists"
+        )
+    shared = {(c.k_iter, c.k_gamp, c.damping) for c in configs}
+    if len(shared) != 1:
+        raise ValidationError(f"batch configs must share k_iter, k_gamp, damping: {shared}")
+    (k_iter, k_gamp, damping), = shared
+    lo, hi = scenario.prior_bounds()
+    prior_var = (hi - lo) ** 2 / 12.0
+    state = init_state(scenario, configs, Y.shape[1])
+    table = ray_table(ray_cache, scenario.wavelength_m)  # one per solve
+    tau_w = np.array([[c.tau_w] for c in configs])
+    half = np.array([c.delta_tr for c in configs]) / 2.0
+
+    trajectory = [state.x_hat.copy()]
+    where = "the initial point"
+    try:  # an unusable link anywhere in the recursion stops it, naming where
+        g_start = forward(scenario, ray_cache, state.x_hat)
+        for k1 in range(k_iter):
+            where = f"the linearization of outer iteration {k1}"
+            expansion = state.x_hat.copy()
+            lin = jacobian(scenario, table, expansion)
+            t_lo, t_hi = np.maximum(lo, expansion - half), np.minimum(hi, expansion + half)
+            active = np.any(lin.a_matrix != 0.0, axis=-1)
+            for _ in range(k_gamp):
+                output_step(state, lin, Y, tau_w, damping)
+                input_step(state, lin, prior_var, t_lo, t_hi)
+                state.k += 1
+                trajectory.append(state.x_hat.copy())
+                _check_invariants(state, t_lo, t_hi, active)
+        where = "the final point"
+        g_end = forward(scenario, ray_cache, state.x_hat)
+    except UnusableLinkError as exc:
+        raise SolverError(f"forward model failed at {where}: {exc}") from exc
+    wall_ms = (time.perf_counter() - t0) * 1e3 / len(configs)
+    steps = np.stack(trajectory, axis=1)  # (B, k + 1, M)
+    reports = []
+    for b, config in enumerate(configs):
+        resid0, resid = _rms(Y[b] - g_start[b]), _rms(Y[b] - g_end[b])
+        warnings = []
+        if resid > resid0:
+            warnings.append(f"final residual {resid:.6f} dB exceeds initial {resid0:.6f} dB")
+        warnings.extend(w for w in state.warnings[b] if w not in warnings)
+        reports.append(EstimateReport(
+            eps_hat=state.x_hat[b].copy(),
+            trajectory=list(steps[b]),
+            residual_db=resid,
+            iterations_run=state.k,
+            warnings=warnings,
+            config=config,
+            wall_ms=wall_ms,
+        ))
+    return reports
 
 
 def solve(
@@ -264,59 +350,4 @@ def solve(
     y must already be normalized (power and antenna gains removed) and any
     unusable links dropped from both y and ray_cache.
     """
-    t0 = time.perf_counter()
-    y = np.asarray(y, dtype=float)
-    if len(y) != len(ray_cache):
-        raise ValidationError(
-            f"y has {len(y)} entries for {len(ray_cache)} ray lists"
-        )
-    lo, hi = scenario.prior_bounds()
-    prior_var = (hi - lo) ** 2 / 12.0
-    state = init_state(scenario, config, len(y))
-    table = ray_table(ray_cache, scenario.wavelength_m)  # one per solve
-    warnings: list[str] = []
-
-    def _forward_or_abort(eps, where):
-        try:
-            return forward(scenario, ray_cache, eps)
-        except UnusableLinkError as exc:
-            raise SolverError(f"forward model failed at {where}: {exc}") from exc
-
-    resid0 = _rms(y - _forward_or_abort(state.x_hat, "the initial point"))
-    trajectory = [state.x_hat.copy()]
-    half = config.delta_tr / 2.0
-
-    for k1 in range(config.k_iter):
-        expansion = state.x_hat.copy()
-        try:
-            lin = jacobian(scenario, table, expansion)
-        except UnusableLinkError as exc:
-            raise SolverError(
-                f"linearization failed at outer iteration {k1}: {exc}"
-            ) from exc
-        t_lo, t_hi = np.maximum(lo, expansion - half), np.minimum(hi, expansion + half)
-        support = [Interval(a, b) for a, b in zip(t_lo, t_hi)]
-
-        for _ in range(config.k_gamp):
-            output_step(state, lin, y, config.tau_w, config.damping)
-            input_step(state, lin, prior_var, support)
-            state.k += 1
-            trajectory.append(state.x_hat.copy())
-            _check_invariants(state, support, lin.a_matrix)
-
-    eps_hat = state.x_hat.copy()
-    resid = _rms(y - _forward_or_abort(eps_hat, "the final point"))
-    if resid > resid0:
-        warnings.append(
-            f"final residual {resid:.6f} dB exceeds initial {resid0:.6f} dB"
-        )
-    warnings.extend(w for w in state.warnings if w not in warnings)
-    return EstimateReport(
-        eps_hat=eps_hat,
-        trajectory=trajectory,
-        residual_db=resid,
-        iterations_run=state.k,
-        warnings=warnings,
-        config=config,
-        wall_ms=(time.perf_counter() - t0) * 1e3,
-    )
+    return solve_batch(scenario, ray_cache, np.asarray(y, dtype=float)[None], [config])[0]

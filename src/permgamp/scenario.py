@@ -33,6 +33,14 @@ Point = tuple[float, float]
 POLARIZATIONS = ("TE", "TM")
 
 
+def _require_finite(owner: str, **values) -> None:
+    """Raise a ValidationError naming the first field (a number or a point,
+    None skipped) that holds a NaN or inf."""
+    for name, value in values.items():
+        if value is not None and not np.all(np.isfinite(value)):
+            raise ValidationError(f"{owner}: {name}={value} must be finite")
+
+
 @dataclass(frozen=True)
 class Material:
     """One estimable material: index (1-based), prior interval, optional truth."""
@@ -43,12 +51,10 @@ class Material:
     true_eps: Optional[float] = None
 
     def __post_init__(self):
-        for name in ("prior_lo", "prior_hi", "true_eps"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValidationError(
-                    f"material {self.index}: {name}={value} must be finite"
-                )
+        _require_finite(
+            f"material {self.index}",
+            prior_lo=self.prior_lo, prior_hi=self.prior_hi, true_eps=self.true_eps,
+        )
         if self.prior_lo < 1.0:
             raise ValidationError(
                 f"material {self.index}: prior_lo={self.prior_lo} must be >= 1"
@@ -76,6 +82,7 @@ class Surface:
     material_index: int
 
     def __post_init__(self):
+        _require_finite("surface", endpoint_a=self.endpoint_a, endpoint_b=self.endpoint_b)
         if tuple(self.endpoint_a) == tuple(self.endpoint_b):
             raise ValidationError(
                 f"surface: endpoint_a == endpoint_b == {self.endpoint_a}"
@@ -93,6 +100,10 @@ class Link:
     rx_gain_db: float
 
     def __post_init__(self):
+        _require_finite(
+            "link", tx_pos=self.tx_pos, rx_pos=self.rx_pos, tx_power_dbm=self.tx_power_dbm,
+            tx_gain_db=self.tx_gain_db, rx_gain_db=self.rx_gain_db,
+        )
         if tuple(self.tx_pos) == tuple(self.rx_pos):
             raise ValidationError(f"link: tx_pos == rx_pos == {self.tx_pos}")
 
@@ -110,8 +121,8 @@ class Scenario:
         object.__setattr__(self, "surfaces", tuple(self.surfaces))
         object.__setattr__(self, "materials", tuple(self.materials))
         object.__setattr__(self, "links", tuple(self.links))
-        if self.wavelength_m <= 0:
-            raise ValidationError(f"wavelength_m={self.wavelength_m} must be > 0")
+        if not (math.isfinite(self.wavelength_m) and self.wavelength_m > 0):
+            raise ValidationError(f"wavelength_m={self.wavelength_m} must be finite and > 0")
         if self.max_reflections < 0:
             raise ValidationError(
                 f"max_reflections={self.max_reflections} must be >= 0"
@@ -177,8 +188,11 @@ class Dataset:
         object.__setattr__(self, "measured_db", arr)
         if self.measured_db.ndim != 1:
             raise ValidationError("measured_db must be a 1D vector")
-        if self.noise_var < 0:
-            raise ValidationError(f"noise_var={self.noise_var} must be >= 0")
+        bad = np.flatnonzero(~np.isfinite(self.measured_db))
+        if bad.size:
+            raise ValidationError(f"measured_db[{bad[0]}]={self.measured_db[bad[0]]} must be finite")
+        if not (math.isfinite(self.noise_var) and self.noise_var >= 0):
+            raise ValidationError(f"noise_var={self.noise_var} must be finite and >= 0")
 
 
 # ---------------------------------------------------------------------------

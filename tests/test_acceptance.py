@@ -101,20 +101,20 @@ def test_criterion_2_jacobian():
         rays = trace_scenario(sc)
         lo, hi = sc.prior_bounds()
         eps = np.array([rng.uniform(lo[m] + 0.3, hi[m] - 0.3) for m in range(2)])
-        la = jacobian(sc, ray_table(rays, sc.wavelength_m), eps)
+        a = jacobian(sc, ray_table(rays, sc.wavelength_m), eps[None]).a_matrix[0]
         fd, _ = fd_jacobian(sc, rays, eps)
-        scale = np.maximum(np.abs(la.a_matrix), 1e-9)
-        worst_rel = max(worst_rel, float(np.max(np.abs(la.a_matrix - fd) / scale)))
+        scale = np.maximum(np.abs(a), 1e-9)
+        worst_rel = max(worst_rel, float(np.max(np.abs(a - fd) / scale)))
 
     # remainder ratio on the bundled fixture
     sc = load_scenario(bundled_scenario_path("canyon"))
     rays = trace_scenario(sc)
     eps = np.array([3.0, 6.0])
-    lin = jacobian(sc, ray_table(rays, sc.wavelength_m), eps)
+    lin = jacobian(sc, ray_table(rays, sc.wavelength_m), eps[None])
 
     def remainder(d):
         g = forward(sc, rays, eps + d)
-        return float(np.linalg.norm(g - (lin.a_matrix @ (eps + d) + lin.mu)))
+        return float(np.linalg.norm(g - (lin.a_matrix[0] @ (eps + d) + lin.mu[0])))
 
     ratios = []
     for _ in range(40):

@@ -1,5 +1,6 @@
 """Command-line harness and experiment plumbing."""
 
+import csv
 import json
 
 import numpy as np
@@ -24,7 +25,9 @@ from permgamp import (
     trace_link,
     write_sweep_outputs,
 )
-from permgamp import experiment, raytracer
+from permgamp import experiment, forward_model, gamp, raytracer
+from permgamp.errors import ParseError
+from permgamp.forward_model import ray_table
 from permgamp.cli import main
 from permgamp.experiment import RUN_FIELDS, SUMMARY_FIELDS
 
@@ -135,6 +138,50 @@ def test_estimate_has_no_jacobian_option(capsys):
     assert "--jacobian" in capsys.readouterr().err
 
 
+def _nan_surface(sc, ds):
+    sc["surfaces"][0]["a"][1] = float("nan")
+
+
+def _nan_link(sc, ds):
+    sc["links"][0]["tx"][0] = float("nan")
+
+
+def _inf_wavelength(sc, ds):
+    sc["wavelength_m"] = float("inf")
+
+
+def _nan_measurement(sc, ds):
+    ds["measured_db"][5] = float("nan")
+
+
+def _inf_noise_var(sc, ds):
+    ds["noise_var"] = float("inf")
+
+
+@pytest.mark.parametrize(
+    "corrupt,named",
+    [
+        (_nan_surface, "endpoint_a"),
+        (_nan_link, "tx_pos"),
+        (_inf_wavelength, "wavelength_m"),
+        (_nan_measurement, "measured_db"),
+        (_inf_noise_var, "noise_var"),
+    ],
+)
+def test_estimate_rejects_non_finite_inputs(canyon, tmp_path, capsys, corrupt, named):
+    sc = json.loads(open(bundled_scenario_path("canyon")).read())
+    ds = {"measured_db": synthesize_dataset(canyon, 0.5, 3).measured_db.tolist(),
+          "noise_var": 0.25}
+    corrupt(sc, ds)
+    (tmp_path / "sc.json").write_text(json.dumps(sc))
+    (tmp_path / "ds.json").write_text(json.dumps(ds))
+    code, out, err = _run(capsys, "estimate", "--scenario", str(tmp_path / "sc.json"),
+                          "--dataset", str(tmp_path / "ds.json"))
+    assert code == 2
+    assert named in err
+    assert out == ""
+
+
 def test_estimate_dataset_length_mismatch_exits_2(tmp_path, capsys):
     ds = tmp_path / "short.json"
     ds.write_text(json.dumps({"noise_var": 0.25, "measured_db": [-60.0, -55.0]}))
@@ -196,7 +243,7 @@ def test_sweep_rows_schema_and_determinism(tmp_path, capsys):
     out2 = tmp_path / "b"
     args = [
         "sweep", "--scenario", bundled_scenario_path("canyon"),
-        "--sigmas", "0.2,0.8", "--seeds", "2", "--workers", "2",
+        "--sigmas", "0.2,0.8", "--seeds", "2",
         "--k-iter", "5",
     ]
     assert _run(capsys, *args, "--out-dir", str(out1))[0] == 0
@@ -223,7 +270,7 @@ def test_sweep_config_file(tmp_path, capsys):
     }
     cfg_path = tmp_path / "sweep.json"
     cfg_path.write_text(json.dumps(cfg))
-    code, _, err = _run(capsys, "sweep", "--config", str(cfg_path), "--workers", "1")
+    code, _, err = _run(capsys, "sweep", "--config", str(cfg_path))
     assert code == 0
     rows = (tmp_path / "out" / "runs.csv").read_text().strip().split("\n")
     assert len(rows) == 1 + 1 * 2 * 2
@@ -269,10 +316,119 @@ def test_sweep_rejects_unknown_override(tmp_path, capsys, key):
     }
     cfg_path = tmp_path / "sweep.json"
     cfg_path.write_text(json.dumps(cfg))
-    code, _, err = _run(capsys, "sweep", "--config", str(cfg_path), "--workers", "1")
+    code, _, err = _run(capsys, "sweep", "--config", str(cfg_path))
     assert code == 2
     assert key in err
     assert not (tmp_path / "out").exists()
+
+
+def _write_sweep_config(tmp_path, **changes):
+    cfg = {
+        "scenario_path": bundled_scenario_path("canyon"),
+        "sigmas": [0.3],
+        "n_seeds": 1,
+        "out_dir": str(tmp_path / "out"),
+        **changes,
+    }
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+def test_sweep_rejects_bad_override_values_before_solving(tmp_path, capsys, monkeypatch):
+    def no_solve(*args):
+        raise AssertionError("a point was solved")
+
+    monkeypatch.setattr(experiment, "solve_batch", no_solve)
+    cfg_path = _write_sweep_config(tmp_path, overrides={"k_iter": 0})
+    code, _, err = _run(capsys, "sweep", "--config", str(cfg_path))
+    assert code == 2
+    assert "k_iter" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_config_takes_solver_flags(tmp_path, capsys):
+    cfg_path = _write_sweep_config(tmp_path, overrides={"k_iter": 4, "k_gamp": 3})
+    code, _, _ = _run(capsys, "sweep", "--config", str(cfg_path), "--k-iter", "1",
+                      "--k-gamp", "2")
+    assert code == 0
+    with open(tmp_path / "out" / "runs.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["iterations"] for r in rows] == ["2", "2"]  # the flags win: 1 x 2
+
+
+@pytest.mark.parametrize(
+    "text,named",
+    [("{not json", "sweep.json"), (json.dumps({"scenario_path": "x", "sigmas": [1]}), "n_seeds")],
+    ids=["malformed_json", "missing_n_seeds"],
+)
+def test_sweep_config_file_errors_exit_2(tmp_path, capsys, text, named):
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(text)
+    with pytest.raises(ParseError, match=named):
+        ExperimentConfig.from_json(cfg_path)
+    code, _, err = _run(capsys, "sweep", "--config", str(cfg_path))
+    assert code == 2
+    assert named in err
+
+
+def test_sweep_has_no_workers_option(tmp_path, capsys):
+    # sweeps run as one batch in one process
+    with pytest.raises(SystemExit) as exit_info:
+        main(["sweep", "--scenario", bundled_scenario_path("canyon"), "--sigmas", "0.5",
+              "--out-dir", str(tmp_path), "--workers", "2"])
+    assert exit_info.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+
+
+def test_sweep_point_failure_leaves_other_points_unchanged(tmp_path, monkeypatch):
+    config = ExperimentConfig(
+        scenario_path=bundled_scenario_path("canyon"),
+        sigmas=[0.5, 2.0],
+        n_seeds=2,
+        overrides={"k_iter": 3},
+    )
+    clean_rows, clean_summary = run_sweep(config)
+    write_sweep_outputs(clean_rows, clean_summary, tmp_path / "clean")
+    measurement_noise = experiment.measurement_noise
+
+    def nan_at_one_point(sigma, seed, n):
+        noise = measurement_noise(sigma, seed, n)
+        return noise * np.nan if (sigma, seed) == (2.0, 0) else noise
+
+    monkeypatch.setattr(experiment, "measurement_noise", nan_at_one_point)
+    rows, summary = run_sweep(config)
+    write_sweep_outputs(rows, summary, tmp_path / "nan")
+    clean = (tmp_path / "clean" / "runs.csv").read_text().splitlines()
+    got = (tmp_path / "nan" / "runs.csv").read_text().splitlines()
+    failed = [i for i, r in enumerate(rows, start=1) if (r["sigma_z"], r["seed"]) == (2.0, 0)]
+    assert len(failed) == 2
+    assert all(rows[i - 1]["status"] == "error:SolverError" for i in failed)
+    assert [line for i, line in enumerate(got) if i not in failed] == [
+        line for i, line in enumerate(clean) if i not in failed
+    ]
+    assert [s["n_ok"] for s in summary] == [2, 2, 1, 1]
+
+
+def test_sweep_builds_as_many_ray_tables_for_20_points_as_for_1(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return ray_table(*args)
+
+    monkeypatch.setattr(forward_model, "ray_table", counted)
+    monkeypatch.setattr(gamp, "ray_table", counted)
+    counts = []
+    for sigmas, n_seeds in (([0.5], 1), ([0.1, 1.0, 2.0, 4.0], 5)):
+        calls.clear()
+        rows, _ = run_sweep(ExperimentConfig(
+            scenario_path=bundled_scenario_path("canyon"), sigmas=sigmas, n_seeds=n_seeds,
+            overrides={"k_iter": 2},
+        ))
+        assert all(r["status"] == "ok" for r in rows)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
 
 
 def test_sweep_points_equal_single_estimates_and_trace_once(monkeypatch):
@@ -357,7 +513,7 @@ def test_sweep_without_truths_exits_2(tmp_path, capsys):
     save_scenario(sc, path)
     code, _, err = _run(
         capsys, "sweep", "--scenario", str(path), "--sigmas", "0.5",
-        "--seeds", "1", "--out-dir", str(tmp_path / "o"), "--workers", "1",
+        "--seeds", "1", "--out-dir", str(tmp_path / "o"),
     )
     assert code == 2
     assert "true_eps" in err

@@ -23,6 +23,7 @@ from permgamp import (
 )
 from permgamp import forward_model, gamp
 from permgamp.forward_model import (
+    Linearization,
     fresnel_power_coeff_deriv,
     jacobian,
     link_totals,
@@ -263,7 +264,9 @@ def test_forward_single_link_reduces_to_link_gain():
 # ---------------------------------------------------------------------------
 
 def _linearize(sc, rays, eps):
-    return jacobian(sc, ray_table(rays, sc.wavelength_m), eps)
+    """The linearization at one point: a batch of one, unwrapped."""
+    lin = jacobian(sc, ray_table(rays, sc.wavelength_m), eps[None])
+    return Linearization(a_matrix=lin.a_matrix[0], mu=lin.mu[0])
 
 
 def test_jacobian_zero_for_los_only():
@@ -388,7 +391,7 @@ def test_solve_builds_ray_tables_once(canyon, canyon_rays, monkeypatch):
     monkeypatch.setattr(forward_model, "ray_table", counted)
     monkeypatch.setattr(gamp, "ray_table", counted)
     table = ray_table(canyon_rays, canyon.wavelength_m)
-    jacobian(canyon, table, np.array([3.0, 6.0]))
+    jacobian(canyon, table, np.array([[3.0, 6.0]]))
     assert calls == []
     y = forward(canyon, canyon_rays, canyon.true_eps_vector())
     calls.clear()

@@ -29,23 +29,23 @@ from permgamp.oracle import fd_jacobian
 
 
 def _state(x0, tau_x, n):
-    x0 = np.asarray(x0, float)
-    m = len(x0)
+    """A one-problem batch: every array has a leading axis of length 1."""
+    x0 = np.asarray(x0, float)[None]
     return GampState(
         x_hat=x0.copy(),
-        tau_x=np.asarray(tau_x, float).copy(),
-        s_hat=np.zeros(n),
-        p_hat=np.zeros(n),
-        tau_p=np.zeros(n),
-        tau_s=np.zeros(n),
+        tau_x=np.asarray(tau_x, float)[None].copy(),
+        s_hat=np.zeros((1, n)),
+        p_hat=np.zeros((1, n)),
+        tau_p=np.zeros((1, n)),
+        tau_s=np.zeros((1, n)),
         c_hat=x0.copy(),
-        tau_c=np.ones(m),
+        tau_c=np.ones_like(x0),
+        warnings=[[]],
     )
 
 
 def _lin(a, mu):
-    a = np.asarray(a, float)
-    return Linearization(a_matrix=a, mu=np.asarray(mu, float))
+    return Linearization(a_matrix=np.asarray(a, float)[None], mu=np.asarray(mu, float)[None])
 
 
 # ---------------------------------------------------------------------------
@@ -55,16 +55,16 @@ def _lin(a, mu):
 def test_init_state_uniform_variance():
     sc = make_canyon_scenario(n_links=5, n_materials=1, priors=((1.0, 13.0),))
     cfg = default_config(sc, 0.25, x0=np.array([7.0]))
-    st = init_state(sc, cfg, sc.n_links)
-    assert st.x_hat.tolist() == [7.0]
-    assert st.tau_x.tolist() == [12.0]  # (13-1)^2 / 12
+    st = init_state(sc, [cfg], sc.n_links)
+    assert st.x_hat.tolist() == [[7.0]]
+    assert st.tau_x.tolist() == [[12.0]]  # (13-1)^2 / 12
     assert np.all(st.s_hat == 0.0)
 
 
 def test_init_state_mixed_ranges():
     sc = make_canyon_scenario(n_links=5, priors=((1.0, 7.0), (2.0, 14.0)))
     cfg = default_config(sc, 0.25)
-    st = init_state(sc, cfg, sc.n_links)
+    st = init_state(sc, [cfg], sc.n_links)
     assert np.allclose(st.tau_x, [36.0 / 12.0, 144.0 / 12.0], rtol=0, atol=1e-15)
     assert cfg.x0.tolist() == [4.0, 8.0]
 
@@ -73,7 +73,7 @@ def test_init_state_rejects_x0_outside_priors():
     sc = make_canyon_scenario(n_links=5)
     cfg = default_config(sc, 0.25, x0=np.array([0.5, 5.0]))
     with pytest.raises(ValidationError, match="x0"):
-        init_state(sc, cfg, sc.n_links)
+        init_state(sc, [cfg], sc.n_links)
 
 
 # ---------------------------------------------------------------------------
@@ -84,10 +84,10 @@ def test_output_step_scalar_substitution():
     # a=1, tau_x=1, x=0, s_prev=0, y-mu=1, tau_w=1
     st = _state([0.0], [1.0], 1)
     output_step(st, _lin([[1.0]], [0.0]), np.array([1.0]), tau_w=1.0)
-    assert st.tau_p.tolist() == [1.0]
-    assert st.p_hat.tolist() == [0.0]
-    assert st.s_hat.tolist() == [0.5]
-    assert st.tau_s.tolist() == [0.5]
+    assert st.tau_p.tolist() == [[1.0]]
+    assert st.p_hat.tolist() == [[0.0]]
+    assert st.s_hat.tolist() == [[0.5]]
+    assert st.tau_s.tolist() == [[0.5]]
 
 
 def test_output_step_zero_matrix():
@@ -109,8 +109,8 @@ def test_output_step_matches_plain_loops(rng):
     tau_w = 0.7
 
     st = _state(x, tau_x, n)
-    st.s_hat = s_prev.copy()
-    output_step(st, _lin(a, mu), y, tau_w=tau_w)
+    st.s_hat = s_prev[None].copy()
+    output_step(st, _lin(a, mu), y[None], tau_w=tau_w)
 
     # independent elementwise transcription of the four update formulas
     for i in range(n):
@@ -119,29 +119,29 @@ def test_output_step_matches_plain_loops(rng):
         p = z - tau_p * s_prev[i]
         s = (y[i] - mu[i] - p) / (tau_w + tau_p)
         tau_s = 1.0 / (tau_p + tau_w)
-        assert abs(st.tau_p[i] - tau_p) <= 1e-12 * max(1, tau_p)
-        assert abs(st.p_hat[i] - p) <= 1e-12
-        assert abs(st.s_hat[i] - s) <= 1e-12
-        assert abs(st.tau_s[i] - tau_s) <= 1e-12
+        assert abs(st.tau_p[0, i] - tau_p) <= 1e-12 * max(1, tau_p)
+        assert abs(st.p_hat[0, i] - p) <= 1e-12
+        assert abs(st.s_hat[0, i] - s) <= 1e-12
+        assert abs(st.tau_s[0, i] - tau_s) <= 1e-12
 
 
 def test_output_step_damping_blends():
     st = _state([0.0], [1.0], 1)
-    st.s_hat = np.array([1.0])
+    st.s_hat = np.array([[1.0]])
     lin = _lin([[1.0]], [0.0])
-    y = np.array([1.0])
+    y = np.array([[1.0]])
     # undamped s would be (1 - (0 - 1*1)) / 2 = 1.0; damped with rho=0.5:
     # 0.5 * 1.0 + 0.5 * 1.0 = 1.0 -- pick numbers where they differ
     st2 = _state([0.0], [1.0], 1)
-    st2.s_hat = np.array([0.0])
+    st2.s_hat = np.array([[0.0]])
     output_step(st2, lin, y, tau_w=1.0, damping=0.5)
-    assert st2.s_hat.tolist() == [0.25]  # 0.5 * 0.5 + 0.5 * 0
+    assert st2.s_hat.tolist() == [[0.25]]  # 0.5 * 0.5 + 0.5 * 0
 
 
 def test_output_step_aborts_on_nonfinite():
     st = _state([0.0], [1.0], 2)
     with pytest.raises(SolverError, match="link 0"):
-        output_step(st, _lin([[np.inf], [1.0]], [0.0, 0.0]), np.array([1.0, 1.0]), 1.0)
+        output_step(st, _lin([[np.inf], [1.0]], [0.0, 0.0]), np.array([[1.0, 1.0]]), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -152,27 +152,27 @@ def test_input_step_zero_column_holds_estimate():
     n, m = 3, 2
     st = _state([4.0, 6.0], [1.0, 1.0], n)
     a = np.array([[1.0, 0.0], [0.5, 0.0], [-1.0, 0.0]])
-    st.tau_s = np.full(n, 0.5)
-    st.s_hat = np.array([0.1, -0.2, 0.3])
-    support = [Interval(3.0, 5.0), Interval(5.0, 7.0)]  # trust inside [1, 13]
-    input_step(st, _lin(a, np.zeros(n)), np.array([12.0, 12.0]), support)
-    assert st.x_hat[1] == 6.0  # unobserved: held
-    assert st.tau_x[1] == 12.0  # reset to the prior variance
-    assert any("unobserved" in w for w in st.warnings)
-    assert 3.0 < st.x_hat[0] < 5.0  # observed component moved inside trust
+    st.tau_s = np.full((1, n), 0.5)
+    st.s_hat = np.array([[0.1, -0.2, 0.3]])
+    lo, hi = np.array([[3.0, 5.0]]), np.array([[5.0, 7.0]])  # trust inside [1, 13]
+    input_step(st, _lin(a, np.zeros(n)), np.array([12.0, 12.0]), lo, hi)
+    assert st.x_hat[0, 1] == 6.0  # unobserved: held
+    assert st.tau_x[0, 1] == 12.0  # reset to the prior variance
+    assert any("unobserved" in w for w in st.warnings[0])
+    assert 3.0 < st.x_hat[0, 0] < 5.0  # observed component moved inside trust
 
 
 def test_input_step_untruncated_limit_returns_c_hat():
     n = 40
     st = _state([5.0], [1.0], n)
     a = np.full((n, 1), 3.0)
-    st.tau_s = np.full(n, 100.0)  # tau_c = 1 / (9 * 100 * 40): tiny
-    st.s_hat = np.full(n, 0.01)
-    input_step(st, _lin(a, np.zeros(n)), np.array([100.0 / 12.0]), [Interval(0.0, 10.0)])
+    st.tau_s = np.full((1, n), 100.0)  # tau_c = 1 / (9 * 100 * 40): tiny
+    st.s_hat = np.full((1, n), 0.01)
+    input_step(st, _lin(a, np.zeros(n)), np.array([100.0 / 12.0]), np.array([[0.0]]), np.array([[10.0]]))
     tau_c = 1.0 / (9.0 * 100.0 * n)
     c_expect = 5.0 + tau_c * 3.0 * 0.01 * n
-    assert abs(st.x_hat[0] - c_expect) <= 1e-9
-    assert abs(st.tau_c[0] - tau_c) <= 1e-15
+    assert abs(st.x_hat[0, 0] - c_expect) <= 1e-9
+    assert abs(st.tau_c[0, 0] - tau_c) <= 1e-15
 
 
 def test_composed_step_matches_quadrature(rng):
@@ -183,13 +183,14 @@ def test_composed_step_matches_quadrature(rng):
     x = np.array([4.0, 6.0])
     st = _state(x, np.array([2.0, 3.0]), n)
     lin = _lin(a, mu)
-    output_step(st, lin, y, tau_w=0.5)
-    support = [Interval(3.0, 5.0), Interval(5.0, 7.0)]  # trust inside [1, 13]
-    input_step(st, lin, np.array([12.0, 12.0]), support)
+    output_step(st, lin, y[None], tau_w=0.5)
+    lo, hi = np.array([[3.0, 5.0]]), np.array([[5.0, 7.0]])  # trust inside [1, 13]
+    input_step(st, lin, np.array([12.0, 12.0]), lo, hi)
     for k in range(m):
-        qm, qv = quadrature_moments(st.c_hat[k], st.tau_c[k], support[k])
-        assert abs(st.x_hat[k] - qm) <= 1e-9
-        assert abs(st.tau_x[k] - qv) <= 1e-9
+        box = Interval(lo[0, k], hi[0, k])
+        qm, qv = quadrature_moments(st.c_hat[0, k], st.tau_c[0, k], box)
+        assert abs(st.x_hat[0, k] - qm) <= 1e-9
+        assert abs(st.tau_x[0, k] - qv) <= 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -201,8 +202,9 @@ def _run_frozen(a, mu, y, tau_w, prior, iters=400):
     st = _state([0.5 * (prior.lo + prior.hi)], [prior.width**2 / 12.0], n)
     lin = _lin(a, mu)
     for _ in range(iters):
-        output_step(st, lin, y, tau_w=tau_w)
-        input_step(st, lin, np.array([prior.width**2 / 12.0]), [prior])
+        output_step(st, lin, y[None], tau_w=tau_w)
+        input_step(st, lin, np.array([prior.width**2 / 12.0]), np.array([[prior.lo]]),
+                   np.array([[prior.hi]]))
     return st
 
 
@@ -222,8 +224,8 @@ def test_frozen_map_fixed_point_matches_exact_posterior(rng):
     x_star = float(np.sum(a[:, 0] * (y - mu)) / np.sum(a[:, 0] ** 2))
     tau_star = tau_w / float(np.sum(a[:, 0] ** 2))
     exact_mean, _ = truncated_moments(x_star, tau_star, prior)
-    assert abs(st.x_hat[0] - exact_mean) <= 1e-6
-    assert abs(st.x_hat[0] - x_star) <= 1e-6
+    assert abs(st.x_hat[0, 0] - exact_mean) <= 1e-6
+    assert abs(st.x_hat[0, 0] - x_star) <= 1e-6
 
 
 def test_frozen_map_fixed_point_is_self_consistent(rng):
@@ -235,10 +237,10 @@ def test_frozen_map_fixed_point_is_self_consistent(rng):
     y = a[:, 0] * 1.4 + mu  # pseudo-truth outside the prior box
     prior = Interval(0.0, 1.0)
     st = _run_frozen(a, mu, y, 1.0, prior)
-    mean, var = truncated_moments(st.c_hat[0], st.tau_c[0], prior)
-    assert abs(st.x_hat[0] - mean) <= 1e-9
-    assert abs(st.tau_x[0] - var) <= 1e-9
-    assert prior.lo < st.x_hat[0] < prior.hi
+    mean, var = truncated_moments(st.c_hat[0, 0], st.tau_c[0, 0], prior)
+    assert abs(st.x_hat[0, 0] - mean) <= 1e-9
+    assert abs(st.tau_x[0, 0] - var) <= 1e-9
+    assert prior.lo < st.x_hat[0, 0] < prior.hi
 
 
 # ---------------------------------------------------------------------------
@@ -394,8 +396,9 @@ def test_solve_with_fd_jacobian_matches_analytic(canyon, canyon_rays, monkeypatc
     ra = solve(canyon, canyon_rays, y, cfg)
 
     def fd_linearization(scenario, table, eps):
-        a, _ = fd_jacobian(scenario, canyon_rays, eps)
-        return Linearization(a_matrix=a, mu=forward(scenario, canyon_rays, eps) - a @ eps)
+        a, _ = fd_jacobian(scenario, canyon_rays, eps[0])
+        mu = forward(scenario, canyon_rays, eps[0]) - a @ eps[0]
+        return Linearization(a_matrix=a[None], mu=mu[None])
 
     monkeypatch.setattr(gamp, "jacobian", fd_linearization)
     rf = solve(canyon, canyon_rays, y, cfg)
@@ -429,3 +432,58 @@ def test_solve_survives_huge_noise(canyon, canyon_rays):
     lo, hi = canyon.prior_bounds()
     assert np.all(np.isfinite(rep.eps_hat))
     assert np.all(rep.eps_hat >= lo) and np.all(rep.eps_hat <= hi)
+
+
+# ---------------------------------------------------------------------------
+# solve_batch
+# ---------------------------------------------------------------------------
+
+def _variant(canyon, kind):
+    """The canyon as is, in TM, or with a third material on no surface."""
+    from permgamp import Material, Scenario
+
+    extra = (Material(3, 2.0, 8.0, 4.0),) if kind == "unobserved" else ()
+    return Scenario(
+        surfaces=canyon.surfaces,
+        materials=canyon.materials + extra,
+        links=canyon.links,
+        wavelength_m=canyon.wavelength_m,
+        max_reflections=canyon.max_reflections,
+        polarization="TM" if kind == "TM" else "TE",
+    )
+
+
+@pytest.mark.parametrize("kind", ["TE", "TM", "unobserved"])
+def test_solve_batch_equals_each_point_solved_alone(canyon, kind):
+    sc = _variant(canyon, kind)
+    rays = trace_scenario(sc)
+    x0 = [2.0, 9.0, 5.0][: sc.n_materials]
+    ys, configs = [], []
+    for sigma, seed, overrides in [
+        (0.0, 1, {}), (0.5, 2, {}), (4.0, 3, {}), (0.5, 4, {"delta_tr": 0.8, "x0": x0}),
+    ]:
+        ds = synthesize_dataset(sc, sigma, seed)
+        ys.append(normalize_measurements(sc, ds))
+        configs.append(default_config(sc, ds.noise_var, **overrides))
+    batch = gamp.solve_batch(sc, rays, np.array(ys), configs)
+    assert len(batch) == len(configs)
+    for got, y, cfg in zip(batch, ys, configs):
+        alone = solve(sc, rays, y, cfg)
+        assert np.array_equal(got.eps_hat, alone.eps_hat)  # bit for bit
+        assert len(got.trajectory) == len(alone.trajectory)
+        assert all(np.array_equal(a, b) for a, b in zip(got.trajectory, alone.trajectory))
+        assert got.residual_db == alone.residual_db
+        assert got.warnings == alone.warnings
+        assert got.iterations_run == alone.iterations_run
+        assert got.config is cfg
+    if kind == "unobserved":
+        assert all("material 3 unobserved" in r.warnings[-1] for r in batch)
+
+
+def test_solve_batch_rejects_configs_that_differ_in_loop_shape(canyon, canyon_rays):
+    y = forward(canyon, canyon_rays, canyon.true_eps_vector())
+    configs = [default_config(canyon, 0.25), default_config(canyon, 0.25, k_iter=3)]
+    with pytest.raises(ValidationError, match="k_iter"):
+        gamp.solve_batch(canyon, canyon_rays, np.array([y, y]), configs)
+    with pytest.raises(ValidationError, match="shape"):
+        gamp.solve_batch(canyon, canyon_rays, np.array([y, y]), configs[:1])

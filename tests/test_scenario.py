@@ -83,6 +83,12 @@ def test_malformed_json_is_parse_error(tmp_path):
         (lambda d: d["surfaces"].append({"a": [0, 0], "b": [1, 0], "material": 9}), "material"),
         (lambda d: d["materials"][0].update(prior_hi=float("inf")), "prior_hi"),
         (lambda d: d["materials"][0].update(true_eps=float("nan")), "true_eps"),
+        (lambda d: d["surfaces"].append({"a": [0, float("nan")], "b": [1, 0], "material": 1}),
+         "endpoint_a"),
+        (lambda d: d["links"][0].update(rx=[float("nan"), 0]), "rx_pos"),
+        (lambda d: d["links"][0].update(p_dbm=float("inf")), "tx_power_dbm"),
+        (lambda d: d["links"][0].update(g_rx_db=float("nan")), "rx_gain_db"),
+        (lambda d: d.update(wavelength_m=float("inf")), "wavelength_m=inf"),
     ],
 )
 def test_validation_errors_name_the_field(tmp_path, mutate, field):
@@ -92,6 +98,22 @@ def test_validation_errors_name_the_field(tmp_path, mutate, field):
     p.write_text(json.dumps(bad))
     with pytest.raises(ValidationError, match=field):
         load_scenario(p)
+
+
+@pytest.mark.parametrize(
+    "raw,field",
+    [
+        ({"measured_db": [-60.0, float("nan")], "noise_var": 0.25}, "measured_db"),
+        ({"measured_db": [-60.0, float("inf")], "noise_var": 0.25}, "measured_db"),
+        ({"measured_db": [-60.0, -61.0], "noise_var": float("inf")}, "noise_var"),
+        ({"measured_db": [-60.0, -61.0], "noise_var": float("nan")}, "noise_var"),
+    ],
+)
+def test_dataset_rejects_non_finite_values(tmp_path, raw, field):
+    p = tmp_path / "ds.json"
+    p.write_text(json.dumps(raw))
+    with pytest.raises(ValidationError, match=field):
+        load_dataset(p)
 
 
 def test_bundled_canyon_fixture(canyon):
