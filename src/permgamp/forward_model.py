@@ -171,14 +171,14 @@ def _gains_db(table: RayTable, eps, polarization: str) -> np.ndarray:
     eps = np.asarray(eps, dtype=float)
     batch = np.atleast_2d(eps)
     total = link_totals(table, batch, polarization)
-    low = np.argwhere(total < GAIN_FLOOR)
-    if low.size:
-        b, n = low[0]
+    low = total < GAIN_FLOOR
+    if low.any():
+        b, n = np.argwhere(low)[0]
         raise UnusableLinkError(
             f"link {n}: total linear gain {total[b, n]:.3e} below floor "
             f"at eps={batch[b]}"
         )
-    db = np.array([[10.0 * math.log10(t) for t in row] for row in total.tolist()])
+    db = np.array([10.0 * math.log10(t) for t in total.ravel().tolist()]).reshape(total.shape)
     return db if eps.ndim == 2 else db[0]
 
 

@@ -35,6 +35,7 @@ batch's wall time divided by B.
 
 from __future__ import annotations
 
+import itertools
 import json
 import time
 from dataclasses import dataclass
@@ -209,7 +210,7 @@ def input_step(
             f"{(~np.isfinite(c_hat)).nonzero()[-1][0] + 1} (iteration {state.k})"
         )
     mean, var = np.empty_like(c_hat), np.empty_like(c_hat)
-    for b, m in np.ndindex(c_hat.shape):
+    for b, m in itertools.product(*map(range, c_hat.shape)):  # (point, material)
         box = Interval(lo[b, m], hi[b, m])
         mean[b, m], v = truncated_moments(c_hat[b, m], tau_c[b, m], box)
         var[b, m] = max(v, VARIANCE_FLOOR)
