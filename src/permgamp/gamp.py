@@ -291,7 +291,7 @@ def solve_batch(
     shared = {(c.k_iter, c.k_gamp, c.damping) for c in configs}
     if len(shared) != 1:
         raise ValidationError(f"batch configs must share k_iter, k_gamp, damping: {shared}")
-    (k_iter, k_gamp, damping), = shared
+    [(k_iter, k_gamp, damping)] = shared
     lo, hi = scenario.prior_bounds()
     prior_var = (hi - lo) ** 2 / 12.0
     state = init_state(scenario, configs, Y.shape[1])
