@@ -5,7 +5,10 @@ plus every specular reflection path of order <= max_reflections. A k-bounce
 candidate for the ordered surface sequence (s1..sk) is built by mirroring
 the TX image across s1..sk; the path exists iff walking back from the RX
 through the image chain yields bounce points inside each finite segment,
-and no leg of the resulting polyline is blocked by another surface.
+and no leg of the resulting polyline is blocked by another surface. The
+images form a tree, so each is mirrored once and shared by every sequence
+it prefixes. Points are complex numbers inside the tracer; Ray.points are
+(x, y) tuples.
 
 Grazing hits (incidence within 1e-9 rad of pi/2) and bounce points outside
 the finite segments are discarded; there is no diffraction model.
@@ -16,10 +19,9 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from itertools import product
 
 from .errors import UnusableLinkError
-from .scenario import Point, Scenario, Surface
+from .scenario import Point, Scenario
 
 GEOM_EPS = 1e-9        # meters; endpoint tolerance for occlusion tests
 GRAZING_EPS = 1e-9     # radians; discard incidence >= pi/2 - GRAZING_EPS
@@ -44,69 +46,47 @@ class Ray:
         return len(self.reflections)
 
 
-# -- planar geometry helpers -------------------------------------------------
+# -- planar geometry on complex points ---------------------------------------
+# For complex a and b, conj(a) * b has real part dot(a, b) and imaginary part
+# cross(a, b). Lengths use math.hypot on the parts, which rounds as math.dist
+# does; abs(z) differs from it in the last bit on some points.
 
-def _sub(a: Point, b: Point) -> Point:
-    return (a[0] - b[0], a[1] - b[1])
-
-
-def _dot(a: Point, b: Point) -> float:
-    return a[0] * b[0] + a[1] * b[1]
-
-
-def _cross(a: Point, b: Point) -> float:
-    return a[0] * b[1] - a[1] * b[0]
+def _length(z: complex) -> float:
+    return math.hypot(z.real, z.imag)
 
 
-def _mirror(p: Point, s: Surface) -> Point:
-    """Reflect p across the infinite line through s."""
-    a, b = s.endpoint_a, s.endpoint_b
-    d = _sub(b, a)
-    t = _dot(_sub(p, a), d) / _dot(d, d)
-    foot = (a[0] + t * d[0], a[1] + t * d[1])
-    return (2.0 * foot[0] - p[0], 2.0 * foot[1] - p[1])
+def _line_hit(p: complex, q: complex, a: complex, b: complex):
+    """Intersection of segment p->q with the line through a->b.
 
-
-def _unit_normal(s: Surface) -> Point:
-    d = _sub(s.endpoint_b, s.endpoint_a)
-    n = (-d[1], d[0])
-    ln = math.hypot(*n)
-    return (n[0] / ln, n[1] / ln)
-
-
-def _line_hit(p: Point, q: Point, s: Surface):
-    """Intersection of segment p->q with the line through s.
-
-    Returns (t, u, point) with t the parameter along p->q and u along the
-    surface, or None for (near-)parallel lines.
+    Returns (t, u, point) with t the parameter along p->q and u along a->b,
+    or None for (near-)parallel lines.
     """
-    r = _sub(q, p)
-    d = _sub(s.endpoint_b, s.endpoint_a)
-    denom = _cross(r, d)
+    r = q - p
+    d = b - a
+    denom = (r.conjugate() * d).imag
     if abs(denom) < 1e-15:
         return None
-    ap = _sub(s.endpoint_a, p)
-    t = _cross(ap, d) / denom
-    u = _cross(ap, r) / denom
-    point = (p[0] + t * r[0], p[1] + t * r[1])
-    return t, u, point
+    ap = (a - p).conjugate()
+    t = (ap * d).imag / denom
+    u = (ap * r).imag / denom
+    return t, u, p + t * r
 
 
-def _segment_blocked(p: Point, q: Point, surfaces, skip=()) -> bool:
-    """True if any surface crosses the open segment p->q.
+def _segment_blocked(p: complex, q: complex, walls, skip=()) -> bool:
+    """True if any wall (a, b) crosses the open segment p->q.
 
     Hits within GEOM_EPS meters of either endpoint do not count, so a leg
     that starts or ends on its own reflecting surface is not self-blocked.
-    Surfaces listed in skip are ignored outright.
+    Walls listed in skip are ignored outright.
     """
-    leg = math.dist(p, q)
+    leg = _length(q - p)
     if leg <= GEOM_EPS:
         return False
     t_eps = GEOM_EPS / leg
-    for idx, s in enumerate(surfaces):
+    for idx, (a, b) in enumerate(walls):
         if idx in skip:
             continue
-        hit = _line_hit(p, q, s)
+        hit = _line_hit(p, q, a, b)
         if hit is None:
             continue
         t, u, _ = hit
@@ -117,36 +97,38 @@ def _segment_blocked(p: Point, q: Point, surfaces, skip=()) -> bool:
 
 # -- tracing -----------------------------------------------------------------
 
-def _sequences(n_surfaces: int, max_order: int):
-    """Ordered surface-index sequences without immediate repeats."""
-    for order in range(1, max_order + 1):
-        for seq in product(range(n_surfaces), repeat=order):
-            if any(seq[i] == seq[i + 1] for i in range(order - 1)):
-                continue
-            yield seq
+def _image_chains(walls, seq, images, max_order: int):
+    """Depth-first (sequence, images) for every wall-index sequence that
+    extends seq up to max_order without immediate repeats, each order in
+    lexicographic order; images[j] is images[0] mirrored across
+    sequence[0..j-1], and each prefix's image is mirrored once."""
+    if len(seq) >= max_order:
+        return
+    p = images[-1]
+    for si, (a, b) in enumerate(walls):
+        if seq and si == seq[-1]:
+            continue
+        d = b - a
+        t = (d.conjugate() * (p - a)).real / (d.conjugate() * d).real
+        chain = (*images, 2.0 * (a + t * d) - p)  # p mirrored across the line
+        yield (*seq, si), chain
+        yield from _image_chains(walls, (*seq, si), chain, max_order)
 
 
-def _build_reflected_ray(scenario: Scenario, tx: Point, rx: Point, seq):
-    surfaces = scenario.surfaces
-    # Chain of TX images: images[j] is TX mirrored across seq[0..j-1].
-    images = [tx]
-    for si in seq:
-        images.append(_mirror(images[-1], surfaces[si]))
-
+def _build_reflected_ray(scenario: Scenario, walls, rx: complex, seq, images):
     # Walk back from RX: bounce point on seq[j] comes from the segment
-    # images[j] -> next point.
+    # images[j + 1] -> next point.
     nxt = rx
-    bounce_pts: list[Point] = []
+    bounce_pts: list[complex] = []
     for j in range(len(seq) - 1, -1, -1):
-        s = surfaces[seq[j]]
-        hit = _line_hit(images[j + 1], nxt, s)
+        a, b = walls[seq[j]]
+        hit = _line_hit(images[j + 1], nxt, a, b)
         if hit is None:
             return None
         t, u, point = hit
         if not (0.0 < t < 1.0):
             return None
-        seg_len = math.dist(s.endpoint_a, s.endpoint_b)
-        u_eps = GEOM_EPS / seg_len
+        u_eps = GEOM_EPS / _length(b - a)
         if not (u_eps <= u <= 1.0 - u_eps):
             return None  # bounce falls off the finite segment
         bounce_pts.append(point)
@@ -154,22 +136,22 @@ def _build_reflected_ray(scenario: Scenario, tx: Point, rx: Point, seq):
     bounce_pts.reverse()
 
     # Occlusion and incidence angles along TX -> bounces -> RX.
-    path = [tx, *bounce_pts, rx]
+    path = [images[0], *bounce_pts, rx]
     reflections = []
     for j, si in enumerate(seq):
-        p_in, p_at = path[j], path[j + 1]
-        leg = math.dist(p_in, p_at)
+        v = path[j + 1] - path[j]
+        leg = _length(v)
         if leg <= GEOM_EPS:
             return None
-        d = ((p_at[0] - p_in[0]) / leg, (p_at[1] - p_in[1]) / leg)
-        n = _unit_normal(surfaces[si])
-        cos_inc = min(1.0, abs(_dot(d, n)))
+        a, b = walls[si]
+        n = 1j * (b - a)
+        cos_inc = min(1.0, abs(((v / leg).conjugate() * (n / _length(n))).real))
         theta = math.acos(cos_inc)
         if theta >= math.pi / 2.0 - GRAZING_EPS:
             return None
         reflections.append(
             Reflection(
-                material_index=surfaces[si].material_index,
+                material_index=scenario.surfaces[si].material_index,
                 incidence_angle=theta,
             )
         )
@@ -179,14 +161,13 @@ def _build_reflected_ray(scenario: Scenario, tx: Point, rx: Point, seq):
             incident.add(seq[j - 1])
         if j < len(seq):
             incident.add(seq[j])
-        if _segment_blocked(path[j], path[j + 1], surfaces, skip=incident):
+        if _segment_blocked(path[j], path[j + 1], walls, skip=incident):
             return None
 
-    total = math.dist(images[-1], rx)  # image-method length law
     return Ray(
-        total_length_m=total,
+        total_length_m=_length(rx - images[-1]),  # image-method length law
         reflections=tuple(reflections),
-        points=tuple(bounce_pts),
+        points=tuple((z.real, z.imag) for z in bounce_pts),
     )
 
 
@@ -197,14 +178,15 @@ def trace_link(scenario: Scenario, link_index: int) -> list[Ray]:
     such a link and callers are expected to drop it.
     """
     link = scenario.links[link_index]
-    tx, rx = link.tx_pos, link.rx_pos
+    tx, rx = complex(*link.tx_pos), complex(*link.rx_pos)
+    walls = [(complex(*s.endpoint_a), complex(*s.endpoint_b)) for s in scenario.surfaces]
     rays: list[Ray] = []
 
-    if not _segment_blocked(tx, rx, scenario.surfaces):
-        rays.append(Ray(total_length_m=math.dist(tx, rx)))
+    if not _segment_blocked(tx, rx, walls):
+        rays.append(Ray(total_length_m=_length(rx - tx)))
 
-    for seq in _sequences(len(scenario.surfaces), scenario.max_reflections):
-        ray = _build_reflected_ray(scenario, tx, rx, seq)
+    for seq, images in _image_chains(walls, (), (tx,), scenario.max_reflections):
+        ray = _build_reflected_ray(scenario, walls, rx, seq, images)
         if ray is not None:
             rays.append(ray)
 
