@@ -77,6 +77,14 @@ def _solver_overrides(args) -> dict:
     return overrides
 
 
+def _seed(text: str) -> int:
+    """--seed value: PCG64 takes only integers >= 0."""
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed={seed} must be >= 0")
+    return seed
+
+
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k-iter", type=int, default=None, help="outer iterations")
     p.add_argument("--k-gamp", type=int, default=None, help="inner steps per outer")
@@ -197,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--template", choices=("canyon", "free-space"), default="canyon")
     g.add_argument("--materials", type=int, default=2)
     g.add_argument("--links", type=int, default=100)
-    g.add_argument("--seed", type=int, default=7)
+    g.add_argument("--seed", type=_seed, default=7)
     g.add_argument("--length", type=float, default=50.0)
     g.add_argument("--width", type=float, default=10.0)
     g.add_argument("--wavelength", type=float, default=0.1)
@@ -210,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--scenario", required=True)
     e.add_argument("--dataset", default=None)
     e.add_argument("--sigma", type=float, default=None, help="synthesize with this noise")
-    e.add_argument("--seed", type=int, default=0)
+    e.add_argument("--seed", type=_seed, default=0)
     e.add_argument("--oracle", action="store_true", help="append grid-search comparison")
     e.add_argument("--grid-step", type=float, default=0.05)
     e.add_argument("--timing", action="store_true", help="report measured wall time")
@@ -232,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument("--scenario", required=True)
     o.add_argument("--dataset", default=None)
     o.add_argument("--sigma", type=float, default=None)
-    o.add_argument("--seed", type=int, default=0)
+    o.add_argument("--seed", type=_seed, default=0)
     o.add_argument("--grid-step", type=float, default=0.05)
     o.add_argument("--out", default=None)
     o.set_defaults(func=cmd_oracle)

@@ -12,7 +12,6 @@ material) order, so the emitted CSVs are byte-stable.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import os
 from dataclasses import dataclass, field, fields
@@ -22,7 +21,7 @@ import numpy as np
 
 from .errors import ParseError, UnusableLinkError, ValidationError
 from .forward_model import forward, usable_links
-from .gamp import EstimateReport, GampConfig, default_config, solve, solve_batch
+from .gamp import EstimateReport, GampConfig, check_x0, default_config, solve, solve_batch
 from .oracle import GridSpec, grid_map
 from .raytracer import Ray, trace_link
 from .scenario import (
@@ -31,6 +30,7 @@ from .scenario import (
     load_scenario,
     measurement_noise,
     normalize_measurements,
+    read_json,
     scenario_from_dict,  # unused here: bench/tracing.py wraps both names here
     synthesize_dataset,
 )
@@ -147,11 +147,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
-        try:
-            with open(path) as fh:
-                raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: not valid JSON ({exc})") from exc
+        raw = read_json(path)
         try:
             kwargs = dict(
                 scenario_path=raw["scenario_path"],
@@ -197,6 +193,8 @@ def run_sweep(
     points = [(float(sigma), seed) for sigma in config.sigmas for seed in range(config.n_seeds)]
     try:
         configs = [default_config(scenario, sigma**2, **config.overrides) for sigma, _ in points]
+        for point_config in configs:
+            check_x0(scenario, point_config)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"overrides {config.overrides}: {exc}") from exc
     try:  # the problem every point shares: kept links, gains at the true eps

@@ -37,6 +37,8 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
+import numbers
 import time
 from dataclasses import dataclass
 from typing import Sequence
@@ -70,12 +72,16 @@ class GampConfig:
                 np.asarray(self.delta_tr, dtype=float), self.x0.shape
             ).copy(),
         )
-        if self.k_iter < 1 or self.k_gamp < 1:
-            raise ValidationError("k_iter and k_gamp must be >= 1")
-        if np.any(self.delta_tr <= 0):
+        for name in ("k_iter", "k_gamp"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and value >= 1):
+                raise ValidationError(f"{name}={value!r} must be an integer >= 1")
+        if not np.all(np.isfinite(self.x0)):
+            raise ValidationError(f"x0={self.x0} must be finite")
+        if not np.all(self.delta_tr > 0):
             raise ValidationError(f"delta_tr={self.delta_tr} must be > 0")
-        if not self.tau_w > 0:
-            raise ValidationError(f"tau_w={self.tau_w} must be > 0")
+        if not (math.isfinite(self.tau_w) and self.tau_w > 0):
+            raise ValidationError(f"tau_w={self.tau_w} must be finite and > 0")
         if not 0.0 < self.damping <= 1.0:
             raise ValidationError(f"damping={self.damping} must be in (0, 1]")
 
@@ -120,17 +126,23 @@ class GampState:
     k: int = 0
 
 
+def check_x0(scenario: Scenario, config: GampConfig) -> None:
+    """ValidationError unless x0 has one entry per material, inside the prior box."""
+    lo, hi = scenario.prior_bounds()
+    if config.x0.shape != lo.shape:
+        raise ValidationError(
+            f"x0 has {config.x0.size} entries for {scenario.n_materials} materials"
+        )
+    if np.any(config.x0 < lo) or np.any(config.x0 > hi):
+        raise ValidationError(f"x0={config.x0} outside the prior box")
+
+
 def init_state(scenario: Scenario, configs: Sequence[GampConfig], n_links: int) -> GampState:
     """Start each problem at its x0 with the uniform-prior variances
     (b-a)^2/12 and s = 0 on each of the n_links measurements."""
     lo, hi = scenario.prior_bounds()
     for config in configs:
-        if len(config.x0) != scenario.n_materials:
-            raise ValidationError(
-                f"x0 has {len(config.x0)} entries for {scenario.n_materials} materials"
-            )
-        if np.any(config.x0 < lo) or np.any(config.x0 > hi):
-            raise ValidationError(f"x0={config.x0} outside the prior box")
+        check_x0(scenario, config)
     x0 = np.array([config.x0 for config in configs])
     prior_var = np.broadcast_to((hi - lo) ** 2 / 12.0, x0.shape)
     return GampState(

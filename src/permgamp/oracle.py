@@ -76,12 +76,14 @@ class GridSpec:
 
 
 def grid_axes(scenario: Scenario, grid: GridSpec) -> list[np.ndarray]:
+    """One node axis per material; GridSizeError, before any axis is built,
+    when the grid would have more than GRID_GUARD nodes."""
     lo, hi = scenario.prior_bounds()
-    axes = []
-    for m in range(scenario.n_materials):
-        count = int(math.floor((hi[m] - lo[m]) / grid.step + 1e-9)) + 1
-        axes.append(lo[m] + grid.step * np.arange(count))
-    return axes
+    counts = np.floor((hi - lo) / grid.step + 1e-9) + 1
+    size = math.prod(counts.tolist())
+    if size > GRID_GUARD:
+        raise GridSizeError(f"grid has {size:.0f} nodes (> {GRID_GUARD})")
+    return [lo[m] + grid.step * np.arange(int(count)) for m, count in enumerate(counts)]
 
 
 def grid_map(scenario: Scenario, ray_cache, y, sigma_z: float, grid: GridSpec) -> np.ndarray:
@@ -93,8 +95,6 @@ def grid_map(scenario: Scenario, ray_cache, y, sigma_z: float, grid: GridSpec) -
     """
     axes = grid_axes(scenario, grid)
     size = math.prod(len(ax) for ax in axes)
-    if size > GRID_GUARD:
-        raise GridSizeError(f"grid has {size} nodes (> {GRID_GUARD})")
     mesh = np.meshgrid(*axes, indexing="ij")
     eps_nodes = np.stack([m.reshape(-1) for m in mesh], axis=1)
     table = ray_table(ray_cache, scenario.wavelength_m)

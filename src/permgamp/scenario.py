@@ -183,7 +183,10 @@ class Dataset:
     seed: Optional[int] = None
 
     def __post_init__(self):
-        arr = np.array(self.measured_db, dtype=float)  # own copy, then freeze
+        try:
+            arr = np.array(self.measured_db, dtype=float)  # own copy, then freeze
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"measured_db: expected a list of numbers ({exc})") from exc
         arr.flags.writeable = False
         object.__setattr__(self, "measured_db", arr)
         if self.measured_db.ndim != 1:
@@ -205,6 +208,36 @@ def _point(raw, name: str) -> Point:
         return (float(x), float(y))
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{name}: expected [x, y], got {raw!r}") from exc
+
+
+def _number(raw, name: str) -> float:
+    try:
+        return float(raw)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{name}: expected a number, got {raw!r}") from exc
+
+
+def _integer(raw, name: str) -> int:
+    """An integral number as an int; 2.5 or "2.5" is refused, not truncated."""
+    number = _number(raw, name)
+    if not number.is_integer():
+        raise ParseError(f"{name}: expected an integer, got {raw!r}")
+    return int(raw) if isinstance(raw, int) else int(number)
+
+
+def read_json(path):
+    """The JSON value in the UTF-8 file at path. A missing file raises
+    FileNotFoundError; any other file that cannot be read or parsed raises
+    a ParseError naming the path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except FileNotFoundError:
+        raise
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: not valid JSON ({exc})") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"{path}: cannot read ({exc})") from exc
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
@@ -246,37 +279,40 @@ def scenario_from_dict(raw: dict) -> Scenario:
     try:
         materials = tuple(
             Material(
-                index=int(m["index"]),
-                prior_lo=float(m["prior_lo"]),
-                prior_hi=float(m["prior_hi"]),
-                true_eps=float(m["true_eps"]) if "true_eps" in m else None,
+                index=_integer(m["index"], f"materials[{i}].index"),
+                prior_lo=_number(m["prior_lo"], f"materials[{i}].prior_lo"),
+                prior_hi=_number(m["prior_hi"], f"materials[{i}].prior_hi"),
+                true_eps=(
+                    _number(m["true_eps"], f"materials[{i}].true_eps")
+                    if "true_eps" in m else None
+                ),
             )
-            for m in raw["materials"]
+            for i, m in enumerate(raw["materials"])
         )
         surfaces = tuple(
             Surface(
-                endpoint_a=_point(s["a"], "surface.a"),
-                endpoint_b=_point(s["b"], "surface.b"),
-                material_index=int(s["material"]),
+                endpoint_a=_point(s["a"], f"surfaces[{i}].a"),
+                endpoint_b=_point(s["b"], f"surfaces[{i}].b"),
+                material_index=_integer(s["material"], f"surfaces[{i}].material"),
             )
-            for s in raw["surfaces"]
+            for i, s in enumerate(raw["surfaces"])
         )
         links = tuple(
             Link(
-                tx_pos=_point(l["tx"], "link.tx"),
-                rx_pos=_point(l["rx"], "link.rx"),
-                tx_power_dbm=float(l["p_dbm"]),
-                tx_gain_db=float(l["g_tx_db"]),
-                rx_gain_db=float(l["g_rx_db"]),
+                tx_pos=_point(l["tx"], f"links[{i}].tx"),
+                rx_pos=_point(l["rx"], f"links[{i}].rx"),
+                tx_power_dbm=_number(l["p_dbm"], f"links[{i}].p_dbm"),
+                tx_gain_db=_number(l["g_tx_db"], f"links[{i}].g_tx_db"),
+                rx_gain_db=_number(l["g_rx_db"], f"links[{i}].g_rx_db"),
             )
-            for l in raw["links"]
+            for i, l in enumerate(raw["links"])
         )
         return Scenario(
             surfaces=surfaces,
             materials=materials,
             links=links,
-            wavelength_m=float(raw["wavelength_m"]),
-            max_reflections=int(raw.get("max_reflections", 2)),
+            wavelength_m=_number(raw["wavelength_m"], "wavelength_m"),
+            max_reflections=_integer(raw.get("max_reflections", 2), "max_reflections"),
             polarization=str(raw.get("polarization", "TE")),
         )
     except (KeyError, TypeError) as exc:
@@ -284,12 +320,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
 
 
 def load_scenario(path) -> Scenario:
-    try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: not valid JSON ({exc})") from exc
-    return scenario_from_dict(raw)
+    return scenario_from_dict(read_json(path))
 
 
 def save_scenario(scenario: Scenario, path) -> None:
@@ -299,16 +330,12 @@ def save_scenario(scenario: Scenario, path) -> None:
 
 
 def load_dataset(path) -> Dataset:
-    try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: not valid JSON ({exc})") from exc
+    raw = read_json(path)
     try:
         return Dataset(
-            measured_db=np.array(raw["measured_db"], dtype=float),
-            noise_var=float(raw["noise_var"]),
-            seed=int(raw["seed"]) if raw.get("seed") is not None else None,
+            measured_db=raw["measured_db"],
+            noise_var=_number(raw["noise_var"], "noise_var"),
+            seed=_integer(raw["seed"], "seed") if raw.get("seed") is not None else None,
         )
     except (KeyError, TypeError) as exc:
         raise ParseError(f"dataset file: missing or malformed key ({exc})") from exc

@@ -30,10 +30,14 @@ from permgamp.errors import ParseError
 from permgamp.forward_model import ray_table
 from permgamp.cli import main
 from permgamp.experiment import RUN_FIELDS, SUMMARY_FIELDS
+from permgamp.oracle import GRID_GUARD
 
 
 def _run(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse rejected a flag
+        code = exc.code
     out = capsys.readouterr()
     return code, out.out, out.err
 
@@ -166,6 +170,27 @@ def _inf_noise_var(sc, ds):
         (_inf_wavelength, "wavelength_m"),
         (_nan_measurement, "measured_db"),
         (_inf_noise_var, "noise_var"),
+        # not a number, or a fraction where an integer belongs
+        pytest.param(lambda sc, ds: sc["materials"][0].update(prior_lo="abc"), "prior_lo",
+                     id="string_prior_lo"),
+        pytest.param(lambda sc, ds: sc["links"][4].update(p_dbm="abc"), "p_dbm",
+                     id="string_p_dbm"),
+        pytest.param(lambda sc, ds: sc.update(wavelength_m="abc"), "wavelength_m",
+                     id="string_wavelength_m"),
+        pytest.param(lambda sc, ds: sc["materials"][1].update(index="abc"), "index",
+                     id="string_index"),
+        pytest.param(lambda sc, ds: sc.update(max_reflections="2.5"), "max_reflections",
+                     id="string_max_reflections"),
+        pytest.param(lambda sc, ds: sc.update(max_reflections=2.5), "max_reflections",
+                     id="fraction_max_reflections"),
+        pytest.param(lambda sc, ds: sc["surfaces"][1].update(material=1.5), "material",
+                     id="fraction_material"),
+        pytest.param(lambda sc, ds: ds.update(measured_db=["x"]), "measured_db",
+                     id="string_measured_db"),
+        pytest.param(lambda sc, ds: ds.update(noise_var="abc"), "noise_var",
+                     id="string_noise_var"),
+        pytest.param(lambda sc, ds: ds.update(seed="abc"), "seed", id="string_seed"),
+        pytest.param(lambda sc, ds: ds.update(seed=2.5), "seed", id="fraction_seed"),
     ],
 )
 def test_estimate_rejects_non_finite_inputs(canyon, tmp_path, capsys, corrupt, named):
@@ -177,6 +202,34 @@ def test_estimate_rejects_non_finite_inputs(canyon, tmp_path, capsys, corrupt, n
     (tmp_path / "ds.json").write_text(json.dumps(ds))
     code, out, err = _run(capsys, "estimate", "--scenario", str(tmp_path / "sc.json"),
                           "--dataset", str(tmp_path / "ds.json"))
+    assert code == 2
+    assert named in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("case", ["directory", "non_utf8", "negative_seed"])
+def test_estimate_rejects_unreadable_files_and_negative_seeds(tmp_path, capsys, case):
+    scenario, extra, named = bundled_scenario_path("canyon"), [], "--seed"
+    if case == "directory":
+        scenario = named = str(tmp_path)
+    elif case == "non_utf8":
+        scenario = named = str(tmp_path / "latin1.json")
+        (tmp_path / "latin1.json").write_bytes('{"polarization": "\u00c9"}'.encode("latin-1"))
+    else:
+        extra = ["--seed", "-3"]
+    code, out, err = _run(capsys, "estimate", "--scenario", scenario, "--sigma", "0.5", *extra)
+    assert code == 2
+    assert named in err
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "flag,value,named",
+    [("--delta-tr", "nan", "delta_tr"), ("--tau-w", "inf", "tau_w")],
+)
+def test_estimate_rejects_solver_settings_it_cannot_use(capsys, flag, value, named):
+    code, out, err = _run(capsys, "estimate", "--scenario", bundled_scenario_path("canyon"),
+                          "--sigma", "0.5", flag, value)
     assert code == 2
     assert named in err
     assert out == ""
@@ -197,6 +250,21 @@ def test_oracle_missing_file_exits_2(capsys):
     code, _, err = _run(capsys, "oracle", "--scenario", "no-such.json", "--sigma", "0")
     assert code == 2
     assert "error" in err
+
+
+def test_oracle_grid_over_the_guard_exits_2_before_building_an_axis(capsys, monkeypatch):
+    arange = np.arange
+
+    def guarded_arange(n, *args, **kwargs):
+        assert n <= GRID_GUARD, "a grid axis was built before the size check"
+        return arange(n, *args, **kwargs)
+
+    monkeypatch.setattr(np, "arange", guarded_arange)
+    code, out, err = _run(capsys, "oracle", "--scenario", bundled_scenario_path("canyon"),
+                          "--sigma", "0", "--grid-step", "1e-9")
+    assert code == 2
+    assert "grid has" in err
+    assert out == ""
 
 
 def test_oracle_bad_grid_step_exits_2(capsys):
@@ -344,6 +412,34 @@ def test_sweep_rejects_bad_override_values_before_solving(tmp_path, capsys, monk
     code, _, err = _run(capsys, "sweep", "--config", str(cfg_path))
     assert code == 2
     assert "k_iter" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "overrides,named",
+    [
+        ({"k_iter": 2.5}, "k_iter"),
+        ({"k_gamp": 1.5}, "k_gamp"),
+        ({"x0": [float("nan"), 5.0]}, "x0"),
+        ({"x0": [2.0, 5.0, 1.0]}, "x0"),
+        ({"x0": [2.0, 20.0]}, "x0"),
+        ({"delta_tr": float("nan")}, "delta_tr"),
+        ({"tau_w": float("inf")}, "tau_w"),
+    ],
+    ids=["k_iter_fraction", "k_gamp_fraction", "x0_nan", "x0_length", "x0_outside_prior",
+         "delta_tr_nan", "tau_w_inf"],
+)
+def test_sweep_rejects_solver_settings_before_solving(tmp_path, capsys, monkeypatch,
+                                                      overrides, named):
+    def no_solve(*args):
+        raise AssertionError("a point was solved")
+
+    monkeypatch.setattr(experiment, "solve_batch", no_solve)
+    monkeypatch.setattr(experiment, "solve", no_solve)
+    cfg_path = _write_sweep_config(tmp_path, overrides=overrides)
+    code, _, err = _run(capsys, "sweep", "--config", str(cfg_path))
+    assert code == 2
+    assert named in err
     assert not (tmp_path / "out").exists()
 
 

@@ -1,5 +1,6 @@
 """Image-method tracer against exact geometry and a Fermat-principle oracle."""
 
+import hashlib
 import io
 import math
 from itertools import product
@@ -20,6 +21,10 @@ from permgamp import (
 from permgamp.raytracer import rays_to_csv
 
 MAT = (Material(1, 1.5, 10.0, 4.0), Material(2, 1.5, 10.0, 6.0))
+
+# SHA-256 of rays_to_csv for the bundled canyon and for _room_12_walls().
+CANYON_RAYS_SHA256 = "b97f6d384cf5c80c3b10748b3ea5ce51237e071158b7fd4a307326d370f2fdb1"
+ROOM_RAYS_SHA256 = "78a8d0821b5b4a9e257dc6811f6d40817d1e75583058450843b75ddcb002de16"
 
 
 def _scenario(surfaces, links, max_reflections=2):
@@ -344,3 +349,72 @@ def test_rays_csv_dump(canyon_rays):
     assert len(lines) == 1 + sum(len(r) for r in canyon_rays[:3])
     first = lines[1].split(",")
     assert first[0] == "0" and first[3] == "0"  # LOS row: zero bounces
+
+
+# ---------------------------------------------------------------------------
+# Pinned outputs and the image-chain walk.
+# ---------------------------------------------------------------------------
+
+def _room_12_walls():
+    """20 x 15 m floor: four outer walls (material 1) and eight partition
+    segments (material 2) with door gaps, traced at 3 bounces."""
+    walls = [
+        ((0.0, 0.0), (20.0, 0.0), 1), ((20.0, 0.0), (20.0, 15.0), 1),
+        ((20.0, 15.0), (0.0, 15.0), 1), ((0.0, 15.0), (0.0, 0.0), 1),
+        ((7.0, 0.0), (7.0, 6.0), 2), ((7.0, 7.2), (7.0, 15.0), 2),
+        ((13.0, 0.0), (13.0, 8.0), 2), ((13.0, 9.2), (13.0, 15.0), 2),
+        ((0.0, 7.5), (3.0, 7.5), 2), ((4.2, 7.5), (7.0, 7.5), 2),
+        ((13.0, 6.0), (16.0, 6.0), 2), ((17.2, 6.0), (20.0, 6.0), 2),
+    ]
+    links = [
+        ((1.5, 2.0), (5.5, 12.5)), ((9.0, 3.0), (11.5, 13.0)), ((2.5, 10.0), (5.5, 3.0)),
+        ((15.0, 2.5), (18.5, 4.0)), ((10.0, 7.0), (16.5, 9.5)), ((4.0, 4.0), (9.5, 8.5)),
+    ]
+    return _scenario(
+        [Surface(a, b, m) for a, b, m in walls],
+        [Link(tx, rx, 30, 2, 2) for tx, rx in links],
+        max_reflections=3,
+    )
+
+
+def _csv_sha256(ray_cache):
+    buf = io.StringIO()
+    rays_to_csv(ray_cache, buf)
+    return hashlib.sha256(buf.getvalue().encode()).hexdigest()
+
+
+def test_ray_csv_digests_are_pinned(canyon):
+    # Every length and incidence angle is pinned bit for bit.
+    assert _csv_sha256(trace_scenario(canyon)) == CANYON_RAYS_SHA256
+    assert _csv_sha256(trace_scenario(_room_12_walls())) == ROOM_RAYS_SHA256
+
+
+def _mirror_xy(p, a, b):
+    """p mirrored across the line through a and b, on (x, y) tuples."""
+    d = (b[0] - a[0], b[1] - a[1])
+    t = ((p[0] - a[0]) * d[0] + (p[1] - a[1]) * d[1]) / (d[0] * d[0] + d[1] * d[1])
+    return (2.0 * (a[0] + t * d[0]) - p[0], 2.0 * (a[1] + t * d[1]) - p[1])
+
+
+@pytest.mark.parametrize("max_order", [0, 1, 2, 3])
+@pytest.mark.parametrize("n_walls", [1, 2, 3, 4])
+def test_image_chains_visit_each_sequence_once_and_mirror_directly(n_walls, max_order):
+    from permgamp.raytracer import _image_chains
+
+    rng = np.random.Generator(np.random.PCG64(n_walls))
+    ends = [tuple(map(float, rng.uniform(-10.0, 10.0, 2))) for _ in range(2 * n_walls)]
+    walls = [(complex(*ends[2 * i]), complex(*ends[2 * i + 1])) for i in range(n_walls)]
+    tx = (0.3, -1.7)
+    chains = list(_image_chains(walls, (), (complex(*tx),), max_order))
+    for order in range(1, max_order + 1):
+        want = [
+            seq for seq in product(range(n_walls), repeat=order)
+            if all(seq[i] != seq[i + 1] for i in range(order - 1))
+        ]
+        assert [seq for seq, _ in chains if len(seq) == order] == want  # once, lexicographic
+    assert all(1 <= len(seq) <= max_order for seq, _ in chains)
+    for seq, images in chains:
+        direct = [tx]
+        for si in seq:
+            direct.append(_mirror_xy(direct[-1], ends[2 * si], ends[2 * si + 1]))
+        assert [(z.real, z.imag) for z in images] == direct
