@@ -8,7 +8,7 @@ from hypothesis.configuration import set_hypothesis_home_dir
 from permgamp import bundled_scenario_path, load_scenario, trace_scenario
 
 # Same examples on every run, and no example database written to disk.
-settings.register_profile("permgamp", derandomize=True, database=None, max_examples=40,
+settings.register_profile("permgamp", derandomize=True, database=None, max_examples=100,
                           deadline=None)
 settings.load_profile("permgamp")
 # Hypothesis also caches source constants on disk, at collection time: keep
