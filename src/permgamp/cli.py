@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -37,6 +38,7 @@ from .scenario import (
     load_scenario,
     make_canyon_scenario,
     make_free_space_scenario,
+    read_json,
     save_dataset,
     scenario_to_dict,
     synthesize_dataset,
@@ -62,19 +64,18 @@ def _dump(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+# solver key -> (type, help) of its flag: k_iter is --k-iter
+SOLVER_FLAGS = {
+    "k_iter": (int, "outer iterations"),
+    "k_gamp": (int, "inner steps per outer"),
+    "delta_tr": (float, "trust-region width"),
+    "tau_w": (float, "output noise variance"),
+    "damping": (float, "pseudo-residual damping"),
+}
+
+
 def _solver_overrides(args) -> dict:
-    overrides = {}
-    if args.k_iter is not None:
-        overrides["k_iter"] = args.k_iter
-    if args.k_gamp is not None:
-        overrides["k_gamp"] = args.k_gamp
-    if args.delta_tr is not None:
-        overrides["delta_tr"] = args.delta_tr
-    if args.tau_w is not None:
-        overrides["tau_w"] = args.tau_w
-    if args.damping is not None:
-        overrides["damping"] = args.damping
-    return overrides
+    return {key: getattr(args, key) for key in SOLVER_FLAGS if getattr(args, key) is not None}
 
 
 def _seed(text: str) -> int:
@@ -86,11 +87,17 @@ def _seed(text: str) -> int:
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--k-iter", type=int, default=None, help="outer iterations")
-    p.add_argument("--k-gamp", type=int, default=None, help="inner steps per outer")
-    p.add_argument("--delta-tr", type=float, default=None, help="trust-region width")
-    p.add_argument("--tau-w", type=float, default=None, help="output noise variance")
-    p.add_argument("--damping", type=float, default=None, help="pseudo-residual damping")
+    for key, (kind, text) in SOLVER_FLAGS.items():
+        p.add_argument("--" + key.replace("_", "-"), type=kind, default=None, help=text)
+
+
+def _add_problem_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--scenario", required=True)
+    p.add_argument("--dataset", default=None)
+    p.add_argument("--sigma", type=float, default=None, help="synthesize with this noise")
+    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--grid-step", type=float, default=0.05, help="oracle grid step")
+    p.add_argument("--out", default=None)
 
 
 def _load_problem(args):
@@ -105,6 +112,8 @@ def _load_problem(args):
 
 
 def cmd_generate(args) -> int:
+    if args.dataset_out is not None and args.sigma is None:
+        raise ValidationError("--dataset-out needs --sigma")
     if args.template == "canyon":
         scenario = make_canyon_scenario(
             n_materials=args.materials,
@@ -120,8 +129,6 @@ def cmd_generate(args) -> int:
         )
     _emit(_dump(scenario_to_dict(scenario)), args.out)
     if args.dataset_out is not None:
-        if args.sigma is None:
-            raise ValidationError("--dataset-out needs --sigma")
         save_dataset(synthesize_dataset(scenario, args.sigma, args.seed), args.dataset_out)
         _log(f"dataset written to {args.dataset_out}")
     return 0
@@ -149,25 +156,15 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.config:
-        config = ExperimentConfig.from_json(args.config)
-        config.overrides = {**config.overrides, **_solver_overrides(args)}
-        if args.out_dir:
-            config.out_dir = args.out_dir
-        config.include_timing = config.include_timing or args.timing
-    else:
-        if not args.scenario:
-            raise ValidationError("sweep needs --config or --scenario")
-        if not args.sigmas:
-            raise ValidationError("sweep needs --sigmas")
-        config = ExperimentConfig(
-            scenario_path=args.scenario,
-            sigmas=[float(s) for s in args.sigmas.split(",") if s != ""],
-            n_seeds=args.seeds,
-            overrides=_solver_overrides(args),
-            out_dir=args.out_dir,
-            include_timing=args.timing,
-        )
+    if not (args.config or args.scenario_path and args.sigmas):
+        raise ValidationError("sweep needs --config, or --scenario and --sigmas")
+    raw = read_json(args.config) if args.config else {"n_seeds": 20}
+    if isinstance(raw, dict):  # else from_dict says what is wrong
+        given = {f.name: getattr(args, f.name, None) for f in fields(ExperimentConfig)}
+        raw.update((key, value) for key, value in given.items() if value is not None)
+        if isinstance(raw.get("overrides", {}), dict):
+            raw["overrides"] = {**raw.get("overrides", {}), **_solver_overrides(args)}
+    config = ExperimentConfig.from_dict(raw, args.config or "sweep flags")
     if not config.out_dir:
         raise ValidationError("sweep needs --out-dir (or out_dir in the config)")
     rows, summary = run_sweep(config)
@@ -215,34 +212,26 @@ def build_parser() -> argparse.ArgumentParser:
     g.set_defaults(func=cmd_generate)
 
     e = sub.add_parser("estimate", help="run the solver on one dataset")
-    e.add_argument("--scenario", required=True)
-    e.add_argument("--dataset", default=None)
-    e.add_argument("--sigma", type=float, default=None, help="synthesize with this noise")
-    e.add_argument("--seed", type=_seed, default=0)
+    _add_problem_flags(e)
     e.add_argument("--oracle", action="store_true", help="append grid-search comparison")
-    e.add_argument("--grid-step", type=float, default=0.05)
     e.add_argument("--timing", action="store_true", help="report measured wall time")
-    e.add_argument("--out", default=None)
     _add_solver_flags(e)
     e.set_defaults(func=cmd_estimate)
 
     s = sub.add_parser("sweep", help="noise sweep emitting runs.csv and summary.csv")
-    s.add_argument("--config", default=None, help="JSON experiment config")
-    s.add_argument("--scenario", default=None)
-    s.add_argument("--sigmas", default=None, help="comma-separated noise stds (dB)")
-    s.add_argument("--seeds", type=int, default=20, help="seeds per sigma")
+    s.add_argument("--config", default=None, help="JSON experiment config; flags override it")
+    # each dest is the config key the flag overrides
+    s.add_argument("--scenario", dest="scenario_path")
+    s.add_argument("--sigmas", type=lambda text: text.split(","),
+                   help="comma-separated noise stds (dB)")
+    s.add_argument("--seeds", dest="n_seeds", type=int, help="seeds per sigma (default 20)")
     s.add_argument("--out-dir", default=None)
-    s.add_argument("--timing", action="store_true")
+    s.add_argument("--timing", dest="include_timing", action="store_const", const=True)
     _add_solver_flags(s)
     s.set_defaults(func=cmd_sweep)
 
     o = sub.add_parser("oracle", help="brute-force grid MAP for a dataset")
-    o.add_argument("--scenario", required=True)
-    o.add_argument("--dataset", default=None)
-    o.add_argument("--sigma", type=float, default=None)
-    o.add_argument("--seed", type=_seed, default=0)
-    o.add_argument("--grid-step", type=float, default=0.05)
-    o.add_argument("--out", default=None)
+    _add_problem_flags(o)
     o.set_defaults(func=cmd_oracle)
 
     return parser

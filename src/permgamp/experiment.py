@@ -27,6 +27,8 @@ from .raytracer import Ray, trace_link
 from .scenario import (
     Dataset,
     Scenario,
+    _integer,
+    _number,
     load_scenario,
     measurement_noise,
     normalize_measurements,
@@ -126,7 +128,7 @@ SUMMARY_FIELDS = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     scenario_path: str
     sigmas: Sequence[float]
@@ -146,20 +148,27 @@ class ExperimentConfig:
                 raise ValidationError(f"overrides: unknown solver key {key!r}; known: {known}")
 
     @classmethod
-    def from_json(cls, path) -> "ExperimentConfig":
-        raw = read_json(path)
-        try:
-            kwargs = dict(
-                scenario_path=raw["scenario_path"],
-                sigmas=[float(s) for s in raw["sigmas"]],
-                n_seeds=int(raw["n_seeds"]),
-                overrides=dict(raw.get("overrides", {})),
-                out_dir=raw.get("out_dir"),
-                include_timing=bool(raw.get("include_timing", False)),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"{path}: missing or malformed key ({exc!r})") from exc
+    def from_dict(cls, raw, source: str) -> "ExperimentConfig":
+        """The config in a JSON object (other keys ignored); errors name source and key."""
+        if not isinstance(raw, dict):
+            raise ParseError(f"{source}: expected a JSON object, got {raw!r}")
+        for key in ("scenario_path", "sigmas", "n_seeds"):
+            if key not in raw:
+                raise ParseError(f"{source}: missing key {key!r}")
+        for key, kind, name in (("scenario_path", str, "a string"), ("sigmas", list, "a list"),
+                                ("overrides", dict, "an object"), ("out_dir", str, "a string"),
+                                ("include_timing", bool, "true or false")):
+            if key in raw and not isinstance(raw[key], kind):
+                raise ParseError(f"{source}: {key}: expected {name}, got {raw[key]!r}")
+        kwargs = {f.name: raw[f.name] for f in fields(cls) if f.name in raw}
+        kwargs["sigmas"] = [_number(sigma, f"{source}: sigmas[{i}]")
+                            for i, sigma in enumerate(raw["sigmas"])]
+        kwargs["n_seeds"] = _integer(raw["n_seeds"], f"{source}: n_seeds")
         return cls(**kwargs)
+
+    @classmethod
+    def from_json(cls, path) -> "ExperimentConfig":
+        return cls.from_dict(read_json(path), str(path))
 
 
 def _run_rows(scenario: Scenario, sigma, seed, outcome, include_timing: bool) -> list[dict]:

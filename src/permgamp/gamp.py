@@ -64,6 +64,9 @@ class GampConfig:
     damping: float = 1.0           # 1.0 = undamped
 
     def __post_init__(self):
+        for name in ("tau_w", "delta_tr", "k_iter", "k_gamp", "damping"):
+            if isinstance(getattr(self, name), bool):  # JSON true is not 1
+                raise ValidationError(f"{name}={getattr(self, name)!r} must be a number")
         object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float))
         object.__setattr__(
             self,

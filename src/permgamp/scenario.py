@@ -205,13 +205,16 @@ class Dataset:
 def _point(raw, name: str) -> Point:
     try:
         x, y = raw
-        return (float(x), float(y))
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{name}: expected [x, y], got {raw!r}") from exc
+    return (_number(x, name), _number(y, name))
 
 
 def _number(raw, name: str) -> float:
+    """A number as a float; a JSON boolean is refused, not read as 0 or 1."""
     try:
+        if isinstance(raw, bool):
+            raise TypeError("a boolean is not a number")
         return float(raw)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{name}: expected a number, got {raw!r}") from exc

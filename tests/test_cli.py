@@ -2,10 +2,15 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import permgamp
 from permgamp import (
     Dataset,
     ExperimentConfig,
@@ -86,6 +91,14 @@ def test_generate_with_dataset(tmp_path, capsys):
     raw = json.loads(ds_out.read_text())
     assert raw["noise_var"] == 0.25
     assert len(raw["measured_db"]) == 100
+
+
+def test_generate_without_sigma_writes_neither_file(tmp_path, capsys):
+    out, ds_out = tmp_path / "sc.json", tmp_path / "ds.json"
+    code, _, err = _run(capsys, "generate", "--out", str(out), "--dataset-out", str(ds_out))
+    assert code == 2
+    assert "--sigma" in err
+    assert not out.exists() and not ds_out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -191,10 +204,16 @@ def _inf_noise_var(sc, ds):
                      id="string_noise_var"),
         pytest.param(lambda sc, ds: ds.update(seed="abc"), "seed", id="string_seed"),
         pytest.param(lambda sc, ds: ds.update(seed=2.5), "seed", id="fraction_seed"),
+        # a JSON boolean is not a number
+        pytest.param(lambda sc, ds: sc.update(max_reflections=True), "max_reflections",
+                     id="bool_max_reflections"),
+        pytest.param(lambda sc, ds: sc["materials"][0].update(prior_lo=True), "prior_lo",
+                     id="bool_prior_lo"),
     ],
 )
 def test_estimate_rejects_non_finite_inputs(canyon, tmp_path, capsys, corrupt, named):
-    sc = json.loads(open(bundled_scenario_path("canyon")).read())
+    with open(bundled_scenario_path("canyon")) as fh:
+        sc = json.load(fh)
     ds = {"measured_db": synthesize_dataset(canyon, 0.5, 3).measured_db.tolist(),
           "noise_var": 0.25}
     corrupt(sc, ds)
@@ -362,7 +381,7 @@ def test_sweep_rejects_zero_seeds(tmp_path, capsys):
     assert "n_seeds" in err
 
 
-@pytest.mark.parametrize("sigmas", ["-1", "0.5,nan", "inf"])
+@pytest.mark.parametrize("sigmas", ["-1", "0.5,nan", "inf", "abc", "0.5,,1"])
 def test_sweep_rejects_bad_sigmas(tmp_path, capsys, sigmas):
     code, _, err = _run(
         capsys, "sweep", "--scenario", bundled_scenario_path("canyon"),
@@ -425,9 +444,11 @@ def test_sweep_rejects_bad_override_values_before_solving(tmp_path, capsys, monk
         ({"x0": [2.0, 20.0]}, "x0"),
         ({"delta_tr": float("nan")}, "delta_tr"),
         ({"tau_w": float("inf")}, "tau_w"),
+        ({"k_iter": True}, "k_iter"),
+        ({"tau_w": True}, "tau_w"),
     ],
     ids=["k_iter_fraction", "k_gamp_fraction", "x0_nan", "x0_length", "x0_outside_prior",
-         "delta_tr_nan", "tau_w_inf"],
+         "delta_tr_nan", "tau_w_inf", "k_iter_bool", "tau_w_bool"],
 )
 def test_sweep_rejects_solver_settings_before_solving(tmp_path, capsys, monkeypatch,
                                                       overrides, named):
@@ -453,10 +474,30 @@ def test_sweep_config_takes_solver_flags(tmp_path, capsys):
     assert [r["iterations"] for r in rows] == ["2", "2"]  # the flags win: 1 x 2
 
 
+def _sweep_config_text(**changes):
+    return json.dumps({"scenario_path": bundled_scenario_path("canyon"), "sigmas": [0.3],
+                       "n_seeds": 1, **changes})
+
+
 @pytest.mark.parametrize(
     "text,named",
-    [("{not json", "sweep.json"), (json.dumps({"scenario_path": "x", "sigmas": [1]}), "n_seeds")],
-    ids=["malformed_json", "missing_n_seeds"],
+    [
+        ("{not json", "sweep.json"),
+        (json.dumps({"scenario_path": "x", "sigmas": [1]}), "n_seeds"),
+        # a value of the wrong JSON type is refused, not reinterpreted
+        (_sweep_config_text(sigmas="14"), "sigmas"),
+        (_sweep_config_text(sigmas=[0.3, True]), "sigmas"),
+        (_sweep_config_text(n_seeds=2.5), "n_seeds"),
+        (_sweep_config_text(include_timing="false"), "include_timing"),
+        (_sweep_config_text(scenario_path=None), "scenario_path"),
+        (_sweep_config_text(scenario_path=["canyon.json"]), "scenario_path"),
+        (_sweep_config_text(overrides=[["k_iter", 1]]), "overrides"),
+        (_sweep_config_text(out_dir=7), "out_dir"),
+        ("[]", "JSON object"),
+    ],
+    ids=["malformed_json", "missing_n_seeds", "string_sigmas", "bool_sigma",
+         "fraction_n_seeds", "string_include_timing", "null_scenario_path",
+         "list_scenario_path", "list_overrides", "number_out_dir", "not_an_object"],
 )
 def test_sweep_config_file_errors_exit_2(tmp_path, capsys, text, named):
     cfg_path = tmp_path / "sweep.json"
@@ -466,6 +507,30 @@ def test_sweep_config_file_errors_exit_2(tmp_path, capsys, text, named):
     code, _, err = _run(capsys, "sweep", "--config", str(cfg_path))
     assert code == 2
     assert named in err
+
+
+def test_sweep_flags_override_the_config_file(tmp_path, capsys):
+    cfg_path = _write_sweep_config(tmp_path, scenario_path="no-such-file.json",
+                                   sigmas=[0.3, 0.4, 0.5], n_seeds=1, overrides={"k_iter": 1})
+    code, _, _ = _run(capsys, "sweep", "--config", str(cfg_path),
+                      "--scenario", bundled_scenario_path("canyon"), "--sigmas", "1,2",
+                      "--seeds", "3", "--k-gamp", "1")
+    assert code == 0
+    with open(tmp_path / "out" / "runs.csv") as fh:
+        points = sorted({(r["sigma_z"], r["seed"]) for r in csv.DictReader(fh)})
+    assert points == [(s, str(seed)) for s in ("1.0", "2.0") for seed in range(3)]
+
+
+def test_sweep_does_not_read_a_number_as_a_file_descriptor(tmp_path):
+    cfg_path = _write_sweep_config(tmp_path, scenario_path=0)
+    proc = subprocess.run(
+        [sys.executable, "-m", "permgamp.cli", "sweep", "--config", str(cfg_path)],
+        cwd=tmp_path, stdin=subprocess.DEVNULL, capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(Path(permgamp.__file__).parents[1])),
+    )
+    assert proc.returncode == 2
+    assert "scenario_path" in proc.stderr
+    assert not (tmp_path / "out").exists()
 
 
 def test_sweep_has_no_workers_option(tmp_path, capsys):

@@ -1,8 +1,13 @@
-"""Property: one malformed field in a scenario or dataset file never
-escapes the CLI as a traceback. The estimate either exits 0 with a finite
-estimate inside the prior box or exits 2."""
+"""Properties: one malformed field in an input file never escapes the CLI
+as a traceback.
+
+- Scenario or dataset file: the estimate either exits 0 with a finite
+  estimate inside the prior box or exits 2.
+- Sweep config file: the sweep either exits 0 with both CSVs, holding the
+  points the config names, or exits 2 and writes no CSV."""
 
 import copy
+import csv
 import json
 import math
 import os
@@ -83,3 +88,57 @@ def test_estimate_on_one_bad_field_exits_0_in_the_box_or_2(field, value):
             lo, hi = load_scenario(sc_path).prior_bounds()
             assert all(math.isfinite(e) for e in eps_hat)
             assert all(l <= e <= h for l, e, h in zip(lo, eps_hat, hi))
+
+
+SWEEP_CONFIG = {
+    "scenario_path": bundled_scenario_path("canyon"),
+    "sigmas": [0.5],
+    "n_seeds": 1,
+    "overrides": {"k_iter": 1, "k_gamp": 1},
+    "out_dir": "out",
+    "include_timing": False,
+}
+SWEEP_FIELDS = [(key,) for key in SWEEP_CONFIG] + [("sigmas", 0), ("overrides", "k_iter")]
+# an integer scenario_path would be opened as a file descriptor (0 is stdin)
+SWEEP_VALUES = ["abc", None, [1.0, 2.0], math.nan, math.inf, -math.inf, -1, 0, 2.5, True,
+                REMOVE]
+
+
+def _sweep_mutations():
+    return st.sampled_from([
+        (path, value) for path in SWEEP_FIELDS for value in SWEEP_VALUES
+        if not (path == ("scenario_path",) and isinstance(value, int))
+    ])
+
+
+def _csv_files(root):
+    return sorted(os.path.join(d, f) for d, _, files in os.walk(root)
+                  for f in files if f.endswith(".csv"))
+
+
+@given(_sweep_mutations())
+def test_sweep_on_one_bad_config_field_exits_0_with_both_csvs_or_2_with_none(mutation):
+    path, value = mutation
+    config = _mutate(SWEEP_CONFIG, path, value)
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)  # a mutated out_dir lands in tmp
+        try:
+            with open("sweep.json", "w") as fh:
+                json.dump(config, fh)
+            code = main(["sweep", "--config", "sweep.json"])
+        finally:
+            os.chdir(cwd)
+        written = _csv_files(tmp)
+        assert code in (0, 2)
+        if code == 2:
+            assert written == []
+            return
+        out_dir = os.path.join(tmp, config["out_dir"])
+        assert written == [os.path.join(out_dir, "runs.csv"), os.path.join(out_dir, "summary.csv")]
+        with open(written[0]) as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == len(config["sigmas"]) * config["n_seeds"] * 2
+        assert {float(r["sigma_z"]) for r in rows} == set(config["sigmas"])
+        if config.get("include_timing") is not True:
+            assert all(r["wall_ms"] == "0.0" for r in rows)
