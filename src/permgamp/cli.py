@@ -2,7 +2,8 @@
 
 Data goes to stdout (or --out / --out-dir files), logs go to stderr, so
 the commands compose in pipelines. Exit codes: 0 success, 1 solver or
-runtime failure, 2 bad usage / unreadable or invalid input files.
+runtime failure, 2 bad usage, unreadable or invalid input files, or an
+output path that cannot be written.
 
 Outputs are byte-deterministic for fixed inputs; pass --timing to include
 measured wall-clock times instead of zeros.
@@ -11,9 +12,7 @@ measured wall-clock times instead of zeros.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from dataclasses import fields
 
 import numpy as np
 
@@ -34,6 +33,7 @@ from .experiment import (
 from .gamp import report_to_dict
 from .oracle import GridSpec, grid_map, log_posterior
 from .scenario import (
+    dump_json,
     load_dataset,
     load_scenario,
     make_canyon_scenario,
@@ -52,16 +52,12 @@ def _log(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _emit(text: str, out_path) -> None:
+def _emit(payload: dict, out_path) -> None:
     if out_path:
         with open(out_path, "w") as fh:
-            fh.write(text)
+            fh.write(dump_json(payload))
     else:
-        sys.stdout.write(text)
-
-
-def _dump(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        sys.stdout.write(dump_json(payload))
 
 
 # solver key -> (type, help) of its flag: k_iter is --k-iter
@@ -84,6 +80,17 @@ def _seed(text: str) -> int:
     if seed < 0:
         raise argparse.ArgumentTypeError(f"seed={seed} must be >= 0")
     return seed
+
+
+def _sigmas(text: str) -> list[float]:
+    """--sigmas value: comma-separated numbers, a bad one named sigmas[i]."""
+    sigmas = []
+    for i, item in enumerate(text.split(",")):
+        try:
+            sigmas.append(float(item))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"sigmas[{i}]: expected a number, got {item!r}")
+    return sigmas
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
@@ -127,7 +134,7 @@ def cmd_generate(args) -> int:
         scenario = make_free_space_scenario(
             n_links=args.links, seed=args.seed, wavelength_m=args.wavelength
         )
-    _emit(_dump(scenario_to_dict(scenario)), args.out)
+    _emit(scenario_to_dict(scenario), args.out)
     if args.dataset_out is not None:
         save_dataset(synthesize_dataset(scenario, args.sigma, args.seed), args.dataset_out)
         _log(f"dataset written to {args.dataset_out}")
@@ -151,7 +158,7 @@ def cmd_estimate(args) -> int:
     payload["dropped_links"] = info["dropped_links"]
     if args.oracle:
         payload["oracle"] = info["oracle"]
-    _emit(_dump(payload), args.out)
+    _emit(payload, args.out)
     return 0
 
 
@@ -160,7 +167,7 @@ def cmd_sweep(args) -> int:
         raise ValidationError("sweep needs --config, or --scenario and --sigmas")
     raw = read_json(args.config) if args.config else {"n_seeds": 20}
     if isinstance(raw, dict):  # else from_dict says what is wrong
-        given = {f.name: getattr(args, f.name, None) for f in fields(ExperimentConfig)}
+        given = {row.key: getattr(args, row.key, None) for row in ExperimentConfig.ROWS}
         raw.update((key, value) for key, value in given.items() if value is not None)
         if isinstance(raw.get("overrides", {}), dict):
             raw["overrides"] = {**raw.get("overrides", {}), **_solver_overrides(args)}
@@ -187,7 +194,7 @@ def cmd_oracle(args) -> int:
         "log_posterior": log_posterior(scenario, prob.ray_cache, prob.y, eps_map, sigma_z),
         "n_links_used": len(prob.kept),
     }
-    _emit(_dump(payload), args.out)
+    _emit(payload, args.out)
     return 0
 
 
@@ -222,8 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--config", default=None, help="JSON experiment config; flags override it")
     # each dest is the config key the flag overrides
     s.add_argument("--scenario", dest="scenario_path")
-    s.add_argument("--sigmas", type=lambda text: text.split(","),
-                   help="comma-separated noise stds (dB)")
+    s.add_argument("--sigmas", type=_sigmas, help="comma-separated noise stds (dB)")
     s.add_argument("--seeds", dest="n_seeds", type=int, help="seeds per sigma (default 20)")
     s.add_argument("--out-dir", default=None)
     s.add_argument("--timing", dest="include_timing", action="store_const", const=True)
@@ -242,7 +248,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ValidationError, GridSizeError, FileNotFoundError) as exc:
+    except (ParseError, ValidationError, GridSizeError, OSError) as exc:
         _log(f"error: {exc}")
         return USAGE_ERROR
     except (SolverError, UnusableLinkError, RuntimeError) as exc:

@@ -2,7 +2,8 @@
 
 
 class ParseError(ValueError):
-    """A scenario/dataset file is not valid JSON or misses required keys."""
+    """An input file is not valid JSON or does not fit its record table: a
+    key missing or unknown, or a value of another JSON type."""
 
 
 class ValidationError(ValueError):

@@ -14,8 +14,8 @@ from __future__ import annotations
 import csv
 import math
 import os
-from dataclasses import dataclass, field, fields
-from typing import Optional, Sequence
+from dataclasses import dataclass, field
+from typing import ClassVar, Optional, Sequence
 
 import numpy as np
 
@@ -26,13 +26,19 @@ from .oracle import GridSpec, grid_map
 from .raytracer import Ray, trace_link
 from .scenario import (
     Dataset,
+    Row,
     Scenario,
+    _boolean,
     _integer,
+    _list_of,
     _number,
+    _record,
+    _string,
     load_scenario,
     measurement_noise,
     normalize_measurements,
     read_json,
+    read_record,
     scenario_from_dict,  # unused here: bench/tracing.py wraps both names here
     synthesize_dataset,
 )
@@ -136,35 +142,29 @@ class ExperimentConfig:
     overrides: dict = field(default_factory=dict)
     out_dir: Optional[str] = None
     include_timing: bool = False
+    ROWS: ClassVar = (
+        Row("scenario_path", "scenario_path", _string),
+        Row("sigmas", "sigmas", _list_of(_number)),
+        Row("n_seeds", "n_seeds", _integer),
+        Row("overrides", "overrides", _record(dict, GampConfig.ROWS), required=False),
+        Row("out_dir", "out_dir", _string, required=False),
+        Row("include_timing", "include_timing", _boolean, required=False),
+    )
 
     def __post_init__(self):
         if len(self.sigmas) < 1 or not all(math.isfinite(s) and s >= 0 for s in self.sigmas):
             raise ValidationError(f"sigmas={list(self.sigmas)}: need one or more finite values >= 0")
         if self.n_seeds < 1:
             raise ValidationError(f"n_seeds={self.n_seeds} must be >= 1")
-        known = [f.name for f in fields(GampConfig)]
-        for key in self.overrides:
-            if key not in known:
-                raise ValidationError(f"overrides: unknown solver key {key!r}; known: {known}")
 
     @classmethod
     def from_dict(cls, raw, source: str) -> "ExperimentConfig":
-        """The config in a JSON object (other keys ignored); errors name source and key."""
-        if not isinstance(raw, dict):
-            raise ParseError(f"{source}: expected a JSON object, got {raw!r}")
-        for key in ("scenario_path", "sigmas", "n_seeds"):
-            if key not in raw:
-                raise ParseError(f"{source}: missing key {key!r}")
-        for key, kind, name in (("scenario_path", str, "a string"), ("sigmas", list, "a list"),
-                                ("overrides", dict, "an object"), ("out_dir", str, "a string"),
-                                ("include_timing", bool, "true or false")):
-            if key in raw and not isinstance(raw[key], kind):
-                raise ParseError(f"{source}: {key}: expected {name}, got {raw[key]!r}")
-        kwargs = {f.name: raw[f.name] for f in fields(cls) if f.name in raw}
-        kwargs["sigmas"] = [_number(sigma, f"{source}: sigmas[{i}]")
-                            for i, sigma in enumerate(raw["sigmas"])]
-        kwargs["n_seeds"] = _integer(raw["n_seeds"], f"{source}: n_seeds")
-        return cls(**kwargs)
+        """The config in a JSON object laid out by ROWS; a ParseError names
+        source and key path."""
+        try:
+            return cls(**read_record(raw, cls.ROWS))
+        except ParseError as exc:
+            raise ParseError(f"{source}: {exc}") from exc
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
@@ -247,16 +247,7 @@ def run_sweep(
             mean = float(np.mean(errs)) if n_ok else ""
             std = float(np.std(errs, ddof=1)) if n_ok > 1 else ""
             sem = std / float(np.sqrt(n_ok)) if n_ok > 1 else ""
-            summary.append(
-                {
-                    "sigma_z": float(sigma),
-                    "material": m,
-                    "n_ok": n_ok,
-                    "mean_abs_err": mean,
-                    "std_abs_err": std,
-                    "stderr_abs_err": sem,
-                }
-            )
+            summary.append(dict(zip(SUMMARY_FIELDS, (float(sigma), m, n_ok, mean, std, sem))))
     return rows, summary
 
 

@@ -36,22 +36,26 @@ batch's wall time divided by B.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import numbers
 import time
 from dataclasses import dataclass
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
 from .errors import SolverError, UnusableLinkError, ValidationError
 from .forward_model import Linearization, forward, jacobian, ray_table
-from .scenario import Scenario
+from .scenario import Row, Scenario, _integer, _list_of, _number, dump_json, write_record
 from .trunc_gauss import Interval, truncated_moments
 
 TAU_W_FLOOR = 1e-6  # dB^2; output step divides by tau_w + tau_p
 VARIANCE_FLOOR = 1e-12  # least tau_x the input step hands on
+
+
+def _widths(raw, path: str):
+    """delta_tr: one width for every material, or a list of them."""
+    return (_list_of(_number) if isinstance(raw, list) else _number)(raw, path)
 
 
 @dataclass(frozen=True)
@@ -62,19 +66,20 @@ class GampConfig:
     k_iter: int = 20               # linearization (outer) iterations
     k_gamp: int = 10               # message-passing steps per linearization
     damping: float = 1.0           # 1.0 = undamped
+    # the report's config echo, and the overrides a sweep config may give
+    ROWS: ClassVar = (
+        Row("x0", "x0", _list_of(_number), required=False),
+        Row("tau_w", "tau_w", _number, required=False),
+        Row("delta_tr", "delta_tr", _widths, required=False),
+        Row("k_iter", "k_iter", _integer, required=False),
+        Row("k_gamp", "k_gamp", _integer, required=False),
+        Row("damping", "damping", _number, required=False),
+    )
 
     def __post_init__(self):
-        for name in ("tau_w", "delta_tr", "k_iter", "k_gamp", "damping"):
-            if isinstance(getattr(self, name), bool):  # JSON true is not 1
-                raise ValidationError(f"{name}={getattr(self, name)!r} must be a number")
         object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float))
-        object.__setattr__(
-            self,
-            "delta_tr",
-            np.broadcast_to(
-                np.asarray(self.delta_tr, dtype=float), self.x0.shape
-            ).copy(),
-        )
+        delta_tr = np.broadcast_to(np.asarray(self.delta_tr, dtype=float), self.x0.shape)
+        object.__setattr__(self, "delta_tr", delta_tr.copy())
         for name in ("k_iter", "k_gamp"):
             value = getattr(self, name)
             if not (isinstance(value, numbers.Integral) and value >= 1):
@@ -87,16 +92,6 @@ class GampConfig:
             raise ValidationError(f"tau_w={self.tau_w} must be finite and > 0")
         if not 0.0 < self.damping <= 1.0:
             raise ValidationError(f"damping={self.damping} must be in (0, 1]")
-
-    def to_dict(self) -> dict:
-        return {
-            "x0": [float(v) for v in self.x0],
-            "tau_w": self.tau_w,
-            "delta_tr": [float(v) for v in self.delta_tr],
-            "k_iter": self.k_iter,
-            "k_gamp": self.k_gamp,
-            "damping": self.damping,
-        }
 
 
 def default_config(scenario: Scenario, noise_var: float, **overrides) -> GampConfig:
@@ -260,13 +255,13 @@ def report_to_dict(report: EstimateReport, include_timing: bool = False) -> dict
         "residual_db": float(report.residual_db),
         "iterations_run": report.iterations_run,
         "warnings": list(report.warnings),
-        "config": report.config.to_dict(),
+        "config": write_record(report.config),
         "wall_ms": float(report.wall_ms) if include_timing else 0.0,
     }
 
 
 def report_to_json(report: EstimateReport, include_timing: bool = False) -> str:
-    return json.dumps(report_to_dict(report, include_timing), indent=2, sort_keys=True) + "\n"
+    return dump_json(report_to_dict(report, include_timing))
 
 
 def _rms(v: np.ndarray) -> float:

@@ -71,8 +71,8 @@ class GridSpec:
     step: float = 0.05
 
     def __post_init__(self):
-        if not self.step > 0:
-            raise ValidationError(f"grid step={self.step} must be > 0")
+        if not (math.isfinite(self.step) and self.step > 0):
+            raise ValidationError(f"grid step={self.step} must be finite and > 0")
 
 
 def grid_axes(scenario: Scenario, grid: GridSpec) -> list[np.ndarray]:

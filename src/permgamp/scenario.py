@@ -21,8 +21,9 @@ from __future__ import annotations
 
 import json
 import math
+import reprlib
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, ClassVar, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -33,12 +34,138 @@ Point = tuple[float, float]
 POLARIZATIONS = ("TE", "TM")
 
 
-def _require_finite(owner: str, **values) -> None:
-    """Raise a ValidationError naming the first field (a number or a point,
-    None skipped) that holds a NaN or inf."""
-    for name, value in values.items():
-        if value is not None and not np.all(np.isfinite(value)):
-            raise ValidationError(f"{owner}: {name}={value} must be finite")
+# ---------------------------------------------------------------------------
+# JSON records: each class a file holds declares its keys as ROWS, and
+# read_record and write_record are the only code that walks them.
+# ---------------------------------------------------------------------------
+
+class Row(NamedTuple):
+    """One key of a JSON record: the constructor keyword it fills, the reader
+    that checks its value, and whether the key must be there (an absent
+    optional key leaves the constructor's default)."""
+
+    key: str
+    attr: str
+    read: Callable[[object, str], object]
+    required: bool = True
+
+
+_SHOWN = reprlib.Repr()  # a refused value, shown without its nested values
+_SHOWN.maxlevel = 1
+
+
+def _refuse(path: str, expected: str, raw) -> ParseError:
+    where = f"{path}: " if path else ""
+    return ParseError(f"{where}expected {expected}, got {_SHOWN.repr(raw)}")
+
+
+def read_record(raw, rows: Sequence[Row], path: str = "") -> dict:
+    """The constructor keywords of the JSON object raw, one per key given.
+
+    A ParseError names the key path (say links[17].tx) when raw is not an
+    object, misses a required key, holds a key no row names, or holds a
+    value its row's reader refuses."""
+    if not isinstance(raw, dict):
+        raise _refuse(path, "a JSON object", raw)
+    keys = [row.key for row in rows]
+    for key in raw:
+        if key not in keys:
+            raise ParseError(f"{_join(path, key)}: not a key of this format (keys: {keys})")
+    kwargs = {}
+    for row in rows:
+        if row.key in raw:
+            kwargs[row.attr] = row.read(raw[row.key], _join(path, row.key))
+        elif row.required:
+            raise ParseError(f"{_join(path, row.key)}: missing key")
+    return kwargs
+
+
+def _join(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
+def write_record(record) -> dict:
+    """The JSON object of a record, by its class's ROWS; None is left out."""
+    return {row.key: _json_value(getattr(record, row.attr)) for row in record.ROWS
+            if getattr(record, row.attr) is not None}
+
+
+def _json_value(value):
+    if hasattr(value, "ROWS"):
+        return write_record(value)
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, (tuple, list)):
+        return [_json_value(v) for v in value]
+    return value
+
+
+def _number(raw, path: str) -> float:
+    """A JSON number as a float; a string or a boolean is refused."""
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        raise _refuse(path, "a number", raw)
+    try:
+        return float(raw)
+    except OverflowError as exc:
+        raise _refuse(path, "a number in float range", raw) from exc
+
+
+def _integer(raw, path: str) -> int:
+    """An integral JSON number as an int; 2.5 is refused, not truncated."""
+    if not _number(raw, path).is_integer():
+        raise _refuse(path, "an integer", raw)
+    return int(raw)
+
+
+def _kind(kind: type, expected: str):
+    """Reader of a JSON value that must be an instance of kind."""
+    def read(raw, path: str):
+        if not isinstance(raw, kind):
+            raise _refuse(path, expected, raw)
+        return raw
+    return read
+
+
+_string = _kind(str, "a string")
+_boolean = _kind(bool, "true or false")
+
+
+def _list_of(read):
+    """Reader of a JSON list whose items read takes one by one."""
+    def read_list(raw, path: str) -> list:
+        if not isinstance(raw, list):
+            raise _refuse(path, "a list", raw)
+        return [read(item, f"{path}[{i}]") for i, item in enumerate(raw)]
+    return read_list
+
+
+def _point(raw, path: str) -> Point:
+    if not (isinstance(raw, list) and len(raw) == 2):
+        raise _refuse(path, "[x, y]", raw)
+    return (_number(raw[0], f"{path}[0]"), _number(raw[1], f"{path}[1]"))
+
+
+def _record(make, rows: Sequence[Row]):
+    """Reader of one JSON object built by make; a ValidationError it raises
+    is prefixed with the object's key path."""
+    def read(raw, path: str):
+        kwargs = read_record(raw, rows, path)
+        try:
+            return make(**kwargs)
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: {exc}") from exc
+    return read
+
+
+def _require_finite(owner: str, record) -> None:
+    """Raise a ValidationError naming the first number or point of record's
+    ROWS (None skipped) that holds a NaN or inf."""
+    for row in record.ROWS:
+        value = getattr(record, row.attr)
+        if row.read not in (_number, _point) or value is None:
+            continue
+        if not all(map(math.isfinite, (value,) if row.read is _number else value)):
+            raise ValidationError(f"{owner}: {row.attr}={value} must be finite")
 
 
 @dataclass(frozen=True)
@@ -49,28 +176,23 @@ class Material:
     prior_lo: float
     prior_hi: float
     true_eps: Optional[float] = None
+    ROWS: ClassVar = (
+        Row("index", "index", _integer),
+        Row("prior_lo", "prior_lo", _number),
+        Row("prior_hi", "prior_hi", _number),
+        Row("true_eps", "true_eps", _number, required=False),
+    )
 
     def __post_init__(self):
-        _require_finite(
-            f"material {self.index}",
-            prior_lo=self.prior_lo, prior_hi=self.prior_hi, true_eps=self.true_eps,
-        )
+        _require_finite(f"material {self.index}", self)
         if self.prior_lo < 1.0:
-            raise ValidationError(
-                f"material {self.index}: prior_lo={self.prior_lo} must be >= 1"
-            )
+            raise ValidationError(f"material {self.index}: prior_lo={self.prior_lo} must be >= 1")
         if not self.prior_lo < self.prior_hi:
-            raise ValidationError(
-                f"material {self.index}: prior_lo={self.prior_lo} must be < "
-                f"prior_hi={self.prior_hi}"
-            )
-        if self.true_eps is not None and not (
-            self.prior_lo <= self.true_eps <= self.prior_hi
-        ):
-            raise ValidationError(
-                f"material {self.index}: true_eps={self.true_eps} outside "
-                f"[{self.prior_lo}, {self.prior_hi}]"
-            )
+            raise ValidationError(f"material {self.index}: prior_lo={self.prior_lo} must be < "
+                                  f"prior_hi={self.prior_hi}")
+        if self.true_eps is not None and not self.prior_lo <= self.true_eps <= self.prior_hi:
+            raise ValidationError(f"material {self.index}: true_eps={self.true_eps} outside "
+                                  f"[{self.prior_lo}, {self.prior_hi}]")
 
 
 @dataclass(frozen=True)
@@ -80,13 +202,16 @@ class Surface:
     endpoint_a: Point
     endpoint_b: Point
     material_index: int
+    ROWS: ClassVar = (
+        Row("a", "endpoint_a", _point),
+        Row("b", "endpoint_b", _point),
+        Row("material", "material_index", _integer),
+    )
 
     def __post_init__(self):
-        _require_finite("surface", endpoint_a=self.endpoint_a, endpoint_b=self.endpoint_b)
+        _require_finite("surface", self)
         if tuple(self.endpoint_a) == tuple(self.endpoint_b):
-            raise ValidationError(
-                f"surface: endpoint_a == endpoint_b == {self.endpoint_a}"
-            )
+            raise ValidationError(f"surface: endpoint_a == endpoint_b == {self.endpoint_a}")
 
 
 @dataclass(frozen=True)
@@ -98,12 +223,16 @@ class Link:
     tx_power_dbm: float
     tx_gain_db: float
     rx_gain_db: float
+    ROWS: ClassVar = (
+        Row("tx", "tx_pos", _point),
+        Row("rx", "rx_pos", _point),
+        Row("p_dbm", "tx_power_dbm", _number),
+        Row("g_tx_db", "tx_gain_db", _number),
+        Row("g_rx_db", "rx_gain_db", _number),
+    )
 
     def __post_init__(self):
-        _require_finite(
-            "link", tx_pos=self.tx_pos, rx_pos=self.rx_pos, tx_power_dbm=self.tx_power_dbm,
-            tx_gain_db=self.tx_gain_db, rx_gain_db=self.rx_gain_db,
-        )
+        _require_finite("link", self)
         if tuple(self.tx_pos) == tuple(self.rx_pos):
             raise ValidationError(f"link: tx_pos == rx_pos == {self.tx_pos}")
 
@@ -116,6 +245,14 @@ class Scenario:
     wavelength_m: float
     max_reflections: int = 2
     polarization: str = "TE"
+    ROWS: ClassVar = (
+        Row("wavelength_m", "wavelength_m", _number),
+        Row("max_reflections", "max_reflections", _integer, required=False),
+        Row("polarization", "polarization", _string, required=False),
+        Row("materials", "materials", _list_of(_record(Material, Material.ROWS))),
+        Row("surfaces", "surfaces", _list_of(_record(Surface, Surface.ROWS))),
+        Row("links", "links", _list_of(_record(Link, Link.ROWS))),
+    )
 
     def __post_init__(self):
         object.__setattr__(self, "surfaces", tuple(self.surfaces))
@@ -124,13 +261,9 @@ class Scenario:
         if not (math.isfinite(self.wavelength_m) and self.wavelength_m > 0):
             raise ValidationError(f"wavelength_m={self.wavelength_m} must be finite and > 0")
         if self.max_reflections < 0:
-            raise ValidationError(
-                f"max_reflections={self.max_reflections} must be >= 0"
-            )
+            raise ValidationError(f"max_reflections={self.max_reflections} must be >= 0")
         if self.polarization not in POLARIZATIONS:
-            raise ValidationError(
-                f"polarization={self.polarization!r} not in {POLARIZATIONS}"
-            )
+            raise ValidationError(f"polarization={self.polarization!r} not in {POLARIZATIONS}")
         if len(self.materials) < 1:
             raise ValidationError("materials: need at least one material")
         if len(self.links) < 1:
@@ -162,12 +295,10 @@ class Scenario:
 
     def true_eps_vector(self) -> np.ndarray:
         """Ground-truth permittivity vector; error if any truth is missing."""
-        vals = []
         for m in self.materials:
             if m.true_eps is None:
                 raise ValidationError(f"material {m.index}: true_eps is not set")
-            vals.append(m.true_eps)
-        return np.array(vals, dtype=float)
+        return np.array([m.true_eps for m in self.materials], dtype=float)
 
     def link_offsets(self) -> np.ndarray:
         """Known dB terms P_n + Gtx_n + Grx_n of each link's measured level."""
@@ -181,12 +312,14 @@ class Dataset:
     measured_db: np.ndarray
     noise_var: float
     seed: Optional[int] = None
+    ROWS: ClassVar = (
+        Row("noise_var", "noise_var", _number),
+        Row("measured_db", "measured_db", _list_of(_number)),
+        Row("seed", "seed", _integer, required=False),
+    )
 
     def __post_init__(self):
-        try:
-            arr = np.array(self.measured_db, dtype=float)  # own copy, then freeze
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"measured_db: expected a list of numbers ({exc})") from exc
+        arr = np.array(self.measured_db, dtype=float)  # own copy, then freeze
         arr.flags.writeable = False
         object.__setattr__(self, "measured_db", arr)
         if self.measured_db.ndim != 1:
@@ -199,34 +332,9 @@ class Dataset:
 
 
 # ---------------------------------------------------------------------------
-# File IO.  Scenario files are plain JSON per the schema in the README.
+# File IO.  Scenario and dataset files are JSON objects laid out by the ROWS
+# of Scenario and Dataset; the README shows one of each.
 # ---------------------------------------------------------------------------
-
-def _point(raw, name: str) -> Point:
-    try:
-        x, y = raw
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{name}: expected [x, y], got {raw!r}") from exc
-    return (_number(x, name), _number(y, name))
-
-
-def _number(raw, name: str) -> float:
-    """A number as a float; a JSON boolean is refused, not read as 0 or 1."""
-    try:
-        if isinstance(raw, bool):
-            raise TypeError("a boolean is not a number")
-        return float(raw)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{name}: expected a number, got {raw!r}") from exc
-
-
-def _integer(raw, name: str) -> int:
-    """An integral number as an int; 2.5 or "2.5" is refused, not truncated."""
-    number = _number(raw, name)
-    if not number.is_integer():
-        raise ParseError(f"{name}: expected an integer, got {raw!r}")
-    return int(raw) if isinstance(raw, int) else int(number)
-
 
 def read_json(path):
     """The JSON value in the UTF-8 file at path. A missing file raises
@@ -237,89 +345,24 @@ def read_json(path):
             return json.load(fh)
     except FileNotFoundError:
         raise
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: not valid JSON ({exc})") from exc
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: cannot read ({exc})") from exc
+    except ValueError as exc:  # also an integer of more digits than int() takes
+        raise ParseError(f"{path}: not valid JSON ({exc})") from exc
+
+
+def dump_json(payload) -> str:
+    """payload as indented JSON with sorted keys and a final newline: the
+    layout of every JSON file and report the package writes."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
-    return {
-        "wavelength_m": scenario.wavelength_m,
-        "max_reflections": scenario.max_reflections,
-        "polarization": scenario.polarization,
-        "materials": [
-            {
-                "index": m.index,
-                "prior_lo": m.prior_lo,
-                "prior_hi": m.prior_hi,
-                **({"true_eps": m.true_eps} if m.true_eps is not None else {}),
-            }
-            for m in scenario.materials
-        ],
-        "surfaces": [
-            {
-                "a": list(s.endpoint_a),
-                "b": list(s.endpoint_b),
-                "material": s.material_index,
-            }
-            for s in scenario.surfaces
-        ],
-        "links": [
-            {
-                "tx": list(l.tx_pos),
-                "rx": list(l.rx_pos),
-                "p_dbm": l.tx_power_dbm,
-                "g_tx_db": l.tx_gain_db,
-                "g_rx_db": l.rx_gain_db,
-            }
-            for l in scenario.links
-        ],
-    }
+    return write_record(scenario)
 
 
-def scenario_from_dict(raw: dict) -> Scenario:
-    try:
-        materials = tuple(
-            Material(
-                index=_integer(m["index"], f"materials[{i}].index"),
-                prior_lo=_number(m["prior_lo"], f"materials[{i}].prior_lo"),
-                prior_hi=_number(m["prior_hi"], f"materials[{i}].prior_hi"),
-                true_eps=(
-                    _number(m["true_eps"], f"materials[{i}].true_eps")
-                    if "true_eps" in m else None
-                ),
-            )
-            for i, m in enumerate(raw["materials"])
-        )
-        surfaces = tuple(
-            Surface(
-                endpoint_a=_point(s["a"], f"surfaces[{i}].a"),
-                endpoint_b=_point(s["b"], f"surfaces[{i}].b"),
-                material_index=_integer(s["material"], f"surfaces[{i}].material"),
-            )
-            for i, s in enumerate(raw["surfaces"])
-        )
-        links = tuple(
-            Link(
-                tx_pos=_point(l["tx"], f"links[{i}].tx"),
-                rx_pos=_point(l["rx"], f"links[{i}].rx"),
-                tx_power_dbm=_number(l["p_dbm"], f"links[{i}].p_dbm"),
-                tx_gain_db=_number(l["g_tx_db"], f"links[{i}].g_tx_db"),
-                rx_gain_db=_number(l["g_rx_db"], f"links[{i}].g_rx_db"),
-            )
-            for i, l in enumerate(raw["links"])
-        )
-        return Scenario(
-            surfaces=surfaces,
-            materials=materials,
-            links=links,
-            wavelength_m=_number(raw["wavelength_m"], "wavelength_m"),
-            max_reflections=_integer(raw.get("max_reflections", 2), "max_reflections"),
-            polarization=str(raw.get("polarization", "TE")),
-        )
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"scenario file: missing or malformed key ({exc})") from exc
+def scenario_from_dict(raw) -> Scenario:
+    return Scenario(**read_record(raw, Scenario.ROWS))
 
 
 def load_scenario(path) -> Scenario:
@@ -328,32 +371,16 @@ def load_scenario(path) -> Scenario:
 
 def save_scenario(scenario: Scenario, path) -> None:
     with open(path, "w") as fh:
-        json.dump(scenario_to_dict(scenario), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(dump_json(scenario_to_dict(scenario)))
 
 
 def load_dataset(path) -> Dataset:
-    raw = read_json(path)
-    try:
-        return Dataset(
-            measured_db=raw["measured_db"],
-            noise_var=_number(raw["noise_var"], "noise_var"),
-            seed=_integer(raw["seed"], "seed") if raw.get("seed") is not None else None,
-        )
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"dataset file: missing or malformed key ({exc})") from exc
+    return Dataset(**read_record(read_json(path), Dataset.ROWS))
 
 
 def save_dataset(dataset: Dataset, path) -> None:
-    out = {
-        "noise_var": dataset.noise_var,
-        "measured_db": [float(v) for v in dataset.measured_db],
-    }
-    if dataset.seed is not None:
-        out["seed"] = dataset.seed
     with open(path, "w") as fh:
-        json.dump(out, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(dump_json(write_record(dataset)))
 
 
 # ---------------------------------------------------------------------------
@@ -413,32 +440,6 @@ def normalize_measurements(scenario: Scenario, dataset: Dataset) -> np.ndarray:
 # Scenario templates. The bundled canyon.json fixture is make_canyon_scenario
 # with the default arguments below; regenerating it must be byte-stable.
 # ---------------------------------------------------------------------------
-
-def _draw_links(
-    rng: np.random.Generator,
-    n_links: int,
-    x_range: tuple[float, float],
-    y_range: tuple[float, float],
-    min_dist: float = 5.0,
-) -> list[Link]:
-    links = []
-    for _ in range(n_links):
-        tx = (
-            float(rng.uniform(*x_range)),
-            float(rng.uniform(*y_range)),
-        )
-        while True:
-            rx = (
-                float(rng.uniform(*x_range)),
-                float(rng.uniform(*y_range)),
-            )
-            if math.dist(tx, rx) >= min_dist:
-                break
-        links.append(
-            Link(tx_pos=tx, rx_pos=rx, tx_power_dbm=30.0, tx_gain_db=2.0, rx_gain_db=2.0)
-        )
-    return links
-
 
 def make_canyon_scenario(
     n_materials: int = 2,
@@ -535,9 +536,12 @@ def make_free_space_scenario(
     if n_links < 1:
         raise ValidationError(f"n_links={n_links} must be >= 1")
     rng = np.random.Generator(np.random.PCG64(seed))
-    links = _draw_links(
-        rng, n_links, x_range=(0.0, extent_m), y_range=(0.0, extent_m)
-    )
+    links = []
+    for _ in range(n_links):
+        tx = rx = (float(rng.uniform(0.0, extent_m)), float(rng.uniform(0.0, extent_m)))
+        while math.dist(tx, rx) < 5.0:  # draw RX until it is 5 m or more from TX
+            rx = (float(rng.uniform(0.0, extent_m)), float(rng.uniform(0.0, extent_m)))
+        links.append(Link(tx, rx, tx_power_dbm=30.0, tx_gain_db=2.0, rx_gain_db=2.0))
     materials = (Material(index=1, prior_lo=1.0, prior_hi=13.0, true_eps=6.0),)
     return Scenario(
         surfaces=(),

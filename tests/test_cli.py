@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -209,6 +210,24 @@ def _inf_noise_var(sc, ds):
                      id="bool_max_reflections"),
         pytest.param(lambda sc, ds: sc["materials"][0].update(prior_lo=True), "prior_lo",
                      id="bool_prior_lo"),
+        pytest.param(lambda sc, ds: ds["measured_db"].__setitem__(0, True), "measured_db[0]",
+                     id="bool_measured_db"),
+        # a key the format does not name, or a value of another JSON type
+        pytest.param(lambda sc, ds: sc.update(polarisation="TM"), "polarisation",
+                     id="unknown_key_polarisation"),
+        pytest.param(lambda sc, ds: sc.update(max_reflection=0), "max_reflection",
+                     id="unknown_key_max_reflection"),
+        pytest.param(lambda sc, ds: sc.update(wavelength_m="0.1"), "wavelength_m",
+                     id="numeric_string_wavelength_m"),
+        pytest.param(lambda sc, ds: sc["links"][4].update(p_dbm="30"), "links[4].p_dbm",
+                     id="numeric_string_p_dbm"),
+        pytest.param(lambda sc, ds: ds["measured_db"].__setitem__(0, "-60.5"), "measured_db[0]",
+                     id="numeric_string_measured_db"),
+        pytest.param(lambda sc, ds: sc["links"][3].update(p_dbm=10**400), "links[3].p_dbm",
+                     id="int_beyond_float_p_dbm"),
+        pytest.param(lambda sc, ds: ([sc], ds), "JSON object", id="list_scenario"),
+        pytest.param(lambda sc, ds: (sc, [ds]), "JSON object", id="list_dataset"),
+        pytest.param(lambda sc, ds: sc.update(links=[[1, 2]]), "links[0]", id="list_link"),
     ],
 )
 def test_estimate_rejects_non_finite_inputs(canyon, tmp_path, capsys, corrupt, named):
@@ -216,7 +235,7 @@ def test_estimate_rejects_non_finite_inputs(canyon, tmp_path, capsys, corrupt, n
         sc = json.load(fh)
     ds = {"measured_db": synthesize_dataset(canyon, 0.5, 3).measured_db.tolist(),
           "noise_var": 0.25}
-    corrupt(sc, ds)
+    sc, ds = corrupt(sc, ds) or (sc, ds)  # a corruption may replace a whole file
     (tmp_path / "sc.json").write_text(json.dumps(sc))
     (tmp_path / "ds.json").write_text(json.dumps(ds))
     code, out, err = _run(capsys, "estimate", "--scenario", str(tmp_path / "sc.json"),
@@ -226,7 +245,7 @@ def test_estimate_rejects_non_finite_inputs(canyon, tmp_path, capsys, corrupt, n
     assert out == ""
 
 
-@pytest.mark.parametrize("case", ["directory", "non_utf8", "negative_seed"])
+@pytest.mark.parametrize("case", ["directory", "non_utf8", "negative_seed", "long_integer"])
 def test_estimate_rejects_unreadable_files_and_negative_seeds(tmp_path, capsys, case):
     scenario, extra, named = bundled_scenario_path("canyon"), [], "--seed"
     if case == "directory":
@@ -234,6 +253,9 @@ def test_estimate_rejects_unreadable_files_and_negative_seeds(tmp_path, capsys, 
     elif case == "non_utf8":
         scenario = named = str(tmp_path / "latin1.json")
         (tmp_path / "latin1.json").write_bytes('{"polarization": "\u00c9"}'.encode("latin-1"))
+    elif case == "long_integer":  # more digits than int() converts
+        scenario = named = str(tmp_path / "long.json")
+        (tmp_path / "long.json").write_text('{"max_reflections": ' + "1" * 5000 + "}")
     else:
         extra = ["--seed", "-3"]
     code, out, err = _run(capsys, "estimate", "--scenario", scenario, "--sigma", "0.5", *extra)
@@ -287,12 +309,23 @@ def test_oracle_grid_over_the_guard_exits_2_before_building_an_axis(capsys, monk
 
 
 def test_oracle_bad_grid_step_exits_2(capsys):
-    code, _, err = _run(
-        capsys, "oracle", "--scenario", bundled_scenario_path("canyon"),
-        "--sigma", "0", "--grid-step", "-0.1",
-    )
+    for command, step in [("oracle", "-0.1"), ("oracle", "inf"), ("estimate", "inf")]:
+        code, out, err = _run(
+            capsys, command, "--scenario", bundled_scenario_path("canyon"),
+            "--sigma", "0", "--oracle" if command == "estimate" else "--seed=0",
+            "--grid-step", step,
+        )
+        assert code == 2
+        assert "grid step" in err
+        assert out == ""
+
+
+def test_estimate_out_path_that_is_a_directory_exits_2(tmp_path, capsys):
+    code, out, err = _run(capsys, "estimate", "--scenario", bundled_scenario_path("canyon"),
+                          "--sigma", "0.5", "--k-iter", "1", "--out", str(tmp_path))
     assert code == 2
-    assert "grid step" in err
+    assert str(tmp_path) in err
+    assert "Traceback" not in err
 
 
 def test_estimate_reports_are_byte_identical(tmp_path, capsys):
@@ -494,15 +527,19 @@ def _sweep_config_text(**changes):
         (_sweep_config_text(overrides=[["k_iter", 1]]), "overrides"),
         (_sweep_config_text(out_dir=7), "out_dir"),
         ("[]", "JSON object"),
+        (_sweep_config_text(include_timming=True), "include_timming"),
+        (_sweep_config_text(overrides={"delta_tr": [True, 1]}), "overrides.delta_tr[0]"),
+        (_sweep_config_text(sigmas=[0.3, "0.5"]), "sigmas[1]"),
     ],
     ids=["malformed_json", "missing_n_seeds", "string_sigmas", "bool_sigma",
          "fraction_n_seeds", "string_include_timing", "null_scenario_path",
-         "list_scenario_path", "list_overrides", "number_out_dir", "not_an_object"],
+         "list_scenario_path", "list_overrides", "number_out_dir", "not_an_object",
+         "unknown_key_include_timming", "bool_delta_tr", "numeric_string_sigma"],
 )
 def test_sweep_config_file_errors_exit_2(tmp_path, capsys, text, named):
     cfg_path = tmp_path / "sweep.json"
     cfg_path.write_text(text)
-    with pytest.raises(ParseError, match=named):
+    with pytest.raises(ParseError, match=re.escape(named)):
         ExperimentConfig.from_json(cfg_path)
     code, _, err = _run(capsys, "sweep", "--config", str(cfg_path))
     assert code == 2
@@ -519,6 +556,18 @@ def test_sweep_flags_override_the_config_file(tmp_path, capsys):
     with open(tmp_path / "out" / "runs.csv") as fh:
         points = sorted({(r["sigma_z"], r["seed"]) for r in csv.DictReader(fh)})
     assert points == [(s, str(seed)) for s in ("1.0", "2.0") for seed in range(3)]
+
+
+def test_sweep_out_dir_that_is_a_file_exits_2(tmp_path, capsys):
+    out_dir = tmp_path / "taken"
+    out_dir.write_text("")
+    code, _, err = _run(capsys, "sweep", "--scenario", bundled_scenario_path("canyon"),
+                        "--sigmas", "0.5", "--seeds", "1", "--k-iter", "1",
+                        "--out-dir", str(out_dir))
+    assert code == 2
+    assert str(out_dir) in err
+    assert "Traceback" not in err
+    assert out_dir.read_text() == ""
 
 
 def test_sweep_does_not_read_a_number_as_a_file_descriptor(tmp_path):

@@ -1,16 +1,21 @@
 """Scenario/dataset types, file IO, synthesis, and normalization."""
 
 import json
+import re
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from permgamp import (
     Dataset,
+    ExperimentConfig,
     Link,
     Material,
     ParseError,
     Scenario,
+    Surface,
     ValidationError,
     forward,
     load_dataset,
@@ -23,7 +28,7 @@ from permgamp import (
     synthesize_dataset,
     trace_scenario,
 )
-from permgamp.scenario import gaussian_draws
+from permgamp.scenario import gaussian_draws, read_record, scenario_from_dict
 
 MINIMAL = {
     "wavelength_m": 0.1,
@@ -124,15 +129,22 @@ def test_bundled_canyon_fixture(canyon):
     assert canyon.max_reflections == 2
 
 
+def _tm_without_truths(canyon):
+    materials = tuple(replace(m, true_eps=None) for m in canyon.materials)
+    return replace(canyon, materials=materials, polarization="TM", max_reflections=1)
+
+
 def test_scenario_round_trip(tmp_path, canyon):
-    p = tmp_path / "roundtrip.json"
-    save_scenario(canyon, p)
-    again = load_scenario(p)
-    assert again == canyon
-    # and byte-stable on a second save
-    p2 = tmp_path / "roundtrip2.json"
-    save_scenario(again, p2)
-    assert p.read_bytes() == p2.read_bytes()
+    # the optional rows too: a TM scenario without true_eps
+    for scenario in (canyon, _tm_without_truths(canyon)):
+        p = tmp_path / "roundtrip.json"
+        save_scenario(scenario, p)
+        again = load_scenario(p)
+        assert again == scenario
+        # and byte-stable on a second save
+        p2 = tmp_path / "roundtrip2.json"
+        save_scenario(again, p2)
+        assert p.read_bytes() == p2.read_bytes()
 
 
 def test_bundled_fixture_regenerates_from_template(tmp_path, canyon):
@@ -140,18 +152,44 @@ def test_bundled_fixture_regenerates_from_template(tmp_path, canyon):
 
 
 def test_dataset_round_trip(tmp_path, canyon):
-    ds = synthesize_dataset(canyon, 0.5, seed=3)
-    p = tmp_path / "ds.json"
-    save_dataset(ds, p)
-    again = load_dataset(p)
-    assert again.noise_var == ds.noise_var
-    assert again.seed == 3
-    assert np.array_equal(again.measured_db, ds.measured_db)
+    synthesized = synthesize_dataset(canyon, 0.5, seed=3)
+    # the optional seed too: a dataset without one
+    for ds in (synthesized, Dataset(synthesized.measured_db, noise_var=0.25)):
+        p = tmp_path / "ds.json"
+        save_dataset(ds, p)
+        again = load_dataset(p)
+        assert again.noise_var == ds.noise_var
+        assert again.seed == ds.seed
+        assert np.array_equal(again.measured_db, ds.measured_db)
+        assert ("seed" in json.loads(p.read_text())) == (ds.seed is not None)
+
+
+def test_readme_file_format_examples_load():
+    """The README's examples are read through the same tables as any file."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## File formats")[1].split("\n## ")[0]
+    scenario, dataset, sweep = (json.loads(block) for block in
+                                re.findall(r"```json\n(.*?)```", section, re.S))
+    assert scenario_from_dict(scenario).polarization == scenario["polarization"]
+    assert Dataset(**read_record(dataset, Dataset.ROWS)).seed == dataset["seed"]
+    config = ExperimentConfig.from_dict(sweep, "README")
+    assert config.overrides == sweep["overrides"]
 
 
 def test_dataset_validation():
     with pytest.raises(ValidationError, match="noise_var"):
         Dataset(measured_db=np.zeros(3), noise_var=-1.0)
+
+
+@pytest.mark.parametrize("point", [[0.0, float("nan")], (float("inf"), 0.0),
+                                   np.array([0.0, -np.inf])])
+def test_constructors_check_points_given_as_lists_tuples_or_arrays(point):
+    with pytest.raises(ValidationError, match="endpoint_a"):
+        Surface(point, (1.0, 0.0), 1)
+    with pytest.raises(ValidationError, match="rx_pos"):
+        Link((1.0, 0.0), point, tx_power_dbm=30.0, tx_gain_db=2.0, rx_gain_db=2.0)
+    with pytest.raises(ValidationError, match="prior_hi"):
+        Material(1, 1.0, float(point[0] + point[1]))
 
 
 def test_synthesize_zero_noise_equals_forward(canyon, canyon_rays):
