@@ -15,16 +15,25 @@ from permgamp import (
     Scenario,
     Surface,
     UnusableLinkError,
+    make_canyon_scenario,
     trace_link,
     trace_scenario,
 )
+from permgamp import raytracer
 from permgamp.raytracer import rays_to_csv
 
 MAT = (Material(1, 1.5, 10.0, 4.0), Material(2, 1.5, 10.0, 6.0))
 
-# SHA-256 of rays_to_csv for the bundled canyon and for _room_12_walls().
+# SHA-256 of rays_to_csv for the bundled canyon, for _room_12_walls() and for
+# _canyon_3_bounces().
 CANYON_RAYS_SHA256 = "b97f6d384cf5c80c3b10748b3ea5ce51237e071158b7fd4a307326d370f2fdb1"
 ROOM_RAYS_SHA256 = "78a8d0821b5b4a9e257dc6811f6d40817d1e75583058450843b75ddcb002de16"
+CANYON_3_RAYS_SHA256 = "558cef3ff6fe58e76d2fc8303279ee2fb729b84415c9f678adc371298834b655"
+# SHA-256 of every ray's bounce points (_points_sha256), which neither
+# rays_to_csv nor Ray.__eq__ looks at, for the same three scenarios.
+CANYON_POINTS_SHA256 = "3ca543967081c4691650653cfa827312041dd713f9b6feb7c06770612617c5f0"
+ROOM_POINTS_SHA256 = "d95ba3ffa3ae86d81e1913c4e09cae4a893a248ed9307bee006237a214b562e6"
+CANYON_3_POINTS_SHA256 = "46d182a208a4f1037861befe8bf841ed2295528ae9c87152ef2a6d70f3330bfd"
 
 
 def _scenario(surfaces, links, max_reflections=2):
@@ -377,16 +386,47 @@ def _room_12_walls():
     )
 
 
+def _canyon_3_bounces():
+    return make_canyon_scenario(n_links=10, max_reflections=3)
+
+
 def _csv_sha256(ray_cache):
     buf = io.StringIO()
     rays_to_csv(ray_cache, buf)
     return hashlib.sha256(buf.getvalue().encode()).hexdigest()
 
 
+def _points_sha256(ray_cache):
+    """One line per ray: link, ray and its bounce points as repr floats."""
+    lines = (
+        f"{n},{j}," + ";".join(f"{x!r} {y!r}" for x, y in ray.points)
+        for n, rays in enumerate(ray_cache)
+        for j, ray in enumerate(rays)
+    )
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
 def test_ray_csv_digests_are_pinned(canyon):
     # Every length and incidence angle is pinned bit for bit.
     assert _csv_sha256(trace_scenario(canyon)) == CANYON_RAYS_SHA256
     assert _csv_sha256(trace_scenario(_room_12_walls())) == ROOM_RAYS_SHA256
+    assert _csv_sha256(trace_scenario(_canyon_3_bounces())) == CANYON_3_RAYS_SHA256
+
+
+def test_bounce_point_digests_are_pinned(canyon):
+    assert _points_sha256(trace_scenario(canyon)) == CANYON_POINTS_SHA256
+    assert _points_sha256(trace_scenario(_room_12_walls())) == ROOM_POINTS_SHA256
+    assert _points_sha256(trace_scenario(_canyon_3_bounces())) == CANYON_3_POINTS_SHA256
+
+
+def test_room_sends_a_pinned_number_of_candidates_to_the_exact_finish(monkeypatch):
+    # 6 links x 1,596 wall sequences of order 1..3
+    build = raytracer._build_reflected_ray
+    calls = []
+    monkeypatch.setattr(raytracer, "_build_reflected_ray",
+                        lambda *args: calls.append(args[3]) or build(*args))
+    trace_scenario(_room_12_walls())
+    assert len(calls) == 9576
 
 
 def _mirror_xy(p, a, b):
