@@ -12,6 +12,7 @@ measured wall-clock times instead of zeros.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -162,6 +163,16 @@ def cmd_estimate(args) -> int:
     return 0
 
 
+def _check_out_dir(out_dir: str) -> None:
+    """Refuse, before any solve and without creating anything, an out_dir
+    that is, or lies under, an existing path that is not a directory."""
+    existing = os.path.abspath(out_dir)
+    while not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing):
+        raise ValidationError(f"out_dir={out_dir}: {existing} exists and is not a directory")
+
+
 def cmd_sweep(args) -> int:
     if not (args.config or args.scenario_path and args.sigmas):
         raise ValidationError("sweep needs --config, or --scenario and --sigmas")
@@ -174,6 +185,7 @@ def cmd_sweep(args) -> int:
     config = ExperimentConfig.from_dict(raw, args.config or "sweep flags")
     if not config.out_dir:
         raise ValidationError("sweep needs --out-dir (or out_dir in the config)")
+    _check_out_dir(config.out_dir)
     rows, summary = run_sweep(config)
     runs_path, summary_path = write_sweep_outputs(rows, summary, config.out_dir)
     n_err = sum(1 for r in rows if r["status"] != "ok")

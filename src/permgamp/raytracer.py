@@ -5,10 +5,18 @@ plus every specular reflection path of order <= max_reflections. A k-bounce
 candidate for the ordered surface sequence (s1..sk) is built by mirroring
 the TX image across s1..sk; the path exists iff walking back from the RX
 through the image chain yields bounce points inside each finite segment,
-and no leg of the resulting polyline is blocked by another surface. The
-images form a tree, so each is mirrored once and shared by every sequence
-it prefixes. Points are complex numbers inside the tracer; Ray.points are
-(x, y) tuples.
+and no leg of the resulting polyline is blocked by another surface.
+
+Candidates are enumerated one reflection order at a time, each order's
+images one mirror past its parent order's (the image method of Allen &
+Berkley, JASA 1979). An order of VECTOR_MIN_CANDIDATES or more candidates
+is first culled in numpy, as beam tracing culls invalid image paths in bulk:
+the walk back and the occlusion test run over the whole order at once, with
+every bound widened by MARGIN, so the filter drops only candidates the exact
+test drops. The survivors, and every candidate of a smaller order, then go
+in lexicographic order through the exact scalar test, so the rays, their
+order and their tie-breaks do not depend on the filter. Points are complex
+numbers in the scalar code; Ray.points are (x, y) tuples.
 
 Grazing hits (incidence within 1e-9 rad of pi/2) and bounce points outside
 the finite segments are discarded; there is no diffraction model.
@@ -19,6 +27,8 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import UnusableLinkError
 from .scenario import Point, Scenario
@@ -95,25 +105,169 @@ def _segment_blocked(p: complex, q: complex, walls, skip=()) -> bool:
     return False
 
 
+# -- candidates ----------------------------------------------------------------
+# A candidate is an ordered wall sequence with no immediate repeat. Order k
+# has S * (S - 1) ** (k - 1) of them for S walls, and row r of order k
+# extends row r // (S - 1) of order k - 1, so lexicographic order is kept.
+
+# An order of this many candidates or more is prefiltered over arrays: the
+# measured break-even against the scalar test is 56-72 candidates.
+VECTOR_MIN_CANDIDATES = 64
+MARGIN = 1e-6  # widens every prefilter bound past numpy-versus-math rounding
+_BLOCK = 1 << 16  # (leg, wall) pairs per occlusion chunk
+
+
+def _mirror(p: complex, a: complex, b: complex) -> complex:
+    """p mirrored across the line through a and b."""
+    d = b - a
+    t = (d.conjugate() * (p - a)).real / (d.conjugate() * d).real
+    return 2.0 * (a + t * d) - p
+
+
+def _image_chain(walls, tx: complex, seq) -> tuple[complex, ...]:
+    """images[j] is tx mirrored across walls seq[0..j-1]."""
+    images = [tx]
+    for si in seq:
+        images.append(_mirror(images[-1], *walls[si]))
+    return tuple(images)
+
+
+def _scalar_chains(walls, tx: complex, max_order: int):
+    """(seq, images) for every candidate of order 1..max_order in
+    lexicographic order, a prefix before its extensions, with images as in
+    _image_chain; each prefix's image is mirrored once."""
+    stack = [((), (tx,))]
+    while stack:
+        seq, images = stack.pop()
+        if seq:
+            yield seq, images
+        if len(seq) < max_order:
+            prev = seq[-1] if seq else -1
+            for w in range(len(walls) - 1, -1, -1):  # the lowest wall is popped first
+                if w != prev:
+                    a, b = walls[w]
+                    stack.append(((*seq, w), (*images, _mirror(images[-1], a, b))))
+
+
+def _order_tables(ends: np.ndarray, tx: complex, max_order: int):
+    """(seq, images) for each order k = 1..max_order: seq is the (N_k, k)
+    table of candidates in lexicographic order and images[r, j] the (x, y)
+    of tx mirrored across walls seq[r, :j]; ends rows are (ax, ay, bx, by).
+
+    Row r of order k extends row r // (S - 1) of order k - 1 and mirrors its
+    last image once, in the arithmetic of _mirror written out on (x, y), so
+    the images equal (==) _image_chain's."""
+    n_walls = len(ends)
+    seq = np.zeros((1, 0), dtype=np.intp)
+    images = np.array([[[tx.real, tx.imag]]])
+    for k in range(1, max_order + 1):
+        fan_out = n_walls - (k > 1)  # no wall follows itself
+        if fan_out * len(seq) == 0:
+            return
+        c = np.tile(np.arange(fan_out), len(seq))
+        seq = np.repeat(seq, fan_out, axis=0)
+        images = np.repeat(images, fan_out, axis=0)
+        last = c + (c >= seq[:, -1]) if k > 1 else c
+        ax, ay, bx, by = ends[last].T
+        px, py = images[:, -1, 0], images[:, -1, 1]
+        dx, dy = bx - ax, by - ay
+        t = ((px - ax) * dx + (py - ay) * dy) / (dx * dx + dy * dy)
+        mirrored = np.empty((len(seq), 1, 2))
+        mirrored[:, 0, 0] = 2.0 * (ax + t * dx) - px
+        mirrored[:, 0, 1] = 2.0 * (ay + t * dy) - py
+        seq = np.column_stack([seq, last])
+        images = np.concatenate([images, mirrored], axis=1)
+        yield seq, images
+
+
+def _may_reflect(ends: np.ndarray, rx: complex, seq: np.ndarray, images: np.ndarray):
+    """Boolean mask over the rows of one order: False only where
+    _build_reflected_ray rejects the candidate.
+
+    It repeats the scalar walk back from rx (segment test) and the leg
+    occlusion test with the same arithmetic, each bound widened by MARGIN,
+    so a rounding difference can only let a candidate through. The walk back
+    has no parallel-line cutoff: a leg parallel to its wall gives an inf or
+    NaN t, which fails the t bounds, and keeping more is conservative."""
+    n, k = seq.shape
+    dx_w, dy_w = ends[:, 2] - ends[:, 0], ends[:, 3] - ends[:, 1]
+    u_eps_w = GEOM_EPS / np.hypot(dx_w, dy_w)
+    live = np.arange(n)
+    path = np.empty((n, k + 2, 2))
+    path[:, 0] = images[:, 0]
+    path[:, k + 1] = rx.real, rx.imag
+    for j in range(k - 1, -1, -1):
+        w = seq[live, j]
+        ax, ay, dx, dy, u_eps = ends[w, 0], ends[w, 1], dx_w[w], dy_w[w], u_eps_w[w]
+        px, py = images[live, j + 1, 0], images[live, j + 1, 1]
+        rx_, ry_ = path[live, j + 2, 0] - px, path[live, j + 2, 1] - py
+        denom = rx_ * dy - ry_ * dx
+        apx, apy = ax - px, ay - py
+        t = (apx * dy - apy * dx) / denom
+        u = (apx * ry_ - apy * rx_) / denom
+        path[live, j + 1, 0] = px + t * rx_
+        path[live, j + 1, 1] = py + t * ry_
+        live = live[(-MARGIN < t) & (t < 1.0 + MARGIN)
+                    & (u_eps - MARGIN <= u) & (u <= 1.0 - u_eps + MARGIN)]
+    # leg j runs path[j] -> path[j + 1]; its incident walls are
+    # seq[j - 1] and seq[j] (-1 where the leg ends at TX or RX)
+    none = np.full((len(live), 1), -1)
+    before = np.hstack([none, seq[live]]).ravel()
+    after = np.hstack([seq[live], none]).ravel()
+    p = path[live, :-1].reshape(-1, 2)
+    q = path[live, 1:].reshape(-1, 2)
+    blocked = _legs_blocked(ends, p, q, before, after).reshape(len(live), k + 1)
+    keep = np.zeros(n, dtype=bool)
+    keep[live[~blocked.any(axis=1)]] = True
+    return keep
+
+
+def _legs_blocked(ends: np.ndarray, p: np.ndarray, q: np.ndarray, before, after):
+    """Per leg p[i] -> q[i]: True where _segment_blocked, skipping walls
+    before[i] and after[i], surely returns True (bounds narrowed by MARGIN)."""
+    wall_ids = np.arange(len(ends))
+    ax, ay, bx, by = ends.T
+    dx, dy = bx - ax, by - ay
+    d_len = np.hypot(dx, dy)
+    blocked = np.zeros(len(p), dtype=bool)
+    step = max(1, _BLOCK // max(1, len(ends)))
+    for s in range(0, len(p), step):
+        px, py = p[s:s + step, :1], p[s:s + step, 1:]
+        rx_, ry_ = q[s:s + step, :1] - px, q[s:s + step, 1:] - py
+        leg = np.hypot(rx_, ry_)
+        denom = rx_ * dy - ry_ * dx
+        apx, apy = ax - px, ay - py
+        t = (apx * dy - apy * dx) / denom
+        u = (apx * ry_ - apy * rx_) / denom
+        t_eps = GEOM_EPS / leg
+        hit = ((np.abs(denom) >= 1e-15 + MARGIN * leg * d_len)
+               & (t_eps + MARGIN < t) & (t < 1.0 - t_eps - MARGIN)
+               & (MARGIN <= u) & (u <= 1.0 - MARGIN)
+               & (wall_ids != before[s:s + step, None]) & (wall_ids != after[s:s + step, None]))
+        blocked[s:s + step] = hit.any(axis=1)
+    return blocked
+
+
+def _candidates(walls, tx: complex, rx: complex, max_order: int):
+    """(seq, images) of every wall sequence that may give a ray, in
+    lexicographic order (a prefix before its extensions). An order of
+    VECTOR_MIN_CANDIDATES or more is prefiltered by _may_reflect and its
+    survivors' images are rebuilt by _image_chain; smaller orders pass whole,
+    and when every order is small no array is built."""
+    n_walls = len(walls)
+    if max_order < 1 or n_walls * (n_walls - 1) ** (max_order - 1) < VECTOR_MIN_CANDIDATES:
+        return _scalar_chains(walls, tx, max_order)
+    ends = np.array([(a.real, a.imag, b.real, b.imag) for a, b in walls])
+    kept: list[tuple[int, ...]] = []
+    with np.errstate(all="ignore"):  # an inf or NaN fails every bound
+        for seq, images in _order_tables(ends, tx, max_order):
+            if len(seq) >= VECTOR_MIN_CANDIDATES:
+                seq = seq[_may_reflect(ends, rx, seq, images)]
+            kept += map(tuple, seq.tolist())
+    return ((seq, _image_chain(walls, tx, seq)) for seq in sorted(kept))
+
+
 # -- tracing -----------------------------------------------------------------
-
-def _image_chains(walls, seq, images, max_order: int):
-    """Depth-first (sequence, images) for every wall-index sequence that
-    extends seq up to max_order without immediate repeats, each order in
-    lexicographic order; images[j] is images[0] mirrored across
-    sequence[0..j-1], and each prefix's image is mirrored once."""
-    if len(seq) >= max_order:
-        return
-    p = images[-1]
-    for si, (a, b) in enumerate(walls):
-        if seq and si == seq[-1]:
-            continue
-        d = b - a
-        t = (d.conjugate() * (p - a)).real / (d.conjugate() * d).real
-        chain = (*images, 2.0 * (a + t * d) - p)  # p mirrored across the line
-        yield (*seq, si), chain
-        yield from _image_chains(walls, (*seq, si), chain, max_order)
-
 
 def _build_reflected_ray(scenario: Scenario, walls, rx: complex, seq, images):
     # Walk back from RX: bounce point on seq[j] comes from the segment
@@ -185,7 +339,7 @@ def trace_link(scenario: Scenario, link_index: int) -> list[Ray]:
     if not _segment_blocked(tx, rx, walls):
         rays.append(Ray(total_length_m=_length(rx - tx)))
 
-    for seq, images in _image_chains(walls, (), (tx,), scenario.max_reflections):
+    for seq, images in _candidates(walls, tx, rx, scenario.max_reflections):
         ray = _build_reflected_ray(scenario, walls, rx, seq, images)
         if ray is not None:
             rays.append(ray)

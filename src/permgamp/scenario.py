@@ -33,6 +33,10 @@ Point = tuple[float, float]
 
 POLARIZATIONS = ("TE", "TM")
 
+# Per-link cap on the tracer's candidate bounces (see candidate_bounces):
+# ~20x the 4,632 of a 12-surface room at 3 bounces.
+MAX_CANDIDATE_BOUNCES = 100_000
+
 
 # ---------------------------------------------------------------------------
 # JSON records: each class a file holds declares its keys as ROWS, and
@@ -210,8 +214,10 @@ class Surface:
 
     def __post_init__(self):
         _require_finite("surface", self)
-        if tuple(self.endpoint_a) == tuple(self.endpoint_b):
-            raise ValidationError(f"surface: endpoint_a == endpoint_b == {self.endpoint_a}")
+        dx, dy = (b - a for a, b in zip(self.endpoint_a, self.endpoint_b))
+        if not dx * dx + dy * dy > 0.0:  # the tracer divides by the squared length
+            raise ValidationError(f"surface: endpoint_a={tuple(self.endpoint_a)} and "
+                                  f"endpoint_b={tuple(self.endpoint_b)} span no line")
 
 
 @dataclass(frozen=True)
@@ -262,6 +268,13 @@ class Scenario:
             raise ValidationError(f"wavelength_m={self.wavelength_m} must be finite and > 0")
         if self.max_reflections < 0:
             raise ValidationError(f"max_reflections={self.max_reflections} must be >= 0")
+        bounces = candidate_bounces(len(self.surfaces), self.max_reflections)
+        if bounces > MAX_CANDIDATE_BOUNCES:
+            raise ValidationError(
+                f"max_reflections={self.max_reflections} with {len(self.surfaces)} surfaces "
+                f"means at least {bounces} candidate bounces per link; the tracer takes at "
+                f"most {MAX_CANDIDATE_BOUNCES}"
+            )
         if self.polarization not in POLARIZATIONS:
             raise ValidationError(f"polarization={self.polarization!r} not in {POLARIZATIONS}")
         if len(self.materials) < 1:
@@ -303,6 +316,20 @@ class Scenario:
     def link_offsets(self) -> np.ndarray:
         """Known dB terms P_n + Gtx_n + Grx_n of each link's measured level."""
         return np.array([l.tx_power_dbm + l.tx_gain_db + l.rx_gain_db for l in self.links])
+
+
+def candidate_bounces(n_surfaces: int, max_reflections: int) -> int:
+    """Sum over k = 1..max_reflections of k * S * (S - 1) ** (k - 1) for
+    S = n_surfaces: the bounces of every wall sequence one link's trace may
+    try, order k having S * (S - 1) ** (k - 1) sequences of k bounces. The
+    sum stops growing once it passes MAX_CANDIDATE_BOUNCES."""
+    total, n_order = 0, n_surfaces
+    for k in range(1, max_reflections + 1):
+        if n_order == 0 or total > MAX_CANDIDATE_BOUNCES:
+            break
+        total += k * n_order
+        n_order *= n_surfaces - 1
+    return total
 
 
 @dataclass(frozen=True, eq=False)
@@ -365,8 +392,18 @@ def scenario_from_dict(raw) -> Scenario:
     return Scenario(**read_record(raw, Scenario.ROWS))
 
 
+def _load(path, make):
+    """make(raw) for the JSON value raw in the file at path; a ParseError or
+    ValidationError is prefixed with the path."""
+    raw = read_json(path)
+    try:
+        return make(raw)
+    except (ParseError, ValidationError) as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
+
+
 def load_scenario(path) -> Scenario:
-    return scenario_from_dict(read_json(path))
+    return _load(path, scenario_from_dict)
 
 
 def save_scenario(scenario: Scenario, path) -> None:
@@ -375,7 +412,7 @@ def save_scenario(scenario: Scenario, path) -> None:
 
 
 def load_dataset(path) -> Dataset:
-    return Dataset(**read_record(read_json(path), Dataset.ROWS))
+    return _load(path, lambda raw: Dataset(**read_record(raw, Dataset.ROWS)))
 
 
 def save_dataset(dataset: Dataset, path) -> None:

@@ -31,7 +31,7 @@ from permgamp import (
     trace_link,
     write_sweep_outputs,
 )
-from permgamp import experiment, forward_model, gamp, raytracer
+from permgamp import cli, experiment, forward_model, gamp, raytracer
 from permgamp.errors import ParseError
 from permgamp.forward_model import ray_table
 from permgamp.cli import main
@@ -225,8 +225,10 @@ def _inf_noise_var(sc, ds):
                      id="numeric_string_measured_db"),
         pytest.param(lambda sc, ds: sc["links"][3].update(p_dbm=10**400), "links[3].p_dbm",
                      id="int_beyond_float_p_dbm"),
-        pytest.param(lambda sc, ds: ([sc], ds), "JSON object", id="list_scenario"),
-        pytest.param(lambda sc, ds: (sc, [ds]), "JSON object", id="list_dataset"),
+        pytest.param(lambda sc, ds: ([sc], ds), "sc.json: expected a JSON object",
+                     id="list_scenario"),
+        pytest.param(lambda sc, ds: (sc, [ds]), "ds.json: expected a JSON object",
+                     id="list_dataset"),
         pytest.param(lambda sc, ds: sc.update(links=[[1, 2]]), "links[0]", id="list_link"),
     ],
 )
@@ -242,7 +244,26 @@ def test_estimate_rejects_non_finite_inputs(canyon, tmp_path, capsys, corrupt, n
                           "--dataset", str(tmp_path / "ds.json"))
     assert code == 2
     assert named in err
+    assert f"error: {tmp_path / 'sc.json'}: " in err or f"error: {tmp_path / 'ds.json'}: " in err
     assert out == ""
+
+
+@pytest.mark.parametrize("max_reflections", [400, 100000])
+def test_estimate_rejects_a_max_reflections_past_the_tracer_bound(tmp_path, max_reflections):
+    with open(bundled_scenario_path("canyon")) as fh:
+        sc = json.load(fh)
+    sc["max_reflections"] = max_reflections
+    (tmp_path / "sc.json").write_text(json.dumps(sc))
+    proc = subprocess.run(
+        [sys.executable, "-m", "permgamp.cli", "estimate", "--scenario", "sc.json",
+         "--sigma", "0.5", "--k-iter", "1"],
+        cwd=tmp_path, stdin=subprocess.DEVNULL, capture_output=True, text=True, timeout=30,
+        env=dict(os.environ, PYTHONPATH=str(Path(permgamp.__file__).parents[1])),
+    )
+    assert proc.returncode == 2
+    assert f"sc.json: max_reflections={max_reflections} with 2 surfaces" in proc.stderr
+    assert "candidate bounces" in proc.stderr
+    assert proc.stdout == ""
 
 
 @pytest.mark.parametrize("case", ["directory", "non_utf8", "negative_seed", "long_integer"])
@@ -568,6 +589,21 @@ def test_sweep_out_dir_that_is_a_file_exits_2(tmp_path, capsys):
     assert str(out_dir) in err
     assert "Traceback" not in err
     assert out_dir.read_text() == ""
+
+
+def test_sweep_checks_the_out_dir_before_solving(tmp_path, capsys, monkeypatch):
+    def no_sweep(*args):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(cli, "run_sweep", no_sweep)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    for out_dir in (taken, taken / "sub"):
+        code, _, err = _run(capsys, "sweep", "--scenario", bundled_scenario_path("canyon"),
+                            "--sigmas", "0.5,1,2,4", "--out-dir", str(out_dir))
+        assert code == 2
+        assert str(out_dir) in err
+    assert taken.read_text() == ""
 
 
 def test_sweep_does_not_read_a_number_as_a_file_descriptor(tmp_path):

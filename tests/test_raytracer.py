@@ -7,11 +7,14 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from permgamp import (
     Link,
     Material,
+    Ray,
     Scenario,
     Surface,
     UnusableLinkError,
@@ -420,13 +423,15 @@ def test_bounce_point_digests_are_pinned(canyon):
 
 
 def test_room_sends_a_pinned_number_of_candidates_to_the_exact_finish(monkeypatch):
-    # 6 links x 1,596 wall sequences of order 1..3
+    # 6 links x 12 order-1 sequences, too few to prefilter, plus the 65
+    # prefilter survivors among the 6 x 1,584 sequences of order 2 and 3;
+    # without the prefilter all 9,576 would reach the finish.
     build = raytracer._build_reflected_ray
     calls = []
     monkeypatch.setattr(raytracer, "_build_reflected_ray",
                         lambda *args: calls.append(args[3]) or build(*args))
     trace_scenario(_room_12_walls())
-    assert len(calls) == 9576
+    assert len(calls) == 6 * 12 + 65
 
 
 def _mirror_xy(p, a, b):
@@ -439,22 +444,84 @@ def _mirror_xy(p, a, b):
 @pytest.mark.parametrize("max_order", [0, 1, 2, 3])
 @pytest.mark.parametrize("n_walls", [1, 2, 3, 4])
 def test_image_chains_visit_each_sequence_once_and_mirror_directly(n_walls, max_order):
-    from permgamp.raytracer import _image_chains
-
+    # The depth-first scalar enumerator, the per-order tables and the image chain
+    # against itertools.product and _mirror_xy.
     rng = np.random.Generator(np.random.PCG64(n_walls))
     ends = [tuple(map(float, rng.uniform(-10.0, 10.0, 2))) for _ in range(2 * n_walls)]
     walls = [(complex(*ends[2 * i]), complex(*ends[2 * i + 1])) for i in range(n_walls)]
     tx = (0.3, -1.7)
-    chains = list(_image_chains(walls, (), (complex(*tx),), max_order))
-    for order in range(1, max_order + 1):
-        want = [
-            seq for seq in product(range(n_walls), repeat=order)
-            if all(seq[i] != seq[i + 1] for i in range(order - 1))
-        ]
-        assert [seq for seq, _ in chains if len(seq) == order] == want  # once, lexicographic
-    assert all(1 <= len(seq) <= max_order for seq, _ in chains)
-    for seq, images in chains:
+    want = [
+        seq for order in range(1, max_order + 1) for seq in product(range(n_walls), repeat=order)
+        if all(seq[i] != seq[i + 1] for i in range(order - 1))
+    ]  # once each, lexicographic within an order
+    scalar = list(raytracer._scalar_chains(walls, complex(*tx), max_order))
+    assert [seq for seq, _ in scalar] == sorted(want)  # a prefix before its extensions
+    tables = list(raytracer._order_tables(np.array([(*ends[2 * i], *ends[2 * i + 1])
+                                                   for i in range(n_walls)]),
+                                         complex(*tx), max_order))
+    assert [tuple(seq) for table, _ in tables for seq in table.tolist()] == want
+    images = [list(map(tuple, chain)) for _, table in tables for chain in table.tolist()]
+    assert len(images) == len(want)
+    for seq, chain in zip(want, images):
         direct = [tx]
         for si in seq:
             direct.append(_mirror_xy(direct[-1], ends[2 * si], ends[2 * si + 1]))
-        assert [(z.real, z.imag) for z in images] == direct
+        assert chain == direct
+        assert [(z.real, z.imag) for z in raytracer._image_chain(walls, complex(*tx), seq)] \
+            == direct
+        assert [(z.real, z.imag) for z in dict(scalar)[seq]] == direct
+
+
+_COORD = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+_POINT = st.tuples(_COORD, _COORD)
+
+
+@st.composite
+def _random_rooms(draw):
+    surfaces = []
+    for _ in range(draw(st.integers(2, 8))):
+        a = draw(_POINT)
+        b = draw(_POINT.filter(lambda b, a=a: b != a))
+        surfaces.append(Surface(a, b, draw(st.integers(1, 2))))
+    tx = draw(_POINT)
+    rx = draw(_POINT.filter(lambda rx: rx != tx))
+    return _scenario(surfaces, [Link(tx, rx, 30, 2, 2)],
+                     max_reflections=draw(st.integers(1, 3)))
+
+
+def _rays_of_every_candidate(sc):
+    """The rays of trace_link, from _build_reflected_ray on every candidate
+    of the per-order tables, with no prefilter."""
+    link = sc.links[0]
+    tx, rx = complex(*link.tx_pos), complex(*link.rx_pos)
+    walls = [(complex(*s.endpoint_a), complex(*s.endpoint_b)) for s in sc.surfaces]
+    ends = np.array([(*s.endpoint_a, *s.endpoint_b) for s in sc.surfaces])
+    candidates = sorted(
+        (tuple(seq), tuple(complex(*p) for p in chain))
+        for table, images in raytracer._order_tables(ends, tx, sc.max_reflections)
+        for seq, chain in zip(table.tolist(), images.tolist())
+    )
+    rays = [] if raytracer._segment_blocked(tx, rx, walls) else [Ray(abs(rx - tx))]
+    for seq, chain in candidates:
+        ray = raytracer._build_reflected_ray(sc, walls, rx, seq, chain)
+        if ray is not None:
+            rays.append(ray)
+    rays.sort(key=lambda r: (r.total_length_m, r.n_bounces,
+                             tuple(ref.material_index for ref in r.reflections)))
+    return [(r, r.points) for r in rays]
+
+
+def _traced(sc):
+    try:
+        return [(r, r.points) for r in trace_link(sc, 0)]
+    except UnusableLinkError:
+        return []
+
+
+@given(_random_rooms())
+def test_prefilter_keeps_every_ray_on_random_rooms(sc):
+    want = _rays_of_every_candidate(sc)
+    assert _traced(sc) == want
+    with pytest.MonkeyPatch.context() as mp:  # every order through the prefilter
+        mp.setattr(raytracer, "VECTOR_MIN_CANDIDATES", 1)
+        assert _traced(sc) == want

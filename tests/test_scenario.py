@@ -90,6 +90,10 @@ def test_malformed_json_is_parse_error(tmp_path):
         (lambda d: d["materials"][0].update(true_eps=float("nan")), "true_eps"),
         (lambda d: d["surfaces"].append({"a": [0, float("nan")], "b": [1, 0], "material": 1}),
          "endpoint_a"),
+        (lambda d: d["surfaces"].append({"a": [1, 2], "b": [1, 2], "material": 1}),
+         "endpoint_b"),
+        (lambda d: d["surfaces"].append({"a": [0, 0], "b": [0, 1e-200], "material": 1}),
+         "endpoint_b"),
         (lambda d: d["links"][0].update(rx=[float("nan"), 0]), "rx_pos"),
         (lambda d: d["links"][0].update(p_dbm=float("inf")), "tx_power_dbm"),
         (lambda d: d["links"][0].update(g_rx_db=float("nan")), "rx_gain_db"),
@@ -174,6 +178,19 @@ def test_readme_file_format_examples_load():
     assert Dataset(**read_record(dataset, Dataset.ROWS)).seed == dataset["seed"]
     config = ExperimentConfig.from_dict(sweep, "README")
     assert config.overrides == sweep["overrides"]
+
+
+def test_max_reflections_is_bounded_by_the_candidate_bounces_per_link():
+    twelve = tuple(Surface((float(i), 0.0), (float(i), 1.0), 1) for i in range(12))
+    room = replace(scenario_from_dict(MINIMAL), surfaces=twelve, max_reflections=4)
+    assert room.max_reflections == 4  # 12 + 264 + 4,356 + 63,888 = 68,520 bounces
+    with pytest.raises(ValidationError,
+                       match=r"max_reflections=5 with 12 surfaces means at least 946980 "):
+        replace(room, max_reflections=5)  # + 878,460 of order 5
+    with pytest.raises(ValidationError, match="max_reflections=316 with 2 surfaces"):
+        replace(room, surfaces=twelve[:2], max_reflections=316)  # 316 x 317 = 100,172
+    assert replace(room, surfaces=twelve[:2], max_reflections=315).max_reflections == 315
+    assert replace(room, surfaces=twelve[:1], max_reflections=10**9).max_reflections == 10**9
 
 
 def test_dataset_validation():
