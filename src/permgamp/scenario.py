@@ -33,7 +33,7 @@ Point = tuple[float, float]
 
 POLARIZATIONS = ("TE", "TM")
 
-# Per-link cap on the tracer's candidate bounces (see candidate_bounces):
+# Per-link cap on the tracer's candidate bounces (see _candidate_bounces):
 # ~20x the 4,632 of a 12-surface room at 3 bounces.
 MAX_CANDIDATE_BOUNCES = 100_000
 
@@ -268,7 +268,7 @@ class Scenario:
             raise ValidationError(f"wavelength_m={self.wavelength_m} must be finite and > 0")
         if self.max_reflections < 0:
             raise ValidationError(f"max_reflections={self.max_reflections} must be >= 0")
-        bounces = candidate_bounces(len(self.surfaces), self.max_reflections)
+        bounces = _candidate_bounces(len(self.surfaces), self.max_reflections)
         if bounces > MAX_CANDIDATE_BOUNCES:
             raise ValidationError(
                 f"max_reflections={self.max_reflections} with {len(self.surfaces)} surfaces "
@@ -318,7 +318,7 @@ class Scenario:
         return np.array([l.tx_power_dbm + l.tx_gain_db + l.rx_gain_db for l in self.links])
 
 
-def candidate_bounces(n_surfaces: int, max_reflections: int) -> int:
+def _candidate_bounces(n_surfaces: int, max_reflections: int) -> int:
     """Sum over k = 1..max_reflections of k * S * (S - 1) ** (k - 1) for
     S = n_surfaces: the bounces of every wall sequence one link's trace may
     try, order k having S * (S - 1) ** (k - 1) sequences of k bounces. The
