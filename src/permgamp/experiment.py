@@ -23,6 +23,7 @@ from .errors import ParseError, UnusableLinkError, ValidationError
 from .forward_model import forward, usable_links
 from .gamp import EstimateReport, GampConfig, check_x0, default_config, solve, solve_batch
 from .oracle import GridSpec, grid_map
+from . import raytracer
 from .raytracer import Ray, trace_link
 from .scenario import (
     Dataset,
@@ -39,7 +40,7 @@ from .scenario import (
     normalize_measurements,
     read_json,
     read_record,
-    scenario_from_dict,  # unused here: bench/tracing.py wraps both names here
+    scenario_from_dict,  # unused here, as is trace_link: bench/tracing.py wraps both here
     synthesize_dataset,
 )
 
@@ -52,17 +53,6 @@ class PreparedProblem:
     ray_cache: list[list[Ray]]
     kept: list[int]              # original link indices
     dropped: list[int]
-
-
-def _trace_all(scenario: Scenario) -> list[list[Ray]]:
-    """Rays of every link; a link without an unblocked ray gets []."""
-    ray_cache = []
-    for n in range(scenario.n_links):
-        try:
-            ray_cache.append(trace_link(scenario, n))
-        except UnusableLinkError:
-            ray_cache.append([])
-    return ray_cache
 
 
 def _split_links(scenario: Scenario, ray_cache, y_all) -> PreparedProblem:
@@ -81,7 +71,7 @@ def prepare_problem(scenario: Scenario, dataset: Dataset) -> PreparedProblem:
     """Trace all links and drop the unusable ones (no ray, or zero gain at
     the prior midpoint) from both the measurements and the ray cache."""
     y_all = normalize_measurements(scenario, dataset)
-    return _split_links(scenario, _trace_all(scenario), y_all)
+    return _split_links(scenario, raytracer.trace_scenario(scenario), y_all)
 
 
 def run_estimate(
@@ -207,7 +197,7 @@ def run_sweep(
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"overrides {config.overrides}: {exc}") from exc
     try:  # the problem every point shares: kept links, gains at the true eps
-        prob = _split_links(scenario, _trace_all(scenario), np.zeros(scenario.n_links))
+        prob = _split_links(scenario, raytracer.trace_scenario(scenario), np.zeros(scenario.n_links))
         gains = forward(scenario, prob.ray_cache, eps_true)
     except Exception as exc:  # e.g. a link without rays: every point reports it
         outcomes = [exc] * len(points)

@@ -3,20 +3,20 @@
 For every link the tracer returns the line-of-sight ray (when unobstructed)
 plus every specular reflection path of order <= max_reflections. A k-bounce
 candidate for the ordered surface sequence (s1..sk) is built by mirroring
-the TX image across s1..sk; the path exists iff walking back from the RX
-through the image chain yields bounce points inside each finite segment,
-and no leg of the resulting polyline is blocked by another surface.
+the TX image across s1..sk (the image method of Allen & Berkley, JASA 1979);
+the path exists iff walking back from the RX through the image chain yields
+bounce points inside each finite segment, no leg of the resulting polyline
+is blocked by another surface, and no bounce grazes its surface.
 
-Candidates are enumerated one reflection order at a time, each order's
-images one mirror past its parent order's (the image method of Allen &
-Berkley, JASA 1979). An order of VECTOR_MIN_CANDIDATES or more candidates
-is first culled in numpy, as beam tracing culls invalid image paths in bulk:
-the walk back and the occlusion test run over the whole order at once, with
-every bound widened by MARGIN, so the filter drops only candidates the exact
-test drops. The survivors, and every candidate of a smaller order, then go
-in lexicographic order through the exact scalar test, so the rays, their
-order and their tie-breaks do not depend on the filter. Points are complex
-numbers in the scalar code; Ray.points are (x, y) tuples.
+All candidates of a chunk of links are tested at once, exactly, in arrays.
+The line of sight is the order-0 candidate. The images form a tree with one
+level per order, each image one mirror past its parent's. The walk back, the
+leg lengths and the occlusion test are masks over the candidates, computed
+with the IEEE operations of the scalar complex-number formulas and with
+math.hypot; only the survivors' incidence angles are taken one by one, with
+math.acos. So the rays are bit for bit those of the scalar formulas. A chunk
+holds as many links as fit in _ROWS candidates, which bounds a trace's
+memory.
 
 Grazing hits (incidence within 1e-9 rad of pi/2) and bounce points outside
 the finite segments are discarded; there is no diffraction model.
@@ -30,11 +30,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import UnusableLinkError
+from .errors import UnusableLinkError, ValidationError
 from .scenario import Point, Scenario
 
 GEOM_EPS = 1e-9        # meters; endpoint tolerance for occlusion tests
 GRAZING_EPS = 1e-9     # radians; discard incidence >= pi/2 - GRAZING_EPS
+_ROWS = 1 << 13        # candidate rows (link, wall sequence) per chunk of links
+_BLOCK = 1 << 16       # (leg, wall) pairs per occlusion block
 
 
 @dataclass(frozen=True)
@@ -56,273 +58,178 @@ class Ray:
         return len(self.reflections)
 
 
-# -- planar geometry on complex points ---------------------------------------
-# For complex a and b, conj(a) * b has real part dot(a, b) and imaginary part
-# cross(a, b). Lengths use math.hypot on the parts, which rounds as math.dist
-# does; abs(z) differs from it in the last bit on some points.
-
-def _length(z: complex) -> float:
-    return math.hypot(z.real, z.imag)
-
-
-def _line_hit(p: complex, q: complex, a: complex, b: complex):
-    """Intersection of segment p->q with the line through a->b.
-
-    Returns (t, u, point) with t the parameter along p->q and u along a->b,
-    or None for (near-)parallel lines.
-    """
-    r = q - p
-    d = b - a
-    denom = (r.conjugate() * d).imag
-    if abs(denom) < 1e-15:
-        return None
-    ap = (a - p).conjugate()
-    t = (ap * d).imag / denom
-    u = (ap * r).imag / denom
-    return t, u, p + t * r
-
-
-def _segment_blocked(p: complex, q: complex, walls, skip=()) -> bool:
-    """True if any wall (a, b) crosses the open segment p->q.
-
-    Hits within GEOM_EPS meters of either endpoint do not count, so a leg
-    that starts or ends on its own reflecting surface is not self-blocked.
-    Walls listed in skip are ignored outright.
-    """
-    leg = _length(q - p)
-    if leg <= GEOM_EPS:
-        return False
-    t_eps = GEOM_EPS / leg
-    for idx, (a, b) in enumerate(walls):
-        if idx in skip:
-            continue
-        hit = _line_hit(p, q, a, b)
-        if hit is None:
-            continue
-        t, u, _ = hit
-        if t_eps < t < 1.0 - t_eps and 0.0 <= u <= 1.0:
-            return True
-    return False
-
-
 # -- candidates ----------------------------------------------------------------
-# A candidate is an ordered wall sequence with no immediate repeat. Order k
-# has S * (S - 1) ** (k - 1) of them for S walls, and row r of order k
-# extends row r // (S - 1) of order k - 1, so lexicographic order is kept.
+# A candidate is an ordered wall sequence with no immediate repeat; order k
+# has S * (S - 1) ** (k - 1) of them per link for S walls. Walls are the
+# columns (ax, ay, dx, dy) of their endpoint a and direction b - a. CPython
+# 3.11 multiplies a real t into a complex z as complex(t, 0.0) * z, that is
+# (t*x - 0.0*y, t*y + 0.0*x); the array formulas below spell that out, so
+# their signed zeros and NaNs are those of the scalar complex formulas.
 
-# An order of this many candidates or more is prefiltered over arrays: the
-# measured break-even against the scalar test is 56-72 candidates.
-VECTOR_MIN_CANDIDATES = 64
-MARGIN = 1e-6  # widens every prefilter bound past numpy-versus-math rounding
-_BLOCK = 1 << 16  # (leg, wall) pairs per occlusion chunk
-
-
-def _mirror(p: complex, a: complex, b: complex) -> complex:
-    """p mirrored across the line through a and b."""
-    d = b - a
-    t = (d.conjugate() * (p - a)).real / (d.conjugate() * d).real
-    return 2.0 * (a + t * d) - p
-
-
-def _image_chain(walls, tx: complex, seq) -> tuple[complex, ...]:
-    """images[j] is tx mirrored across walls seq[0..j-1]."""
-    images = [tx]
-    for si in seq:
-        images.append(_mirror(images[-1], *walls[si]))
-    return tuple(images)
-
-
-def _scalar_chains(walls, tx: complex, max_order: int):
-    """(seq, images) for every candidate of order 1..max_order in
-    lexicographic order, a prefix before its extensions, with images as in
-    _image_chain; each prefix's image is mirrored once."""
-    stack = [((), (tx,))]
-    while stack:
-        seq, images = stack.pop()
-        if seq:
-            yield seq, images
-        if len(seq) < max_order:
-            prev = seq[-1] if seq else -1
-            for w in range(len(walls) - 1, -1, -1):  # the lowest wall is popped first
-                if w != prev:
-                    a, b = walls[w]
-                    stack.append(((*seq, w), (*images, _mirror(images[-1], a, b))))
-
-
-def _order_tables(ends: np.ndarray, tx: complex, max_order: int):
-    """(seq, images) for each order k = 1..max_order: seq is the (N_k, k)
-    table of candidates in lexicographic order and images[r, j] the (x, y)
-    of tx mirrored across walls seq[r, :j]; ends rows are (ax, ay, bx, by).
-
-    Row r of order k extends row r // (S - 1) of order k - 1 and mirrors its
-    last image once, in the arithmetic of _mirror written out on (x, y), so
-    the images equal (==) _image_chain's."""
-    n_walls = len(ends)
-    seq = np.zeros((1, 0), dtype=np.intp)
-    images = np.array([[[tx.real, tx.imag]]])
+def _image_tree(walls, tx: np.ndarray, max_order: int) -> list[tuple]:
+    """Levels 0..max_order of the image tree over the links whose TX
+    positions are the rows of tx. Level k holds (wall, x, y) columns, one row
+    per link and wall sequence of order k: the sequence's last wall and the
+    TX mirrored across the whole sequence. Row r of level k extends row
+    r // fan_out of level k - 1, so each link's rows stay together and in
+    lexicographic order; level 0 is the TX itself, with wall -1."""
+    ax, ay, dx, dy = walls
+    levels = [(np.full(len(tx), -1), tx[:, 0], tx[:, 1])]
     for k in range(1, max_order + 1):
-        fan_out = n_walls - (k > 1)  # no wall follows itself
-        if fan_out * len(seq) == 0:
-            return
-        c = np.tile(np.arange(fan_out), len(seq))
-        seq = np.repeat(seq, fan_out, axis=0)
-        images = np.repeat(images, fan_out, axis=0)
-        last = c + (c >= seq[:, -1]) if k > 1 else c
-        ax, ay, bx, by = ends[last].T
-        px, py = images[:, -1, 0], images[:, -1, 1]
-        dx, dy = bx - ax, by - ay
-        t = ((px - ax) * dx + (py - ay) * dy) / (dx * dx + dy * dy)
-        mirrored = np.empty((len(seq), 1, 2))
-        mirrored[:, 0, 0] = 2.0 * (ax + t * dx) - px
-        mirrored[:, 0, 1] = 2.0 * (ay + t * dy) - py
-        seq = np.column_stack([seq, last])
-        images = np.concatenate([images, mirrored], axis=1)
-        yield seq, images
+        fan_out = len(ax) - (k > 1)  # no wall follows itself
+        prev, px, py = (np.repeat(a, fan_out) for a in levels[-1])
+        if len(prev) == 0:
+            break
+        c = np.tile(np.arange(fan_out), len(levels[-1][0]))
+        w = c + (c >= prev) if k > 1 else c
+        wx, wy, ex, ey = ax[w], ay[w], dx[w], dy[w]
+        t = ((px - wx) * ex + (py - wy) * ey) / (ex * ex + ey * ey)
+        fx, fy = wx + (t * ex - 0.0 * ey), wy + (t * ey + 0.0 * ex)  # a + t * d
+        levels.append((w, (2.0 * fx - 0.0 * fy) - px, (2.0 * fy + 0.0 * fx) - py))
+    return levels
 
 
-def _may_reflect(ends: np.ndarray, rx: complex, seq: np.ndarray, images: np.ndarray):
-    """Boolean mask over the rows of one order: False only where
-    _build_reflected_ray rejects the candidate.
+def _walk_back(walls, u_eps: np.ndarray, levels, rx: np.ndarray):
+    """(link, x, y, seq, image) of every candidate, of any order, whose walk
+    back from its link's RX (a row of rx) bounces inside every finite
+    segment. Rows of x and y are the paths TX -> bounces -> RX, padded with
+    the RX to max_order bounces; seq holds the wall of each point (-1 at TX,
+    RX and padding) and image the TX mirrored across the whole sequence.
+    The rows come by order, and in lexicographic order within an order.
 
-    It repeats the scalar walk back from rx (segment test) and the leg
-    occlusion test with the same arithmetic, each bound widened by MARGIN,
-    so a rounding difference can only let a candidate through. The walk back
-    has no parallel-line cutoff: a leg parallel to its wall gives an inf or
-    NaN t, which fails the t bounds, and keeping more is conservative."""
-    n, k = seq.shape
-    dx_w, dy_w = ends[:, 2] - ends[:, 0], ends[:, 3] - ends[:, 1]
-    u_eps_w = GEOM_EPS / np.hypot(dx_w, dy_w)
-    live = np.arange(n)
-    path = np.empty((n, k + 2, 2))
-    path[:, 0] = images[:, 0]
-    path[:, k + 1] = rx.real, rx.imag
-    for j in range(k - 1, -1, -1):
-        w = seq[live, j]
-        ax, ay, dx, dy, u_eps = ends[w, 0], ends[w, 1], dx_w[w], dy_w[w], u_eps_w[w]
-        px, py = images[live, j + 1, 0], images[live, j + 1, 1]
-        rx_, ry_ = path[live, j + 2, 0] - px, path[live, j + 2, 1] - py
-        denom = rx_ * dy - ry_ * dx
-        apx, apy = ax - px, ay - py
+    Order-m sequences are the rows of level m. They enter the walk at level
+    m, with the RX as the next point, beside the survivors of the higher
+    orders. The bounce on a level-m wall is where the line from the level-m
+    image to the next point crosses that wall: strictly between the two, at
+    least u_eps[wall] of the wall from either end, and not on a
+    (near-)parallel line."""
+    ax, ay, dx, dy = walls
+    width = len(levels) + 1
+    anc = np.zeros(0, dtype=np.intp)  # each row's ancestor in the current level
+    x, y = np.empty((width, 0)), np.empty((width, 0))  # column-major: x[j] is point j
+    seq = np.full((width, 0), -1)
+    image = np.empty((2, 0))
+    for m in range(len(levels) - 1, -1, -1):
+        w_m, x_m, y_m = levels[m]
+        n = len(w_m)  # this level's own rows come first, with the RX as next point
+        link = np.arange(n) // (n // len(rx))
+        anc = np.concatenate([np.arange(n), anc // (len(levels[m + 1][0]) // n if len(anc) else 1)])
+        qx, qy = np.concatenate([rx[link, 0], x[m + 1]]), np.concatenate([rx[link, 1], y[m + 1]])
+        w, px, py = w_m[anc], x_m[anc], y_m[anc]
+        if m:
+            wx, wy, ex, ey, lo = ax[w], ay[w], dx[w], dy[w], u_eps[w]
+            vx, vy = qx - px, qy - py
+            denom = vx * ey - vy * ex
+            apx, apy = wx - px, wy - py
+            t = (apx * ey - apy * ex) / denom
+            u = (apx * vy - apy * vx) / denom
+            px, py = px + (t * vx - 0.0 * vy), py + (t * vy + 0.0 * vx)
+            keep = np.flatnonzero(~(np.abs(denom) < 1e-15) & (0.0 < t) & (t < 1.0)
+                                  & (lo <= u) & (u <= 1.0 - lo))
+        else:  # level 0: the TX
+            keep = np.arange(len(anc))
+        new, old = keep[keep < n], keep[keep >= n] - n
+        x = np.concatenate([np.empty((width, len(new))), x.take(old, axis=1)], axis=1)
+        y = np.concatenate([np.empty((width, len(new))), y.take(old, axis=1)], axis=1)
+        seq = np.concatenate([np.full((width, len(new)), -1), seq.take(old, axis=1)], axis=1)
+        x[m + 1:, :len(new)], y[m + 1:, :len(new)] = qx[new], qy[new]
+        x[m], y[m], seq[m], anc = px[keep], py[keep], w[keep], anc[keep]
+        image = np.concatenate([np.stack([x_m[new], y_m[new]]), image.take(old, axis=1)], axis=1)
+    return anc, x.T, y.T, seq.T, image.T
+
+
+def _blocked(walls, px, py, vx, vy, leg, before, after) -> np.ndarray:
+    """Per leg from (px, py) along (vx, vy), of length leg: True where a wall
+    other than before and after crosses it more than GEOM_EPS from either
+    end. A leg of GEOM_EPS or less is never blocked."""
+    ax, ay, dx, dy = walls
+    wall_ids = np.arange(len(ax))
+    blocked = np.zeros(len(px), dtype=bool)
+    step = max(1, _BLOCK // max(1, len(ax)))
+    for s in range(0, len(px), step):
+        b = slice(s, s + step)
+        vx_, vy_ = vx[b, None], vy[b, None]
+        denom = vx_ * dy - vy_ * dx
+        apx, apy = ax - px[b, None], ay - py[b, None]
         t = (apx * dy - apy * dx) / denom
-        u = (apx * ry_ - apy * rx_) / denom
-        path[live, j + 1, 0] = px + t * rx_
-        path[live, j + 1, 1] = py + t * ry_
-        live = live[(-MARGIN < t) & (t < 1.0 + MARGIN)
-                    & (u_eps - MARGIN <= u) & (u <= 1.0 - u_eps + MARGIN)]
-    # leg j runs path[j] -> path[j + 1]; its incident walls are
-    # seq[j - 1] and seq[j] (-1 where the leg ends at TX or RX)
-    none = np.full((len(live), 1), -1)
-    before = np.hstack([none, seq[live]]).ravel()
-    after = np.hstack([seq[live], none]).ravel()
-    p = path[live, :-1].reshape(-1, 2)
-    q = path[live, 1:].reshape(-1, 2)
-    blocked = _legs_blocked(ends, p, q, before, after).reshape(len(live), k + 1)
-    keep = np.zeros(n, dtype=bool)
-    keep[live[~blocked.any(axis=1)]] = True
-    return keep
-
-
-def _legs_blocked(ends: np.ndarray, p: np.ndarray, q: np.ndarray, before, after):
-    """Per leg p[i] -> q[i]: True where _segment_blocked, skipping walls
-    before[i] and after[i], surely returns True (bounds narrowed by MARGIN)."""
-    wall_ids = np.arange(len(ends))
-    ax, ay, bx, by = ends.T
-    dx, dy = bx - ax, by - ay
-    d_len = np.hypot(dx, dy)
-    blocked = np.zeros(len(p), dtype=bool)
-    step = max(1, _BLOCK // max(1, len(ends)))
-    for s in range(0, len(p), step):
-        px, py = p[s:s + step, :1], p[s:s + step, 1:]
-        rx_, ry_ = q[s:s + step, :1] - px, q[s:s + step, 1:] - py
-        leg = np.hypot(rx_, ry_)
-        denom = rx_ * dy - ry_ * dx
-        apx, apy = ax - px, ay - py
-        t = (apx * dy - apy * dx) / denom
-        u = (apx * ry_ - apy * rx_) / denom
-        t_eps = GEOM_EPS / leg
-        hit = ((np.abs(denom) >= 1e-15 + MARGIN * leg * d_len)
-               & (t_eps + MARGIN < t) & (t < 1.0 - t_eps - MARGIN)
-               & (MARGIN <= u) & (u <= 1.0 - MARGIN)
-               & (wall_ids != before[s:s + step, None]) & (wall_ids != after[s:s + step, None]))
-        blocked[s:s + step] = hit.any(axis=1)
+        u = (apx * vy_ - apy * vx_) / denom
+        t_eps = GEOM_EPS / leg[b, None]
+        hit = (~(np.abs(denom) < 1e-15) & (t_eps < t) & (t < 1.0 - t_eps)
+               & (0.0 <= u) & (u <= 1.0)
+               & (wall_ids != before[b, None]) & (wall_ids != after[b, None]))
+        blocked[b] = hit.any(axis=1) & ~(leg[b] <= GEOM_EPS)
     return blocked
-
-
-def _candidates(walls, tx: complex, rx: complex, max_order: int):
-    """(seq, images) of every wall sequence that may give a ray, in
-    lexicographic order (a prefix before its extensions). An order of
-    VECTOR_MIN_CANDIDATES or more is prefiltered by _may_reflect and its
-    survivors' images are rebuilt by _image_chain; smaller orders pass whole,
-    and when every order is small no array is built."""
-    n_walls = len(walls)
-    if max_order < 1 or n_walls * (n_walls - 1) ** (max_order - 1) < VECTOR_MIN_CANDIDATES:
-        return _scalar_chains(walls, tx, max_order)
-    ends = np.array([(a.real, a.imag, b.real, b.imag) for a, b in walls])
-    kept: list[tuple[int, ...]] = []
-    with np.errstate(all="ignore"):  # an inf or NaN fails every bound
-        for seq, images in _order_tables(ends, tx, max_order):
-            if len(seq) >= VECTOR_MIN_CANDIDATES:
-                seq = seq[_may_reflect(ends, rx, seq, images)]
-            kept += map(tuple, seq.tolist())
-    return ((seq, _image_chain(walls, tx, seq)) for seq in sorted(kept))
 
 
 # -- tracing -----------------------------------------------------------------
 
-def _build_reflected_ray(scenario: Scenario, walls, rx: complex, seq, images):
-    # Walk back from RX: bounce point on seq[j] comes from the segment
-    # images[j + 1] -> next point.
-    nxt = rx
-    bounce_pts: list[complex] = []
-    for j in range(len(seq) - 1, -1, -1):
-        a, b = walls[seq[j]]
-        hit = _line_hit(images[j + 1], nxt, a, b)
-        if hit is None:
-            return None
-        t, u, point = hit
-        if not (0.0 < t < 1.0):
-            return None
-        u_eps = GEOM_EPS / _length(b - a)
-        if not (u_eps <= u <= 1.0 - u_eps):
-            return None  # bounce falls off the finite segment
-        bounce_pts.append(point)
-        nxt = point
-    bounce_pts.reverse()
+def _trace_links(scenario: Scenario, links) -> list[list[Ray]]:
+    """Rays of each of the given links, sorted by length (LOS first)."""
+    ends = np.array([(*s.endpoint_a, *s.endpoint_b) for s in scenario.surfaces],
+                    dtype=float).reshape(-1, 4)
+    walls = (ends[:, 0], ends[:, 1], ends[:, 2] - ends[:, 0], ends[:, 3] - ends[:, 1])
+    u_eps, normals = [], []
+    for ex, ey in zip(walls[2].tolist(), walls[3].tolist()):
+        u_eps.append(GEOM_EPS / math.hypot(ex, ey))
+        n = 1j * complex(ex, ey)
+        n = n / math.hypot(n.real, n.imag)
+        normals.append((n.real, n.imag))
+    u_eps, normals = np.array(u_eps), np.array(normals).reshape(-1, 2)
+    materials = [s.material_index for s in scenario.surfaces]
+    n_walls, max_order = len(ends), scenario.max_reflections
+    rows_per_link = 1 + sum(n_walls * (n_walls - 1) ** (k - 1) for k in range(1, max_order + 1))
+    step = max(1, _ROWS // rows_per_link)
+    out: list[list[Ray]] = []
+    with np.errstate(all="ignore"):  # an inf or NaN fails every bound
+        for s in range(0, len(links), step):
+            chunk = [scenario.links[n] for n in links[s:s + step]]
+            tx = np.array([link.tx_pos for link in chunk], dtype=float)
+            rx = np.array([link.rx_pos for link in chunk], dtype=float)
+            rays: list[list[Ray]] = [[] for _ in chunk]
+            candidates = _walk_back(walls, u_eps, _image_tree(walls, tx, max_order), rx)
+            _collect_rays(rays, *candidates, walls, normals, materials)
+            for link_rays in rays:
+                link_rays.sort(key=lambda r: (
+                    r.total_length_m, r.n_bounces, tuple(ref.material_index for ref in r.reflections)
+                ))
+            out += rays
+    return out
 
-    # Occlusion and incidence angles along TX -> bounces -> RX.
-    path = [images[0], *bounce_pts, rx]
-    reflections = []
-    for j, si in enumerate(seq):
-        v = path[j + 1] - path[j]
-        leg = _length(v)
-        if leg <= GEOM_EPS:
-            return None
-        a, b = walls[si]
-        n = 1j * (b - a)
-        cos_inc = min(1.0, abs(((v / leg).conjugate() * (n / _length(n))).real))
-        theta = math.acos(cos_inc)
-        if theta >= math.pi / 2.0 - GRAZING_EPS:
-            return None
-        reflections.append(
-            Reflection(
-                material_index=scenario.surfaces[si].material_index,
-                incidence_angle=theta,
-            )
-        )
-    for j in range(len(path) - 1):
-        incident = set()
-        if j > 0:
-            incident.add(seq[j - 1])
-        if j < len(seq):
-            incident.add(seq[j])
-        if _segment_blocked(path[j], path[j + 1], walls, skip=incident):
-            return None
 
-    return Ray(
-        total_length_m=_length(rx - images[-1]),  # image-method length law
-        reflections=tuple(reflections),
-        points=tuple((z.real, z.imag) for z in bounce_pts),
-    )
+def _collect_rays(rays, link, x, y, seq, image, walls, normals, materials) -> None:
+    """Append to rays[link] the ray of each walked-back candidate whose legs
+    are unblocked and whose bounces neither end a leg of GEOM_EPS or less
+    nor graze their wall.
+
+    Leg j runs from point j to point j + 1 of a path, and its incident walls
+    are seq[:, j] and seq[:, j + 1]; padding legs have length 0 and so are
+    never blocked. A bounce's incidence angle is acos |(v / |v|) . n| for its
+    incoming leg v and its wall's unit normal n, with v / |v| as CPython 3.11
+    divides a complex by a float: ((vx + vy*0.0) / |v|, (vy - vx*0.0) / |v|),
+    and the min(1.0, .) of Python, which maps NaN to 1.0."""
+    vx, vy = np.diff(x, axis=1), np.diff(y, axis=1)
+    leg = np.array(list(map(math.hypot, vx.ravel().tolist(), vy.ravel().tolist())))
+    blocked = _blocked(walls, x[:, :-1].ravel(), y[:, :-1].ravel(), vx.ravel(), vy.ravel(),
+                       leg, seq[:, :-1].ravel(), seq[:, 1:].ravel())
+    leg, w = leg.reshape(vx.shape)[:, :-1], seq[:, 1:-1]
+    bounce = w >= 0
+    ok = ~blocked.reshape(vx.shape).any(axis=1) & ~((leg <= GEOM_EPS) & bounce).any(axis=1)
+    vx, vy, leg, w, bounce = vx[ok, :-1], vy[ok, :-1], leg[ok], w[ok], bounce[ok]
+    cos = np.abs((vx + vy * 0.0) / leg * normals[w, 0] + (vy - vx * 0.0) / leg * normals[w, 1])
+    theta = np.zeros(w.shape)
+    theta[bounce] = list(map(math.acos, np.where(cos < 1.0, cos, 1.0)[bounce].tolist()))
+    keep = ~(theta >= math.pi / 2.0 - GRAZING_EPS).any(axis=1)
+    total = map(math.hypot, (x[ok, -1] - image[ok, 0]).tolist(), (y[ok, -1] - image[ok, 1]).tolist())
+    for n, kept, k, length, ws, angles, xs, ys in zip(
+        link[ok].tolist(), keep.tolist(), bounce.sum(axis=1).tolist(), total, w.tolist(),
+        theta.tolist(), x[ok, 1:-1].tolist(), y[ok, 1:-1].tolist(),
+    ):
+        if kept:
+            rays[n].append(Ray(
+                total_length_m=length,  # image-method length law
+                reflections=tuple(map(Reflection, map(materials.__getitem__, ws[:k]), angles[:k])),
+                points=tuple(zip(xs[:k], ys[:k])),
+            ))
 
 
 def trace_link(scenario: Scenario, link_index: int) -> list[Ray]:
@@ -331,34 +238,18 @@ def trace_link(scenario: Scenario, link_index: int) -> list[Ray]:
     Raises UnusableLinkError when no ray survives; the solver cannot use
     such a link and callers are expected to drop it.
     """
-    link = scenario.links[link_index]
-    tx, rx = complex(*link.tx_pos), complex(*link.rx_pos)
-    walls = [(complex(*s.endpoint_a), complex(*s.endpoint_b)) for s in scenario.surfaces]
-    rays: list[Ray] = []
-
-    if not _segment_blocked(tx, rx, walls):
-        rays.append(Ray(total_length_m=_length(rx - tx)))
-
-    for seq, images in _candidates(walls, tx, rx, scenario.max_reflections):
-        ray = _build_reflected_ray(scenario, walls, rx, seq, images)
-        if ray is not None:
-            rays.append(ray)
-
+    if not 0 <= link_index < scenario.n_links:
+        raise ValidationError(f"link_index={link_index} outside [0, {scenario.n_links})")
+    rays = _trace_links(scenario, [link_index])[0]
     if not rays:
         raise UnusableLinkError(f"link {link_index}: no unblocked ray")
-    rays.sort(
-        key=lambda r: (
-            r.total_length_m,
-            r.n_bounces,
-            tuple(ref.material_index for ref in r.reflections),
-        )
-    )
     return rays
 
 
 def trace_scenario(scenario: Scenario) -> list[list[Ray]]:
-    """Ray lists for every link; propagates UnusableLinkError with index."""
-    return [trace_link(scenario, n) for n in range(scenario.n_links)]
+    """Ray lists for every link, in one pass; [] for a link without an
+    unblocked ray."""
+    return _trace_links(scenario, range(scenario.n_links))
 
 
 def rays_to_csv(ray_cache: list[list[Ray]], fh) -> None:

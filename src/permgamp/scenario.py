@@ -447,7 +447,8 @@ def synthesize_dataset(scenario: Scenario, sigma_z: float, seed: int) -> Dataset
     """Draw measured levels from the forward model at the true permittivities.
 
     measured_n = p_dbm_n + g_tx_db_n + g_rx_db_n + gain_db_n(true eps) + z_n,
-    z_n ~ N(0, sigma_z^2) on the PCG64(seed) stream.
+    z_n ~ N(0, sigma_z^2) on the PCG64(seed) stream. A link without an
+    unblocked ray has no level to draw: ValidationError names it.
     """
     noise = measurement_noise(sigma_z, seed, scenario.n_links)
     # Local import: forward_model sits above this module in the import graph.
@@ -455,6 +456,10 @@ def synthesize_dataset(scenario: Scenario, sigma_z: float, seed: int) -> Dataset
 
     eps_true = scenario.true_eps_vector()
     ray_cache = raytracer.trace_scenario(scenario)
+    for n, rays in enumerate(ray_cache):
+        if not rays:
+            raise ValidationError(f"links[{n}]: no unblocked ray, so no level can be "
+                                  f"synthesized for this link")
     gains = forward_model.forward(scenario, ray_cache, eps_true)
     return Dataset(
         measured_db=scenario.link_offsets() + gains + noise,

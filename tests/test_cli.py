@@ -28,7 +28,7 @@ from permgamp import (
     save_dataset,
     save_scenario,
     synthesize_dataset,
-    trace_link,
+    trace_scenario,
     write_sweep_outputs,
 )
 from permgamp import cli, experiment, forward_model, gamp, raytracer
@@ -707,14 +707,13 @@ def test_sweep_points_equal_single_estimates_and_trace_once(monkeypatch):
 
     calls = []
 
-    def counted(scenario, n):
-        calls.append(n)
-        return trace_link(scenario, n)
+    def counted(scenario):
+        calls.append(scenario)
+        return trace_scenario(scenario)
 
-    monkeypatch.setattr(raytracer, "trace_link", counted)
-    monkeypatch.setattr(experiment, "trace_link", counted)
+    monkeypatch.setattr(raytracer, "trace_scenario", counted)
     run_sweep(config, workers=1)
-    assert sorted(calls) == list(range(sc.n_links))  # each link traced once
+    assert len(calls) == 1 and calls[0].links == sc.links  # the scenario traced once
 
 
 def test_sweep_failure_rows_keep_schema(tmp_path):
@@ -840,6 +839,20 @@ def test_estimate_solves_without_the_dropped_link(canyon, tmp_path, capsys):
     assert payload["n_links_used"] == 100
     err = np.abs(np.array(payload["eps_hat"]) - canyon.true_eps_vector())
     assert np.max(err) <= 0.05
+
+
+@pytest.mark.parametrize("command", ["estimate", "oracle"])
+def test_synthesis_rejects_a_link_without_rays(canyon, tmp_path, capsys, command):
+    # no level can be drawn for the sealed link, so the input is unusable:
+    # exit 2 with the link named, not a solver failure
+    path = tmp_path / "sc.json"
+    save_scenario(_canyon_plus_sealed_link(canyon), path)
+    code, out, err = _run(capsys, command, "--scenario", str(path), "--sigma", "0.5",
+                          "--seed", "3")
+    assert code == 2
+    assert out == ""
+    assert err == ("error: links[100]: no unblocked ray, so no level can be synthesized "
+                   "for this link\n")
 
 
 def test_sweep_drops_a_link_without_rays(canyon, tmp_path):

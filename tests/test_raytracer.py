@@ -14,7 +14,6 @@ from scipy.optimize import minimize
 from permgamp import (
     Link,
     Material,
-    Ray,
     Scenario,
     Surface,
     UnusableLinkError,
@@ -23,7 +22,10 @@ from permgamp import (
     trace_scenario,
 )
 from permgamp import raytracer
+from permgamp.errors import ValidationError
 from permgamp.raytracer import rays_to_csv
+
+import scalar_tracer
 
 MAT = (Material(1, 1.5, 10.0, 4.0), Material(2, 1.5, 10.0, 6.0))
 
@@ -309,6 +311,7 @@ def test_blocked_los_and_unusable_link():
     )
     with pytest.raises(UnusableLinkError):
         trace_link(sc, 0)
+    assert trace_scenario(sc) == [[]]
 
 
 def test_blocked_los_with_detour():
@@ -422,16 +425,34 @@ def test_bounce_point_digests_are_pinned(canyon):
     assert _points_sha256(trace_scenario(_canyon_3_bounces())) == CANYON_3_POINTS_SHA256
 
 
-def test_room_sends_a_pinned_number_of_candidates_to_the_exact_finish(monkeypatch):
-    # 6 links x 12 order-1 sequences, too few to prefilter, plus the 65
-    # prefilter survivors among the 6 x 1,584 sequences of order 2 and 3;
-    # without the prefilter all 9,576 would reach the finish.
-    build = raytracer._build_reflected_ray
-    calls = []
-    monkeypatch.setattr(raytracer, "_build_reflected_ray",
-                        lambda *args: calls.append(args[3]) or build(*args))
-    trace_scenario(_room_12_walls())
-    assert len(calls) == 6 * 12 + 65
+def _reprs(ray_cache):
+    """repr of every (ray, ray.points): it tells -0.0 from 0.0 and shows a NaN."""
+    return [repr([(r, r.points) for r in rays]) for rays in ray_cache]
+
+
+def _reference(sc):
+    return _reprs([scalar_tracer.trace_link(sc, n) for n in range(sc.n_links)])
+
+
+def test_room_matches_the_scalar_reference():
+    # 6 links x 1,596 wall sequences, most of them dropped by the walk back
+    sc = _room_12_walls()
+    assert _reprs(trace_scenario(sc)) == _reference(sc)
+
+
+def test_links_across_chunks_match_the_single_link_trace_and_the_reference():
+    sc = make_canyon_scenario(n_links=2500, max_reflections=3)
+    per_chunk = raytracer._ROWS // (1 + 2 + 2 + 2)  # 2 walls: 2 sequences per order
+    assert sc.n_links > 2 * per_chunk  # three chunks, the last one partial
+    got = _reprs(trace_scenario(sc))
+    assert got == _reprs(trace_link(sc, n) for n in range(sc.n_links))
+    assert got == _reference(sc)
+
+
+def test_trace_link_rejects_an_index_outside_the_links(canyon):
+    for n in (-1, canyon.n_links, canyon.n_links + 7):
+        with pytest.raises(ValidationError, match=rf"link_index={n} outside \[0, 100\)"):
+            trace_link(canyon, n)
 
 
 def _mirror_xy(p, a, b):
@@ -441,87 +462,78 @@ def _mirror_xy(p, a, b):
     return (2.0 * (a[0] + t * d[0]) - p[0], 2.0 * (a[1] + t * d[1]) - p[1])
 
 
+def _tree_chains(levels, k):
+    """(link, seq, images) of every row of level k, read back through its
+    ancestors: row r of level m extends row r // fan_out of level m - 1."""
+    chains = []
+    for r in range(len(levels[k][0])):
+        seq, images = [], []
+        for m in range(k, 0, -1):
+            w, x, y = levels[m]
+            seq.append(int(w[r]))
+            images.append((float(x[r]), float(y[r])))
+            r //= len(w) // len(levels[m - 1][0])
+        images.append((float(levels[0][1][r]), float(levels[0][2][r])))
+        chains.append((r, tuple(reversed(seq)), images[::-1]))
+    return chains
+
+
 @pytest.mark.parametrize("max_order", [0, 1, 2, 3])
 @pytest.mark.parametrize("n_walls", [1, 2, 3, 4])
 def test_image_chains_visit_each_sequence_once_and_mirror_directly(n_walls, max_order):
-    # The depth-first scalar enumerator, the per-order tables and the image chain
-    # against itertools.product and _mirror_xy.
+    # The image tree over two links against the reference's wall sequences
+    # (itertools.product), _mirror_xy and the scalar image chain.
     rng = np.random.Generator(np.random.PCG64(n_walls))
     ends = [tuple(map(float, rng.uniform(-10.0, 10.0, 2))) for _ in range(2 * n_walls)]
     walls = [(complex(*ends[2 * i]), complex(*ends[2 * i + 1])) for i in range(n_walls)]
-    tx = (0.3, -1.7)
-    want = [
-        seq for order in range(1, max_order + 1) for seq in product(range(n_walls), repeat=order)
-        if all(seq[i] != seq[i + 1] for i in range(order - 1))
-    ]  # once each, lexicographic within an order
-    scalar = list(raytracer._scalar_chains(walls, complex(*tx), max_order))
-    assert [seq for seq, _ in scalar] == sorted(want)  # a prefix before its extensions
-    tables = list(raytracer._order_tables(np.array([(*ends[2 * i], *ends[2 * i + 1])
-                                                   for i in range(n_walls)]),
-                                         complex(*tx), max_order))
-    assert [tuple(seq) for table, _ in tables for seq in table.tolist()] == want
-    images = [list(map(tuple, chain)) for _, table in tables for chain in table.tolist()]
-    assert len(images) == len(want)
-    for seq, chain in zip(want, images):
-        direct = [tx]
-        for si in seq:
-            direct.append(_mirror_xy(direct[-1], ends[2 * si], ends[2 * si + 1]))
-        assert chain == direct
-        assert [(z.real, z.imag) for z in raytracer._image_chain(walls, complex(*tx), seq)] \
-            == direct
-        assert [(z.real, z.imag) for z in dict(scalar)[seq]] == direct
+    columns = np.array([(*ends[2 * i], *ends[2 * i + 1]) for i in range(n_walls)]).reshape(-1, 4)
+    tx = [(0.3, -1.7), (4.1, 2.6)]
+    levels = raytracer._image_tree(
+        (columns[:, 0], columns[:, 1], columns[:, 2] - columns[:, 0], columns[:, 3] - columns[:, 1]),
+        np.array(tx), max_order,
+    )
+    want = scalar_tracer.wall_sequences(n_walls, max_order)  # a prefix before its extensions
+    for link in range(len(tx)):
+        got = [(seq, images) for k in range(1, len(levels))
+               for n, seq, images in _tree_chains(levels, k) if n == link]
+        # once each, lexicographic within an order
+        assert [seq for seq, _ in got] == sorted(want, key=len)
+        for seq, images in got:
+            direct = [tx[link]]
+            for si in seq:
+                direct.append(_mirror_xy(direct[-1], ends[2 * si], ends[2 * si + 1]))
+            assert images == direct
+            assert [(z.real, z.imag) for z in scalar_tracer.image_chain(
+                walls, complex(*tx[link]), seq)] == direct
 
 
 _COORD = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
-_POINT = st.tuples(_COORD, _COORD)
+_SNAPPED = st.integers(-4, 4).map(float)  # collinear, parallel and touching walls
 
 
 @st.composite
-def _random_rooms(draw):
+def _random_scenes(draw):
+    coord = _SNAPPED if draw(st.integers(0, 2)) == 0 else _COORD
+    point = st.tuples(coord, coord)
     surfaces = []
     for _ in range(draw(st.integers(2, 8))):
-        a = draw(_POINT)
-        b = draw(_POINT.filter(lambda b, a=a: b != a))
+        a = draw(point)
+        b = draw(point.filter(lambda b, a=a: b != a))
         surfaces.append(Surface(a, b, draw(st.integers(1, 2))))
-    tx = draw(_POINT)
-    rx = draw(_POINT.filter(lambda rx: rx != tx))
-    return _scenario(surfaces, [Link(tx, rx, 30, 2, 2)],
-                     max_reflections=draw(st.integers(1, 3)))
+    links = []
+    for _ in range(draw(st.integers(1, 4))):
+        tx = draw(point)
+        links.append(Link(tx, draw(point.filter(lambda rx, tx=tx: rx != tx)), 30, 2, 2))
+    return _scenario(surfaces, links, max_reflections=draw(st.integers(0, 3)))
 
 
-def _rays_of_every_candidate(sc):
-    """The rays of trace_link, from _build_reflected_ray on every candidate
-    of the per-order tables, with no prefilter."""
-    link = sc.links[0]
-    tx, rx = complex(*link.tx_pos), complex(*link.rx_pos)
-    walls = [(complex(*s.endpoint_a), complex(*s.endpoint_b)) for s in sc.surfaces]
-    ends = np.array([(*s.endpoint_a, *s.endpoint_b) for s in sc.surfaces])
-    candidates = sorted(
-        (tuple(seq), tuple(complex(*p) for p in chain))
-        for table, images in raytracer._order_tables(ends, tx, sc.max_reflections)
-        for seq, chain in zip(table.tolist(), images.tolist())
-    )
-    rays = [] if raytracer._segment_blocked(tx, rx, walls) else [Ray(abs(rx - tx))]
-    for seq, chain in candidates:
-        ray = raytracer._build_reflected_ray(sc, walls, rx, seq, chain)
-        if ray is not None:
-            rays.append(ray)
-    rays.sort(key=lambda r: (r.total_length_m, r.n_bounces,
-                             tuple(ref.material_index for ref in r.reflections)))
-    return [(r, r.points) for r in rays]
-
-
-def _traced(sc):
-    try:
-        return [(r, r.points) for r in trace_link(sc, 0)]
-    except UnusableLinkError:
-        return []
-
-
-@given(_random_rooms())
-def test_prefilter_keeps_every_ray_on_random_rooms(sc):
-    want = _rays_of_every_candidate(sc)
-    assert _traced(sc) == want
-    with pytest.MonkeyPatch.context() as mp:  # every order through the prefilter
-        mp.setattr(raytracer, "VECTOR_MIN_CANDIDATES", 1)
-        assert _traced(sc) == want
+@given(_random_scenes())
+def test_random_scenes_match_the_scalar_reference(sc):
+    want = _reference(sc)
+    assert _reprs(trace_scenario(sc)) == want
+    for n in range(sc.n_links):
+        try:
+            rays = trace_link(sc, n)
+        except UnusableLinkError:
+            rays = []
+        assert _reprs([rays]) == want[n:n + 1]
