@@ -141,7 +141,7 @@ def _walk_back(walls, u_eps: np.ndarray, levels, rx: np.ndarray):
 def _blocked(walls, px, py, vx, vy, leg, before, after) -> np.ndarray:
     """Per leg from (px, py) along (vx, vy), of length leg: True where a wall
     other than before and after crosses it more than GEOM_EPS from either
-    end. A leg of GEOM_EPS or less is never blocked."""
+    end. A leg of GEOM_EPS or less is never blocked, as its t_eps is >= 1."""
     ax, ay, dx, dy = walls
     wall_ids = np.arange(len(ax))
     blocked = np.zeros(len(px), dtype=bool)
@@ -157,7 +157,7 @@ def _blocked(walls, px, py, vx, vy, leg, before, after) -> np.ndarray:
         hit = (~(np.abs(denom) < 1e-15) & (t_eps < t) & (t < 1.0 - t_eps)
                & (0.0 <= u) & (u <= 1.0)
                & (wall_ids != before[b, None]) & (wall_ids != after[b, None]))
-        blocked[b] = hit.any(axis=1) & ~(leg[b] <= GEOM_EPS)
+        blocked[b] = hit.any(axis=1)
     return blocked
 
 

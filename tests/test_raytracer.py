@@ -7,7 +7,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
@@ -350,6 +350,29 @@ def test_bounce_outside_finite_segment_discarded():
     assert rays[0].reflections == ()
 
 
+def test_path_ending_on_a_wall_does_not_reflect_there():
+    # The RX lies on the wall: the mirror path meets the wall at the RX
+    # itself (t = 1 on the walk back), which is no reflection.
+    sc = _scenario(
+        [Surface((-10.0, 0.0), (10.0, 0.0), 1)],
+        [Link((0.0, 1.0), (3.0, 0.0), 30, 2, 2)],
+    )
+    assert [r.n_bounces for r in trace_link(sc, 0)] == [0]
+    assert _reprs(trace_scenario(sc)) == _reference(sc)
+
+
+def test_wall_parallel_to_within_the_cutoff_does_not_block():
+    # The LOS crosses this wall mid-way, but their cross product is 2e-16,
+    # under the 1e-15 parallel-line cutoff: the wall does not count as a hit.
+    sc = _scenario(
+        [Surface((0.0, 0.0), (10.0, 1e-17), 1)],
+        [Link((0.0, 1e-17), (10.0, 0.0), 30, 2, 2)],
+        max_reflections=0,
+    )
+    assert [r.n_bounces for r in trace_link(sc, 0)] == [0]
+    assert _reprs(trace_scenario(sc)) == _reference(sc)
+
+
 def test_trace_scenario_shape(canyon):
     cache = trace_scenario(canyon)
     assert len(cache) == canyon.n_links
@@ -527,6 +550,7 @@ def _random_scenes(draw):
     return _scenario(surfaces, links, max_reflections=draw(st.integers(0, 3)))
 
 
+@settings(max_examples=400)  # the array tracer's exactness guard: ~1 s per 100
 @given(_random_scenes())
 def test_random_scenes_match_the_scalar_reference(sc):
     want = _reference(sc)
