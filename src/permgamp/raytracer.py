@@ -15,8 +15,8 @@ leg lengths and the occlusion test are masks over the candidates, computed
 with the IEEE operations of the scalar complex-number formulas and with
 math.hypot; only the survivors' incidence angles are taken one by one, with
 math.acos. So the rays are bit for bit those of the scalar formulas. A chunk
-holds as many links as fit in _ROWS candidates, which bounds a trace's
-memory.
+holds as many links as fit in _CELLS path points (each candidate's path is
+padded to max_order bounces), which bounds a trace's memory.
 
 Grazing hits (incidence within 1e-9 rad of pi/2) and bounce points outside
 the finite segments are discarded; there is no diffraction model.
@@ -35,7 +35,7 @@ from .scenario import Point, Scenario
 
 GEOM_EPS = 1e-9        # meters; endpoint tolerance for occlusion tests
 GRAZING_EPS = 1e-9     # radians; discard incidence >= pi/2 - GRAZING_EPS
-_ROWS = 1 << 13        # candidate rows (link, wall sequence) per chunk of links
+_CELLS = 1 << 15       # path points (candidates x (max_order + 2)) per chunk of links
 _BLOCK = 1 << 16       # (leg, wall) pairs per occlusion block
 
 
@@ -113,7 +113,7 @@ def _walk_back(walls, u_eps: np.ndarray, levels, rx: np.ndarray):
         w_m, x_m, y_m = levels[m]
         n = len(w_m)  # this level's own rows come first, with the RX as next point
         link = np.arange(n) // (n // len(rx))
-        anc = np.concatenate([np.arange(n), anc // (len(levels[m + 1][0]) // n if len(anc) else 1)])
+        anc = np.concatenate([np.arange(n), anc])
         qx, qy = np.concatenate([rx[link, 0], x[m + 1]]), np.concatenate([rx[link, 1], y[m + 1]])
         w, px, py = w_m[anc], x_m[anc], y_m[anc]
         if m:
@@ -133,8 +133,9 @@ def _walk_back(walls, u_eps: np.ndarray, levels, rx: np.ndarray):
         y = np.concatenate([np.empty((width, len(new))), y.take(old, axis=1)], axis=1)
         seq = np.concatenate([np.full((width, len(new)), -1), seq.take(old, axis=1)], axis=1)
         x[m + 1:, :len(new)], y[m + 1:, :len(new)] = qx[new], qy[new]
-        x[m], y[m], seq[m], anc = px[keep], py[keep], w[keep], anc[keep]
+        x[m], y[m], seq[m] = px[keep], py[keep], w[keep]
         image = np.concatenate([np.stack([x_m[new], y_m[new]]), image.take(old, axis=1)], axis=1)
+        anc = anc[keep] // (n // len(levels[m - 1][0]) if m else 1)  # to the parent level
     return anc, x.T, y.T, seq.T, image.T
 
 
@@ -177,8 +178,8 @@ def _trace_links(scenario: Scenario, links) -> list[list[Ray]]:
     u_eps, normals = np.array(u_eps), np.array(normals).reshape(-1, 2)
     materials = [s.material_index for s in scenario.surfaces]
     n_walls, max_order = len(ends), scenario.max_reflections
-    rows_per_link = 1 + sum(n_walls * (n_walls - 1) ** (k - 1) for k in range(1, max_order + 1))
-    step = max(1, _ROWS // rows_per_link)
+    candidates = 1 + sum(n_walls * (n_walls - 1) ** (k - 1) for k in range(1, max_order + 1))
+    step = max(1, _CELLS // (candidates * (max_order + 2)))  # links per chunk
     out: list[list[Ray]] = []
     with np.errstate(all="ignore"):  # an inf or NaN fails every bound
         for s in range(0, len(links), step):

@@ -464,9 +464,9 @@ def test_room_matches_the_scalar_reference():
 
 
 def test_links_across_chunks_match_the_single_link_trace_and_the_reference():
-    sc = make_canyon_scenario(n_links=2500, max_reflections=3)
-    per_chunk = raytracer._ROWS // (1 + 2 + 2 + 2)  # 2 walls: 2 sequences per order
-    assert sc.n_links > 2 * per_chunk  # three chunks, the last one partial
+    # 2 walls: 1 + 2 + 2 + 2 candidates of 5 path points per link
+    per_chunk = raytracer._CELLS // (7 * 5)
+    sc = make_canyon_scenario(n_links=2 * per_chunk + 7, max_reflections=3)  # 3 chunks
     got = _reprs(trace_scenario(sc))
     assert got == _reprs(trace_link(sc, n) for n in range(sc.n_links))
     assert got == _reference(sc)
