@@ -178,8 +178,8 @@ def _trace_links(scenario: Scenario, links) -> list[list[Ray]]:
     u_eps, normals = np.array(u_eps), np.array(normals).reshape(-1, 2)
     materials = [s.material_index for s in scenario.surfaces]
     n_walls, max_order = len(ends), scenario.max_reflections
-    candidates = 1 + sum(n_walls * (n_walls - 1) ** (k - 1) for k in range(1, max_order + 1))
-    step = max(1, _CELLS // (candidates * (max_order + 2)))  # links per chunk
+    per_link = 1 + sum(n_walls * (n_walls - 1) ** (k - 1) for k in range(1, max_order + 1))
+    step = max(1, _CELLS // (per_link * (max_order + 2)))  # links per chunk
     out: list[list[Ray]] = []
     with np.errstate(all="ignore"):  # an inf or NaN fails every bound
         for s in range(0, len(links), step):
