@@ -26,16 +26,16 @@ matrix makes the undamped recursion ring.
 
 solve_batch runs B problems on one ray table as this same recursion with a
 leading batch axis: their messages never mix, every product is a stacked
-matmul (so each result equals the problem's own solve bit for bit), and only
-the truncated-Gaussian moments loop over (problem, material). Batched
-problems share k_iter, k_gamp and damping; x0, tau_w and delta_tr are per
-problem. solve is solve_batch at B = 1; a batched report's wall_ms is the
-batch's wall time divided by B.
+matmul (so each result equals the problem's own solve bit for bit), and the
+truncated-Gaussian moments of all (problem, material) pairs are one
+elementwise kernel call per inner step. Batched problems share k_iter,
+k_gamp and damping; x0, tau_w and delta_tr are per problem. solve is
+solve_batch at B = 1; a batched report's wall_ms is the batch's wall time
+divided by B.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 import time
@@ -125,7 +125,10 @@ class GampState:
 
 
 def check_x0(scenario: Scenario, config: GampConfig) -> None:
-    """ValidationError unless x0 has one entry per material, inside the prior box."""
+    """ValidationError unless x0 has one entry per material, inside the prior
+    box, and delta_tr leaves every iterate a support box: delta_tr/2 at least
+    the float spacing at the largest prior bound, so that x +/- delta_tr/2
+    never rounds back to x."""
     lo, hi = scenario.prior_bounds()
     if config.x0.shape != lo.shape:
         raise ValidationError(
@@ -133,6 +136,12 @@ def check_x0(scenario: Scenario, config: GampConfig) -> None:
         )
     if np.any(config.x0 < lo) or np.any(config.x0 > hi):
         raise ValidationError(f"x0={config.x0} outside the prior box")
+    bound = np.maximum(np.abs(lo), np.abs(hi))
+    if np.any(config.delta_tr / 2.0 < np.spacing(bound)):
+        raise ValidationError(
+            f"delta_tr={config.delta_tr} collapses the support box: x +/- delta_tr/2 "
+            f"rounds back to x at the prior bounds {bound}"
+        )
 
 
 def init_state(scenario: Scenario, configs: Sequence[GampConfig], n_links: int) -> GampState:
@@ -219,11 +228,8 @@ def input_step(
             f"input step: non-finite pseudo-observation for material "
             f"{(~np.isfinite(c_hat)).nonzero()[-1][0] + 1} (iteration {state.k})"
         )
-    mean, var = np.empty_like(c_hat), np.empty_like(c_hat)
-    for b, m in itertools.product(*map(range, c_hat.shape)):  # (point, material)
-        box = Interval(lo[b, m], hi[b, m])
-        mean[b, m], v = truncated_moments(c_hat[b, m], tau_c[b, m], box)
-        var[b, m] = max(v, VARIANCE_FLOOR)
+    mean, var = truncated_moments(c_hat, tau_c, Interval(lo, hi))
+    var = np.maximum(var, VARIANCE_FLOOR)
     if held.any():
         mean, var = np.where(held, state.x_hat, mean), np.where(held, prior_var, var)
         c_hat, tau_c = np.where(held, state.x_hat, c_hat), np.where(held, prior_var, tau_c)

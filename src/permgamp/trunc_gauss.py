@@ -1,4 +1,4 @@
-"""Moments of a Gaussian restricted to an interval.
+"""Moments of a Gaussian restricted to an interval, elementwise.
 
 This is the input-channel posterior of the solver: an N(c_hat, tau_c)
 density truncated to the intersection of the prior box and the trust
@@ -25,6 +25,13 @@ a tail or is narrow relative to s:
   var = floor with floor = 1e-12 (hi-lo)^2, so iterating callers never see
   NaN, inf, or an out-of-interval mean.
 
+truncated_moments takes floats or same-shape arrays; the solver calls it once
+per inner step over every (problem, material). Each element's regime is
+picked on Python floats. The one-sided, straddle and hopeless cases stay
+scalar (math.exp/expm1, erf/erfcx results as Python floats), which on a few
+dozen elements costs less than masked numpy arrays; only the narrow rows go
+to numpy, as one (n, 64) quadrature pass.
+
 Phi/phi come from scipy.special (Cephes erf/erfcx, accurate to a couple
 ulp in double precision).
 """
@@ -47,21 +54,21 @@ _GL_U, _GL_W = np.polynomial.legendre.leggauss(64)
 
 @dataclass(frozen=True)
 class Interval:
-    lo: float
-    hi: float
+    lo: float | np.ndarray  # arrays: one interval per element
+    hi: float | np.ndarray
 
     def __post_init__(self):
-        if not self.lo < self.hi:
+        if not all(np.less(self.lo, self.hi).flat):
             raise ValueError(f"interval [{self.lo}, {self.hi}] needs lo < hi")
 
     @property
-    def width(self) -> float:
+    def width(self) -> float | np.ndarray:
         return self.hi - self.lo
 
 
 def _mills(x: float) -> float:
     """Phi_c(x) / phi(x) = sqrt(pi/2) * erfcx(x / sqrt(2)), for x >= 0."""
-    return SQRT_HALF_PI * erfcx(x * INV_SQRT_2)
+    return SQRT_HALF_PI * float(erfcx(x * INV_SQRT_2))
 
 
 def _one_sided_ratios(alpha: float, beta: float) -> tuple[float, float]:
@@ -84,33 +91,10 @@ def _one_sided_ratios(alpha: float, beta: float) -> tuple[float, float]:
     return r1, r2
 
 
-def _narrow_moments(
-    c_hat: float, s: float, alpha: float, beta: float
-) -> tuple[float, float]:
-    """Moments via Gauss-Legendre when the interval is narrow in sigma units.
-
-    In u = (x - mid)/s the density is exp(gamma u - u^2/2) up to a
-    constant, gamma = (c - mid)/s. The closed-form ratios cancel
-    catastrophically here, while a 64-node rule integrates the gently
-    varying exponential to machine precision (the exponent is re-centered
-    at its maximum, so tails cost nothing).
-    """
-    mid = 0.5 * (alpha + beta)
-    h = 0.5 * (beta - alpha)
-    u = h * _GL_U
-    f = -mid * u - 0.5 * u * u
-    f -= np.max(f)
-    w = _GL_W * np.exp(f)
-    z = float(np.sum(w))
-    eu = float(np.sum(w * u)) / z
-    vu = float(np.sum(w * (u - eu) ** 2)) / z
-    return c_hat + s * (mid + eu), s * s * vu
-
-
 def _straddle_ratios(alpha: float, beta: float) -> tuple[float, float]:
     """Same ratios for alpha <= 0 <= beta (Z is well away from underflow
     unless the interval is tiny, which expm1 keeps accurate)."""
-    z = 0.5 * (erf(beta * INV_SQRT_2) - erf(alpha * INV_SQRT_2))
+    z = 0.5 * (float(erf(beta * INV_SQRT_2)) - float(erf(alpha * INV_SQRT_2)))
     if z <= 0.0:
         return math.inf, math.inf
     ea = 0.5 * alpha * alpha
@@ -128,24 +112,66 @@ def _straddle_ratios(alpha: float, beta: float) -> tuple[float, float]:
     return r1, r2
 
 
-def truncated_moments(
-    c_hat: float, tau_c: float, interval: Interval
-) -> tuple[float, float]:
+def _narrow_moments(mid, h):
+    """Gauss-Legendre mean and variance, in u units, of rows narrow in sigma.
+
+    In u = (x - mid)/s the density is exp(gamma u - u^2/2) on [-h, h] up to
+    a constant, gamma = (c - mid)/s. The closed-form ratios cancel
+    catastrophically here, while a 64-node rule integrates the gently
+    varying exponential to machine precision (the exponent is re-centered
+    at its maximum, so tails cost nothing). Each of the n rows is summed as
+    a lone 64-node array would be, so it rounds as it would alone.
+    """
+    u = h[:, None] * _GL_U
+    f = -mid[:, None] * u - 0.5 * u * u
+    f -= np.maximum.reduce(f, axis=1, keepdims=True)
+    w = _GL_W * np.exp(f)
+    z = np.add.reduce(w, axis=1)
+    eu = np.add.reduce(w * u, axis=1) / z
+    vu = np.add.reduce(w * (u - eu[:, None]) ** 2, axis=1) / z
+    return eu.tolist(), vu.tolist()
+
+
+def _settle(c, lo, hi, mean, var):
+    """The hopeless cases: a mean not inside (lo, hi) moves next to the
+    endpoint nearer c, and a variance under the floor becomes the floor."""
+    floor = VAR_FLOOR_SCALE * (hi - lo) ** 2
+    if not math.isfinite(mean) or not lo < mean < hi:
+        edge = lo if abs(c - lo) <= abs(c - hi) else hi
+        mean = edge + math.sqrt(floor) if edge == lo else edge - math.sqrt(floor)
+    if not math.isfinite(var) or var < floor:
+        var = floor
+    return mean, var
+
+
+def truncated_moments(c_hat, tau_c, interval: Interval):
     """Mean and variance of N(c_hat, tau_c) truncated to the interval.
 
-    Guaranteed: mean strictly inside (lo, hi), 0 < variance, both finite,
-    for any finite inputs with tau_c > 0.
+    c_hat, tau_c, interval.lo and interval.hi are floats or same-shape
+    arrays, and the result is two floats or two arrays to match. Guaranteed
+    for finite inputs with tau_c > 0: every mean strictly inside its
+    (lo, hi), every variance > 0, all finite. A non-finite input or a
+    tau_c <= 0 raises ValueError naming it.
     """
-    if not tau_c > 0.0:
-        raise ValueError(f"tau_c={tau_c} must be > 0")
-    lo, hi = interval.lo, interval.hi
-    s = math.sqrt(tau_c)
-    alpha = (lo - c_hat) / s
-    beta = (hi - c_hat) / s
-
-    if beta - alpha <= 1.0 and abs(alpha + beta) * (beta - alpha) <= 160.0:
-        mean, var = _narrow_moments(c_hat, s, alpha, beta)
-    else:
+    args = np.array([c_hat, tau_c, interval.lo, interval.hi])
+    rows = args.reshape(4, -1).tolist()
+    # a sum of floats is finite only if every term is; the rare sum that
+    # overflows on finite terms just takes the exact test
+    if not math.isfinite(sum(map(sum, rows))):
+        finite = np.isfinite(args).reshape(4, -1).all(axis=1)
+        if not finite.all():
+            name = ("c_hat", "tau_c", "interval.lo", "interval.hi")[finite.argmin()]
+            raise ValueError(f"{name} must be finite")
+    mean, var, narrow = [0.0] * len(rows[0]), [0.0] * len(rows[0]), []
+    for i, (c, tau, lo, hi) in enumerate(zip(*rows)):
+        if not tau > 0.0:
+            raise ValueError(f"tau_c={tau} must be > 0")
+        s = math.sqrt(tau)
+        alpha = (lo - c) / s
+        beta = (hi - c) / s
+        if beta - alpha <= 1.0 and abs(alpha + beta) * (beta - alpha) <= 160.0:
+            narrow.append((i, c, s, lo, hi, 0.5 * (alpha + beta), 0.5 * (beta - alpha)))
+            continue
         if alpha >= 0.0:
             r1, r2 = _one_sided_ratios(alpha, beta)
         elif beta <= 0.0:
@@ -153,13 +179,12 @@ def truncated_moments(
             r1 = -r1
         else:
             r1, r2 = _straddle_ratios(alpha, beta)
-        mean = c_hat + s * r1
-        var = tau_c * (1.0 + r2 - r1 * r1)
-
-    floor = VAR_FLOOR_SCALE * interval.width**2
-    if not math.isfinite(mean) or not lo < mean < hi:
-        edge = lo if abs(c_hat - lo) <= abs(c_hat - hi) else hi
-        mean = edge + math.sqrt(floor) if edge == lo else edge - math.sqrt(floor)
-    if not math.isfinite(var) or var < floor:
-        var = floor
-    return mean, var
+        mean[i], var[i] = _settle(c, lo, hi, c + s * r1, tau * (1.0 + r2 - r1 * r1))
+    if narrow:
+        idx, cn, sn, lon, hin, mid, h = zip(*narrow)
+        eu, vu = _narrow_moments(np.array(mid), np.array(h))
+        for i, c, s, lo, hi, m, e, v in zip(idx, cn, sn, lon, hin, mid, eu, vu):
+            mean[i], var[i] = _settle(c, lo, hi, c + s * (m + e), s * s * v)
+    if args.ndim == 1:
+        return mean[0], var[0]
+    return np.array(mean).reshape(args.shape[1:]), np.array(var).reshape(args.shape[1:])

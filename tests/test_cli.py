@@ -287,7 +287,11 @@ def test_estimate_rejects_unreadable_files_and_negative_seeds(tmp_path, capsys, 
 
 @pytest.mark.parametrize(
     "flag,value,named",
-    [("--delta-tr", "nan", "delta_tr"), ("--tau-w", "inf", "tau_w")],
+    [
+        ("--delta-tr", "nan", "delta_tr"),
+        ("--delta-tr", "1e-300", "delta_tr"),  # x +/- delta_tr/2 rounds back to x
+        ("--tau-w", "inf", "tau_w"),
+    ],
 )
 def test_estimate_rejects_solver_settings_it_cannot_use(capsys, flag, value, named):
     code, out, err = _run(capsys, "estimate", "--scenario", bundled_scenario_path("canyon"),
@@ -497,12 +501,14 @@ def test_sweep_rejects_bad_override_values_before_solving(tmp_path, capsys, monk
         ({"x0": [2.0, 5.0, 1.0]}, "x0"),
         ({"x0": [2.0, 20.0]}, "x0"),
         ({"delta_tr": float("nan")}, "delta_tr"),
+        ({"delta_tr": 1e-300}, "delta_tr"),
         ({"tau_w": float("inf")}, "tau_w"),
         ({"k_iter": True}, "k_iter"),
         ({"tau_w": True}, "tau_w"),
     ],
     ids=["k_iter_fraction", "k_gamp_fraction", "x0_nan", "x0_length", "x0_outside_prior",
-         "delta_tr_nan", "tau_w_inf", "k_iter_bool", "tau_w_bool"],
+         "delta_tr_nan", "delta_tr_collapses_support", "tau_w_inf", "k_iter_bool",
+         "tau_w_bool"],
 )
 def test_sweep_rejects_solver_settings_before_solving(tmp_path, capsys, monkeypatch,
                                                       overrides, named):

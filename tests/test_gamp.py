@@ -319,7 +319,7 @@ def test_solve_noiseless_residual_never_worse(canyon, canyon_rays):
     "broken,named",
     [
         (lambda mean, var, box: (np.nextafter(box.hi, np.inf), var), r"x\[0\]"),
-        (lambda mean, var, box: (mean, math.nan), "tau_x"),
+        (lambda mean, var, box: (mean, np.full_like(var, math.nan)), "tau_x"),
     ],
     ids=["mean_above_support", "nan_variance"],
 )
@@ -327,6 +327,8 @@ def test_solve_invariant_check_fires(canyon, canyon_rays, monkeypatch, broken, n
     # a moment kernel that leaves the support box or loses its variance
     # must stop the solve with an error naming what broke
     def faulty(c_hat, tau_c, box):
+        # one call per inner step, over the whole (problem, material) batch
+        assert c_hat.shape == tau_c.shape == box.lo.shape == box.hi.shape == (1, 2)
         return broken(*truncated_moments(c_hat, tau_c, box), box)
 
     ds = synthesize_dataset(canyon, 0.5, seed=2)

@@ -1,11 +1,15 @@
-"""Truncated-Gaussian moment kernel against quadrature and closed forms."""
+"""Truncated-Gaussian moment kernel against quadrature, closed forms and
+the per-element scalar reference."""
 
 import math
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import scalar_moments
 from permgamp import Interval, quadrature_moments, truncated_moments
 
 # Frozen 50-digit reference (mpmath: phi/Phi of the defining formulas) for
@@ -170,4 +174,134 @@ def test_rejects_bad_inputs():
         Interval(1.0, 1.0)
     with pytest.raises(ValueError):
         Interval(2.0, 1.0)
+    with pytest.raises(ValueError, match="lo < hi"):
+        Interval(np.array([0.0, 1.0]), np.array([1.0, 1.0]))  # elementwise
+    with pytest.raises(ValueError, match="tau_c"):
+        truncated_moments(np.zeros(2), np.array([1.0, -1.0]), Interval(np.zeros(2), np.ones(2)))
+
+
+@pytest.mark.parametrize(
+    "args,named",
+    [
+        ((0.0, 1.0, -math.inf, math.inf), "interval.lo"),
+        ((0.0, 1.0, 0.0, math.inf), "interval.hi"),
+        ((math.nan, 1.0, 0.0, 1.0), "c_hat"),
+        ((0.0, math.inf, 0.0, 1.0), "tau_c"),
+    ],
+    ids=["unbounded", "half_bounded", "nan_center", "inf_variance"],
+)
+def test_rejects_non_finite_inputs(args, named):
+    # each of these once returned a NaN, infinite or edge moment
+    c, tau, lo, hi = args
+    with pytest.raises(ValueError, match=named):
+        truncated_moments(c, tau, Interval(lo, hi))
+    arrays = [np.full((2, 3), v) for v in (0.5, 1.0, 0.0, 1.0)]
+    for array, v in zip(arrays, args):  # one bad element in an array call
+        array[1, 2] = v
+    with pytest.raises(ValueError, match=named):
+        truncated_moments(arrays[0], arrays[1], Interval(arrays[2], arrays[3]))
+
+
+def test_array_call_returns_arrays_and_a_scalar_call_floats():
+    mean, var = truncated_moments(0.0, 1.0, Interval(0.0, 1.0))
+    assert type(mean) is float and type(var) is float
+    c = np.array([[0.0, 0.5, 3.0], [-40.0, 1.0, 0.25]])
+    mean, var = truncated_moments(c, np.ones_like(c), Interval(np.zeros_like(c), np.ones_like(c)))
+    assert mean.shape == var.shape == c.shape
+    for i in np.ndindex(c.shape):
+        assert (mean[i], var[i]) == truncated_moments(c[i], 1.0, Interval(0.0, 1.0))
+
+
+def _same_bits(got, want):
+    return np.array_equal(np.asarray(got, float).view(np.int64),
+                          np.asarray(want, float).view(np.int64))
+
+
+def _reference(c, tau, lo, hi):
+    """scalar_moments over same-shape arrays. Its hopeless cases overflow
+    numpy scalars on their way to the floor, with warnings the kernel, on
+    Python floats, does not give."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return scalar_moments.moments_loop(c, tau, Interval(lo, hi))
+
+
+# (alpha, beta) exactly on the narrow branch's edges: beta - alpha = 1,
+# |alpha + beta| (beta - alpha) = 160, and an endpoint on the center
+EDGES = [(-0.5, 0.5), (2.25, 3.25), (-7.0, -6.0), (79.5, 80.5), (-80.5, -79.5),
+         (159.75, 160.25), (-160.25, -159.75), (127.6875, 128.3125), (0.0, 0.25),
+         (0.0, 1.0), (0.0, 1.5), (0.0, 3.0), (0.0, 40.0), (-0.25, 0.0), (-1.0, 0.0),
+         (-1.5, 0.0), (-3.0, 0.0), (-40.0, 0.0)]
+
+
+def _edge(c, k, edge):
+    """(c, tau, lo, hi) with tau = 4^k and (lo - c, hi - c) = edge * 2^k; all
+    dyadic, so the kernel's alpha and beta come out as the edge exactly."""
+    s = 2.0**k
+    return c, s * s, c + edge[0] * s, c + edge[1] * s
+
+
+def test_kernel_matches_the_reference_on_the_regime_edges():
+    cases = [_edge(c, k, e) for e in EDGES for c in (-3.125, 0.0, 7.5) for k in (-20, 0, 20)]
+    for (c, tau, lo, hi), edge in zip(cases, np.repeat(EDGES, 9, axis=0).tolist()):
+        assert ((lo - c) / math.sqrt(tau), (hi - c) / math.sqrt(tau)) == tuple(edge)
+    c, tau, lo, hi = map(np.array, zip(*cases))
+    mean, var = truncated_moments(c, tau, Interval(lo, hi))
+    ref_mean, ref_var = _reference(c, tau, lo, hi)
+    assert _same_bits(mean, ref_mean) and _same_bits(var, ref_var)
+
+
+_generic = st.builds(
+    lambda lo, log_w, log_tau, k: (lo + 0.5 * 10.0**log_w + k * 10.0 ** (0.5 * log_tau),
+                                   10.0**log_tau, lo, lo + 10.0**log_w),
+    st.floats(-10.0, 10.0), st.floats(-3.0, 1.5), st.floats(-8.0, 6.0), st.floats(-60.0, 60.0),
+)
+_edges = st.builds(_edge, st.integers(-64, 64).map(lambda j: j / 8.0), st.integers(-20, 20),
+                   st.sampled_from(EDGES))
+_extremes = st.builds(
+    lambda c, tau, lo, w: (c, tau, lo, lo + w),
+    st.sampled_from([1e300, -1e300, 0.0, 3.0]), st.sampled_from([1e-300, 1e300, 1.0]),
+    st.floats(-10.0, 10.0), st.floats(0.01, 10.0),
+)
+_tails = st.builds(  # 40 sigma (and more) beyond either end
+    lambda lo, w, log_tau, side, k: (
+        (lo + w + k * 10.0 ** (0.5 * log_tau)) if side else (lo - k * 10.0 ** (0.5 * log_tau)),
+        10.0**log_tau, lo, lo + w),
+    st.floats(-5.0, 5.0), st.floats(0.1, 10.0), st.floats(-6.0, 4.0), st.booleans(),
+    st.floats(40.0, 100.0),
+)
+
+
+@given(st.integers(1, 5), st.integers(1, 3), st.data())
+def test_kernel_matches_the_scalar_reference_bit_for_bit(b, m, data):
+    elements = data.draw(st.lists(st.one_of(_generic, _edges, _extremes, _tails),
+                                  min_size=b * m, max_size=b * m))
+    c, tau, lo, hi = (np.array(col).reshape(b, m) for col in zip(*elements))
+    mean, var = truncated_moments(c, tau, Interval(lo, hi))
+    ref_mean, ref_var = _reference(c, tau, lo, hi)
+    assert _same_bits(mean, ref_mean) and _same_bits(var, ref_var)
+
+
+def test_scalar_call_matches_the_reference_on_criterion_1_panel():
+    # the draws of test_acceptance.test_criterion_1_moment_kernel
+    rng = np.random.Generator(np.random.PCG64(12345))
+    cases = []
+    for _ in range(1000):
+        lo = rng.uniform(-10.0, 10.0)
+        width = 10.0 ** rng.uniform(-2, 1)
+        hi = lo + width
+        tau = 10.0 ** rng.uniform(-5, 4)
+        s = math.sqrt(tau)
+        cases.append((rng.uniform(lo - width - 4 * s, hi + width + 4 * s), tau, lo, hi))
+    for k in range(50):
+        tau = 10.0 ** rng.uniform(-6, 4)
+        s = math.sqrt(tau)
+        lo = rng.uniform(-5.0, 5.0)
+        hi = lo + 10.0 ** rng.uniform(-1, 1)
+        side = 1 if k % 2 == 0 else -1
+        cases.append(((hi if side > 0 else lo) + side * (40.0 + rng.uniform(0, 60)) * s,
+                      tau, lo, hi))
+    for c, tau, lo, hi in cases:
+        got = truncated_moments(c, tau, Interval(lo, hi))
+        want = scalar_moments.truncated_moments(c, tau, Interval(lo, hi))
+        assert _same_bits(got, want), (c, tau, lo, hi)
 
