@@ -20,7 +20,9 @@ polarization (TE by default):
     Gamma_TE = (cos t - sqrt(eps - sin^2 t)) / (cos t + sqrt(eps - sin^2 t))
     Gamma_TM = (eps cos t - sqrt(eps - sin^2 t)) / (eps cos t + sqrt(eps - sin^2 t))
 
-All gains go through one array kernel, link_totals; ray_gain_linear is its reference.
+All gains go through one fold and ray sum, summed_gains: link_totals feeds it
+Fresnel values per permittivity vector, the grid oracle per-axis tables;
+ray_gain_linear is its reference.
 """
 
 from __future__ import annotations
@@ -124,6 +126,23 @@ def ray_table(ray_cache, wavelength_m: float) -> RayTable:
     ))
 
 
+def summed_gains(friis, coeff, fold: bool = True) -> np.ndarray:
+    """Per-link sums (B, L) over rays, in ray order, of the ray gains friis
+    (R, L) times the bounce coefficients coeff (B, K, R, L): folded into
+    friis left to right, as ray_gain_linear does, or with fold=False friis x
+    (product of the bounces), grouped like link_totals' derivative terms."""
+    if fold:
+        g = friis
+        for b in range(coeff.shape[1]):
+            g = g * coeff[:, b]
+    else:
+        g = friis * np.prod(coeff, axis=1)
+    total = np.zeros((len(coeff), friis.shape[1]))
+    for j in range(friis.shape[0]):
+        total += g[..., j, :]
+    return total
+
+
 def link_totals(table: RayTable, eps, polarization: str, deriv: bool = False):
     """Summed linear gains (B, L) of every link at a batch of permittivity
     vectors eps (B, M); with deriv=True also their derivatives (B, L, M).
@@ -143,13 +162,7 @@ def link_totals(table: RayTable, eps, polarization: str, deriv: bool = False):
     for m, slots, cos in table.groups:
         c = _fresnel(eps[:, m, None], cos, polarization)
         coeff.reshape(len(eps), -1)[:, slots] = c
-    if deriv:
-        g = table.friis * np.prod(coeff, axis=1)
-    else:
-        g = table.friis
-        for b in range(table.n_bounces):
-            g = g * coeff[:, b]
-    total = sum((g[..., j, :] for j in range(shape[2])), np.zeros((len(eps), shape[3])))
+    total = summed_gains(table.friis, coeff, fold=not deriv)
     if not deriv:
         return total
     prefix, suffix = np.ones(shape), np.ones(shape)

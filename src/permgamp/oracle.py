@@ -1,11 +1,11 @@
 """Independent ground-truth machinery for tests and acceptance checks.
 
 The exact log-posterior of the estimation problem, a brute-force grid
-argmax over the prior box (its gains come from the forward model's array
-kernel), a central-difference Jacobian of the forward map, and
-adaptive-quadrature moments of the truncated-Gaussian input channel. The
-iterative solver never imports this module (and this module never imports
-the solver), so the two sides stay independent.
+argmax over the prior box (Fresnel tabulated once per axis node, folded and
+summed over rays by the forward model), a central-difference Jacobian of
+the forward map, and adaptive-quadrature moments of the truncated-Gaussian
+input channel. The iterative solver never imports this module (and this
+module never imports the solver), so the two sides stay independent.
 """
 
 from __future__ import annotations
@@ -17,13 +17,15 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
-from .errors import GridSizeError, ValidationError
-from .forward_model import forward, link_totals, ray_table
+from . import forward_model
+from .errors import GridSizeError, UnusableLinkError, ValidationError
+from .forward_model import GAIN_FLOOR, RayTable, forward, ray_table, summed_gains
 from .scenario import Scenario
 from .trunc_gauss import Interval
 
 GRID_GUARD = 10_000_000  # max number of grid nodes
 GRID_CHUNK_ELEMENTS = 1 << 15  # nodes x bounce slots per kernel call
+GRID_TABLE_ELEMENTS = 1 << 20  # axis nodes x bounces of one material per table
 SIGMA_VAR_FLOOR = 1e-12  # dB^2; keeps sigma_z = 0 arithmetic finite
 QUAD_ABS_TARGET = 1e-11
 
@@ -86,27 +88,67 @@ def grid_axes(scenario: Scenario, grid: GridSpec) -> list[np.ndarray]:
     return [lo[m] + grid.step * np.arange(int(count)) for m, count in enumerate(counts)]
 
 
+def _grid_ssr(table: RayTable, axes, y, polarization: str) -> np.ndarray:
+    """Sum of squared dB residuals at every node of the Cartesian grid over
+    axes, shaped like the grid; +inf at a node that leaves some link's total
+    gain below GAIN_FLOOR.
+
+    A bounce's |Gamma|^2 depends only on its own material's axis, so it is
+    tabulated once per axis node (the elementwise _fresnel on the same
+    floats as at each node, so the same bits) and each chunk of nodes only
+    gathers its rows into the bounce slots. An axis whose table would pass
+    GRID_TABLE_ELEMENTS is evaluated per chunk instead.
+    """
+    shape = tuple(map(len, axes))
+    size = math.prod(shape)
+    slots = max(1, table.friis.size * max(1, table.n_bounces))
+    chunk = max(1, GRID_CHUNK_ELEMENTS // slots)  # bounded temporaries, no gains matrix
+
+    def fresnel(m, cos, at):  # (nodes, bounces) at the nodes `at` of axis m
+        return forward_model._fresnel(axes[m][at, None], cos, polarization)
+
+    tables = []
+    for m, _, cos in table.groups:
+        tab = None
+        if len(axes[m]) * len(cos) <= GRID_TABLE_ELEMENTS:
+            tab = np.empty((len(axes[m]), len(cos)))
+            for i in range(0, len(tab), chunk):  # chunk-sized temporaries
+                tab[i:i + chunk] = fresnel(m, cos, slice(i, i + chunk))
+        tables.append(tab)
+    coeff = np.ones((min(chunk, size), table.n_bounces) + table.friis.shape)
+    ssr = np.empty(size)
+    for start in range(0, size, chunk):
+        nodes = np.unravel_index(np.arange(start, min(start + chunk, size)), shape)
+        part = coeff[:len(nodes[0])]  # padding slots stay 1.0 across chunks
+        for (m, slots_m, cos), tab in zip(table.groups, tables):
+            rows = fresnel(m, cos, nodes[m]) if tab is None else tab[nodes[m]]
+            part.reshape(len(part), -1)[:, slots_m] = rows
+        totals = summed_gains(table.friis, part)
+        resid = 10.0 * np.log10(np.maximum(totals, GAIN_FLOOR)) - y
+        out = ssr[start:start + len(part)]
+        out[:] = np.einsum("ij,ij->i", resid, resid)
+        out[(totals < GAIN_FLOOR).any(axis=1)] = math.inf
+    return ssr.reshape(shape)
+
+
 def grid_map(scenario: Scenario, ray_cache, y, sigma_z: float, grid: GridSpec) -> np.ndarray:
     """Exhaustive argmax of the log posterior over the Cartesian prior grid.
 
     Ties resolve to the lexicographically smallest node (first hit in
     row-major order). sigma_z only scales the posterior, so the argmax is
-    returned for any sigma_z >= 0.
+    returned for any sigma_z >= 0. A node that leaves a link below
+    GAIN_FLOOR is excluded, as forward would refuse it; UnusableLinkError
+    when every node is.
     """
     axes = grid_axes(scenario, grid)
-    size = math.prod(len(ax) for ax in axes)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    eps_nodes = np.stack([m.reshape(-1) for m in mesh], axis=1)
     table = ray_table(ray_cache, scenario.wavelength_m)
-    slots = max(1, table.friis.size * max(1, table.n_bounces))
-    chunk = max(1, GRID_CHUNK_ELEMENTS // slots)  # bounded temporaries, no gains matrix
-    ssr = np.empty(size)
-    for start in range(0, size, chunk):
-        totals = link_totals(table, eps_nodes[start:start + chunk], scenario.polarization)
-        resid = 10.0 * np.log10(totals) - np.asarray(y)
-        ssr[start:start + chunk] = np.einsum("ij,ij->i", resid, resid)
-    best = int(np.argmin(ssr))  # first occurrence = lexicographically smallest
-    return eps_nodes[best].copy()
+    ssr = _grid_ssr(table, axes, np.asarray(y, dtype=float), scenario.polarization)
+    best = np.unravel_index(np.argmin(ssr), ssr.shape)  # first = lexicographically smallest
+    if ssr[best] == math.inf:
+        raise UnusableLinkError(
+            f"every grid node leaves a link's total linear gain below {GAIN_FLOOR:g}"
+        )
+    return np.array([ax[i] for ax, i in zip(axes, best)])
 
 
 def quadrature_moments(

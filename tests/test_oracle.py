@@ -1,10 +1,15 @@
 """Grid MAP, log posterior, and quadrature moments."""
 
 import math
+import tracemalloc
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+import per_node_grid
 from permgamp import (
     GridSizeError,
     GridSpec,
@@ -13,13 +18,18 @@ from permgamp import (
     Material,
     Scenario,
     Surface,
+    UnusableLinkError,
     forward,
+    forward_model,
     grid_map,
     log_posterior,
+    oracle,
     quadrature_moments,
     trace_scenario,
 )
-from permgamp.oracle import grid_axes
+from permgamp.forward_model import ray_table
+from permgamp.oracle import _grid_ssr, grid_axes
+from permgamp.raytracer import Ray, Reflection
 
 
 def test_quadrature_symmetric_mean_zero():
@@ -172,3 +182,122 @@ def test_grid_axes_cover_bounds(canyon):
         assert ax[0] == lo[m]
         assert ax[-1] <= hi[m] + 1e-12
         assert hi[m] - ax[-1] < 0.05
+
+
+# ---------------------------------------------------------------------------
+# The per-axis Fresnel tables against the per-node scan.
+# ---------------------------------------------------------------------------
+
+def _bits(a):
+    return np.asarray(a, dtype=float).tobytes()
+
+
+@st.composite
+def _grid_problems(draw):
+    """A ray table over 1 to 3 materials (the last one sometimes hit by no
+    ray), rays of 0 to 3 bounces on mixed materials, a small grid whose
+    axes may start at vacuum, and measurements for every link."""
+    n_mat = draw(st.integers(1, 3))
+    hit = n_mat - 1 if n_mat > 1 and draw(st.booleans()) else n_mat
+    bounce = st.builds(Reflection, st.integers(1, hit),
+                       st.sampled_from([0.0, 0.3, 0.9]) | st.floats(0.0, 1.5))
+    ray = st.builds(Ray, st.floats(1.0, 80.0), st.lists(bounce, max_size=3).map(tuple))
+    ray_cache = draw(st.lists(st.lists(ray, min_size=1, max_size=4), min_size=1, max_size=3))
+    axes = []
+    for _ in range(n_mat):
+        lo = draw(st.sampled_from([1.0, 1.5]) | st.floats(1.0, 9.0))
+        axes.append(lo + draw(st.sampled_from([0.25, 0.05])) * np.arange(draw(st.integers(1, 5))))
+    y = draw(st.lists(st.floats(-160.0, -40.0), min_size=len(ray_cache),
+                      max_size=len(ray_cache)))
+    return ray_table(ray_cache, 0.1), axes, np.array(y), draw(st.sampled_from(["TE", "TM"]))
+
+
+@given(_grid_problems())
+def test_grid_ssr_matches_the_per_node_scan_bit_for_bit(problem):
+    table, axes, y, pol = problem
+    want = _bits(per_node_grid.grid_ssr(table, axes, y, pol))
+    for chunk in (1, 7, oracle.GRID_CHUNK_ELEMENTS):
+        for table_elements in (0, oracle.GRID_TABLE_ELEMENTS):  # per chunk, tabulated
+            with mock.patch.object(oracle, "GRID_CHUNK_ELEMENTS", chunk), \
+                 mock.patch.object(oracle, "GRID_TABLE_ELEMENTS", table_elements):
+                assert _bits(_grid_ssr(table, axes, y, pol)) == want
+
+
+def test_grid_ssr_matches_the_per_node_scan_on_the_canyon(canyon, canyon_rays, rng):
+    y = forward(canyon, canyon_rays, canyon.true_eps_vector())
+    y = y + rng.standard_normal(len(y))
+    table = ray_table(canyon_rays, canyon.wavelength_m)
+    axes = grid_axes(canyon, GridSpec(0.25))
+    want = per_node_grid.grid_ssr(table, axes, y, canyon.polarization)
+    assert _bits(_grid_ssr(table, axes, y, canyon.polarization)) == _bits(want)
+
+
+def test_grid_map_evaluates_fresnel_once_per_axis_node(canyon, canyon_rays, monkeypatch):
+    evaluated = []
+    fresnel = forward_model._fresnel
+
+    def counted(eps, c, *args, **kwargs):
+        evaluated.append(np.broadcast(eps, c).size)
+        return fresnel(eps, c, *args, **kwargs)
+
+    monkeypatch.setattr(forward_model, "_fresnel", counted)
+    y = forward(canyon, canyon_rays, canyon.true_eps_vector())
+    evaluated.clear()
+    grid_map(canyon, canyon_rays, y, 0.5, GridSpec(0.05))
+    axes = grid_axes(canyon, GridSpec(0.05))
+    groups = ray_table(canyon_rays, canyon.wavelength_m).groups
+    distinct = sum(len(axes[m]) * len(slots) for m, slots, _ in groups)
+    assert distinct == 171 * 300 + 181 * 300  # 18,570,600 at one call per node
+    assert 0 < sum(evaluated) <= distinct
+
+
+def test_grid_map_memory_does_not_grow_past_the_ssr_vector(canyon, canyon_rays):
+    # 1,196,938 nodes: the SSR vector is 9.6 MB; a grid of node vectors
+    # (eps, meshgrid) would add 38 MB more
+    y = forward(canyon, canyon_rays, canyon.true_eps_vector())
+    tracemalloc.start()
+    try:
+        grid_map(canyon, canyon_rays, y, 0.5, GridSpec(0.008))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20e6
+
+
+def _vacuum_canyon(canyon, prior_hi=None):
+    """The canyon with vacuum lower bounds, a 2 m material-1 blocker at
+    x = 5 and a link (0, 0) -> (10, 0) behind it, which only reflected rays
+    reach: at eps = (1, 1) that link's gain is exactly 0."""
+    materials = tuple(
+        replace(m, prior_lo=1.0) if prior_hi is None
+        else replace(m, prior_lo=1.0, prior_hi=prior_hi, true_eps=None)
+        for m in canyon.materials
+    )
+    return replace(
+        canyon,
+        materials=materials,
+        surfaces=canyon.surfaces + (Surface((5.0, -1.0), (5.0, 1.0), 1),),
+        links=canyon.links + (Link((0.0, 0.0), (10.0, 0.0), 30.0, 2.0, 2.0),),
+    )
+
+
+def test_grid_map_excludes_a_node_that_leaves_a_link_below_the_gain_floor(canyon, rng):
+    sc = _vacuum_canyon(canyon)
+    rays = trace_scenario(sc)
+    assert all(ray.reflections for ray in rays[-1])
+    y = forward(sc, rays, sc.true_eps_vector()) + 0.5 * rng.standard_normal(sc.n_links)
+    axes = grid_axes(sc, GridSpec(0.25))
+    ssr = _grid_ssr(ray_table(rays, sc.wavelength_m), axes, y, sc.polarization)
+    assert ssr[0, 0] == math.inf  # eps = (1, 1), no warning either
+    assert np.isfinite(ssr.ravel()[1:]).all()
+    got = grid_map(sc, rays, y, 0.5, GridSpec(0.25))
+    best = np.unravel_index(np.argmin(ssr), ssr.shape)
+    assert got.tolist() == [ax[i] for ax, i in zip(axes, best)]
+
+
+def test_grid_map_refuses_a_grid_whose_every_node_is_excluded(canyon):
+    # at step 0.25 both axes hold only eps = 1
+    sc = _vacuum_canyon(canyon, prior_hi=1.2)
+    rays = trace_scenario(sc)
+    with pytest.raises(UnusableLinkError, match="every grid node"):
+        grid_map(sc, rays, np.zeros(sc.n_links), 0.5, GridSpec(0.25))

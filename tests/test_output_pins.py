@@ -1,4 +1,5 @@
-"""Byte pins on what the solver writes: estimate reports and sweep CSVs.
+"""Byte pins on what the solver and the grid oracle write: estimate reports,
+sweep CSVs and oracle reports.
 
 The digests were taken with numpy 2.4 and scipy 1.17. Another numpy or scipy
 build may round exp, erf or erfcx differently in the last bit, which moves
@@ -10,8 +11,9 @@ import hashlib
 
 import pytest
 
+import per_node_grid
 import scalar_moments
-from permgamp import bundled_scenario_path, gamp
+from permgamp import bundled_scenario_path, gamp, oracle
 from permgamp.cli import main
 
 # SHA-256 of the default `estimate` report (stdout) on the bundled canyon,
@@ -28,6 +30,16 @@ ESTIMATE_SHA256 = {
 SWEEP_SHA256 = {
     "runs.csv": "7999d21edd014de23df20cbdadc76f9e755ac7c7ab689cafcac7ed5a86e4406b",
     "summary.csv": "ff020b2865b1afecd7ce1ad8a234ef8029bd43d67bb1b8980fdbe7bca6095dad",
+}
+
+# SHA-256 of the `oracle` report (stdout) on the bundled canyon, per
+# (sigma, seed), and of the `estimate --oracle` report.
+ORACLE_SHA256 = {
+    (0.5, 3): "0ab5ba8e3dd59b8b3c30e4b4fb2f4293884776f51d1b9ef5e984b1080ab00476",
+    (2.0, 1): "508f39bef0b7b9bb518585ace7c3b935c2dd093d00eb905c85cac7970c1a7c6d",
+}
+ESTIMATE_ORACLE_SHA256 = {
+    (1.0, 2): "ca68498f236a2a5f7b41a93d0933418a5a77eb8131209f4f6683be2cd9bf166b",
 }
 
 
@@ -75,3 +87,24 @@ def test_scalar_moment_reference_reaches_every_branch_and_the_same_bytes(
     monkeypatch.setattr(gamp, "truncated_moments", scalar_moments.moments_loop)
     assert _digests(tmp_path, capsys) == (ESTIMATE_SHA256, SWEEP_SHA256)
     assert all(calls.values()), calls
+
+
+def _oracle_digests(capsys):
+    """(oracle digests, estimate --oracle digests) of the pinned panels."""
+    canyon = bundled_scenario_path("canyon")
+
+    def digests(pins, command, *flags):
+        out = {}
+        for sigma, seed in pins:
+            assert main([command, "--scenario", canyon, "--sigma", str(sigma),
+                         "--seed", str(seed), *flags]) == 0
+            out[sigma, seed] = _sha256(capsys.readouterr().out.encode())
+        return out
+    return digests(ORACLE_SHA256, "oracle"), digests(ESTIMATE_ORACLE_SHA256, "estimate", "--oracle")
+
+
+def test_oracle_outputs_are_pinned(capsys, monkeypatch):
+    assert _oracle_digests(capsys) == (ORACLE_SHA256, ESTIMATE_ORACLE_SHA256)
+    # the per-node scan writes the same bytes
+    monkeypatch.setattr(oracle, "_grid_ssr", per_node_grid.grid_ssr)
+    assert _oracle_digests(capsys) == (ORACLE_SHA256, ESTIMATE_ORACLE_SHA256)
