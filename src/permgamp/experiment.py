@@ -20,7 +20,8 @@ from typing import ClassVar, Optional, Sequence
 import numpy as np
 
 from .errors import ParseError, UnusableLinkError, ValidationError
-from .forward_model import forward, usable_links
+# unused here: forward, scenario_from_dict and trace_link, which bench/ calls or wraps here
+from .forward_model import GAIN_FLOOR, RayTable, forward, gains_db, link_totals, ray_table
 from .gamp import EstimateReport, GampConfig, check_x0, default_config, solve, solve_batch
 from .oracle import GridSpec, grid_map
 from . import raytracer
@@ -40,31 +41,36 @@ from .scenario import (
     normalize_measurements,
     read_json,
     read_record,
-    scenario_from_dict,  # unused here, as is trace_link: bench/tracing.py wraps both here
+    scenario_from_dict,
     synthesize_dataset,
 )
 
 
 @dataclass
 class PreparedProblem:
-    """Normalized measurements and rays for the solvable subset of links."""
+    """Normalized measurements, rays and their one ray table for the solvable links."""
 
     y: np.ndarray
     ray_cache: list[list[Ray]]
+    table: RayTable
     kept: list[int]              # original link indices
     dropped: list[int]
 
 
 def _split_links(scenario: Scenario, ray_cache, y_all) -> PreparedProblem:
-    """Keep the links usable at the prior midpoint (one kernel pass): a
-    link without rays or with zero gain there is dropped."""
+    """Keep the links usable at the prior midpoint (one kernel pass over the
+    ray table): a link without rays or with a total gain below GAIN_FLOOR
+    there is dropped, and then the table is rebuilt over the kept links."""
     lo, hi = scenario.prior_bounds()
-    usable = usable_links(scenario, ray_cache, 0.5 * (lo + hi))
-    kept = np.flatnonzero(usable).tolist()
+    table = ray_table(ray_cache, scenario.wavelength_m)
+    usable = ~(link_totals(table, [0.5 * (lo + hi)], scenario.polarization)[0] < GAIN_FLOOR)
+    kept, dropped = np.flatnonzero(usable).tolist(), np.flatnonzero(~usable).tolist()
     if not kept:
         raise UnusableLinkError("every link is unusable")
-    rays = [ray_cache[n] for n in kept]
-    return PreparedProblem(y_all[kept], rays, kept, np.flatnonzero(~usable).tolist())
+    if dropped:
+        ray_cache = [ray_cache[n] for n in kept]
+        table = ray_table(ray_cache, scenario.wavelength_m)
+    return PreparedProblem(y_all[kept], ray_cache, table, kept, dropped)
 
 
 def prepare_problem(scenario: Scenario, dataset: Dataset) -> PreparedProblem:
@@ -84,7 +90,7 @@ def run_estimate(
     """Prepare, solve, and (optionally) compare against the grid oracle."""
     prob = prepare_problem(scenario, dataset)
     config = default_config(scenario, dataset.noise_var, **(overrides or {}))
-    report = solve(scenario, prob.ray_cache, prob.y, config)
+    report = solve(scenario, prob.table, prob.y, config)
     info: dict = {"dropped_links": prob.dropped, "n_used": len(prob.kept)}
     if with_oracle:
         sigma_z = float(np.sqrt(dataset.noise_var))
@@ -198,7 +204,7 @@ def run_sweep(
         raise ValidationError(f"overrides {config.overrides}: {exc}") from exc
     try:  # the problem every point shares: kept links, gains at the true eps
         prob = _split_links(scenario, raytracer.trace_scenario(scenario), np.zeros(scenario.n_links))
-        gains = forward(scenario, prob.ray_cache, eps_true)
+        gains = gains_db(prob.table, eps_true, scenario.polarization)
     except Exception as exc:  # e.g. a link without rays: every point reports it
         outcomes = [exc] * len(points)
     else:
@@ -210,12 +216,12 @@ def run_sweep(
             for sigma, seed in points
         ])
         try:
-            outcomes = solve_batch(scenario, prob.ray_cache, Y, configs)
+            outcomes = solve_batch(scenario, prob.table, Y, configs)
         except Exception:  # solve alone, so only the failing points get error rows
             outcomes = []
             for y, point_config in zip(Y, configs):
                 try:
-                    outcomes.append(solve(scenario, prob.ray_cache, y, point_config))
+                    outcomes.append(solve(scenario, prob.table, y, point_config))
                 except Exception as exc:  # one failure must not kill the sweep
                     outcomes.append(exc)
     rows = [

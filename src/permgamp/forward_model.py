@@ -178,7 +178,7 @@ def link_totals(table: RayTable, eps, polarization: str, deriv: bool = False):
     return total, dtotal
 
 
-def _gains_db(table: RayTable, eps, polarization: str) -> np.ndarray:
+def gains_db(table: RayTable, eps, polarization: str) -> np.ndarray:
     """Per-link 10 log10 (math.log10) at one eps (M,) or a batch (B, M);
     raises naming a link below the floor."""
     eps = np.asarray(eps, dtype=float)
@@ -197,19 +197,13 @@ def _gains_db(table: RayTable, eps, polarization: str) -> np.ndarray:
 
 def link_gain_db(rays, eps, wavelength_m: float, polarization: str = "TE") -> float:
     """10 log10 of the summed linear ray gains (energy superposition)."""
-    return float(_gains_db(ray_table([rays], wavelength_m), eps, polarization)[0])
+    return float(gains_db(ray_table([rays], wavelength_m), eps, polarization)[0])
 
 
 def forward(scenario: Scenario, ray_cache, eps) -> np.ndarray:
     """dB link gains for every link at one permittivity vector eps (M,),
-    or at each row of a batch (B, M)."""
-    return _gains_db(ray_table(ray_cache, scenario.wavelength_m), eps, scenario.polarization)
-
-
-def usable_links(scenario: Scenario, ray_cache, eps) -> np.ndarray:
-    """Mask of the links whose total linear gain at eps is not below GAIN_FLOOR."""
-    table = ray_table(ray_cache, scenario.wavelength_m)
-    return ~(link_totals(table, np.atleast_2d(eps), scenario.polarization)[0] < GAIN_FLOOR)
+    or at each row of a batch (B, M): gains_db on a table of ray_cache."""
+    return gains_db(ray_table(ray_cache, scenario.wavelength_m), eps, scenario.polarization)
 
 
 @dataclass(frozen=True)
@@ -227,7 +221,7 @@ def jacobian(scenario: Scenario, table: RayTable, eps) -> Linearization:
     ray table."""
     eps = np.asarray(eps, dtype=float)
     pol = scenario.polarization
-    g0 = _gains_db(table, eps, pol)  # names the link if one is unusable
+    g0 = gains_db(table, eps, pol)  # names the link if one is unusable
     total, dtotal = link_totals(table, eps, pol, True)
     a = DB_PER_LN * dtotal / total[..., None]
     return Linearization(a_matrix=a, mu=g0 - (a @ eps[..., None])[..., 0])

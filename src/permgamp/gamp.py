@@ -45,7 +45,8 @@ from typing import ClassVar, Sequence
 import numpy as np
 
 from .errors import SolverError, UnusableLinkError, ValidationError
-from .forward_model import Linearization, forward, jacobian, ray_table
+# forward is unused here: bench/tracing.py wraps it at this module
+from .forward_model import Linearization, RayTable, forward, gains_db, jacobian
 from .scenario import Row, Scenario, _integer, _list_of, _number, dump_json, write_record
 from .trunc_gauss import Interval, truncated_moments
 
@@ -293,16 +294,16 @@ def _check_invariants(state: GampState, lo, hi, active: np.ndarray) -> None:
 
 
 def solve_batch(
-    scenario: Scenario, ray_cache, Y: np.ndarray, configs: Sequence[GampConfig]
+    scenario: Scenario, table: RayTable, Y: np.ndarray, configs: Sequence[GampConfig]
 ) -> list[EstimateReport]:
     """Run the full outer/inner recursion for B problems, one row of Y
     (B, N) and one config each, and report each estimate (see solve)."""
     t0 = time.perf_counter()
     Y = np.asarray(Y, dtype=float)
-    if Y.shape != (len(configs), len(ray_cache)):
+    if Y.shape != (len(configs), table.friis.shape[1]):
         raise ValidationError(
             f"Y has shape {Y.shape} for {len(configs)} configs and "
-            f"{len(ray_cache)} ray lists"
+            f"{table.friis.shape[1]} links"
         )
     shared = {(c.k_iter, c.k_gamp, c.damping) for c in configs}
     if len(shared) != 1:
@@ -311,14 +312,13 @@ def solve_batch(
     lo, hi = scenario.prior_bounds()
     prior_var = (hi - lo) ** 2 / 12.0
     state = init_state(scenario, configs, Y.shape[1])
-    table = ray_table(ray_cache, scenario.wavelength_m)  # one per solve
     tau_w = np.array([[c.tau_w] for c in configs])
     half = np.array([c.delta_tr for c in configs]) / 2.0
 
     trajectory = [state.x_hat.copy()]
     where = "the initial point"
     try:  # an unusable link anywhere in the recursion stops it, naming where
-        g_start = forward(scenario, ray_cache, state.x_hat)
+        g_start = gains_db(table, state.x_hat, scenario.polarization)
         for k1 in range(k_iter):
             where = f"the linearization of outer iteration {k1}"
             expansion = state.x_hat.copy()
@@ -332,7 +332,7 @@ def solve_batch(
                 trajectory.append(state.x_hat.copy())
                 _check_invariants(state, t_lo, t_hi, active)
         where = "the final point"
-        g_end = forward(scenario, ray_cache, state.x_hat)
+        g_end = gains_db(table, state.x_hat, scenario.polarization)
     except UnusableLinkError as exc:
         raise SolverError(f"forward model failed at {where}: {exc}") from exc
     wall_ms = (time.perf_counter() - t0) * 1e3 / len(configs)
@@ -356,15 +356,10 @@ def solve_batch(
     return reports
 
 
-def solve(
-    scenario: Scenario,
-    ray_cache,
-    y: np.ndarray,
-    config: GampConfig,
-) -> EstimateReport:
+def solve(scenario: Scenario, table: RayTable, y: np.ndarray, config: GampConfig) -> EstimateReport:
     """Run the full outer/inner recursion and report the estimate.
 
     y must already be normalized (power and antenna gains removed) and any
-    unusable links dropped from both y and ray_cache.
+    unusable links dropped from both y and the ray table (prepare_problem).
     """
-    return solve_batch(scenario, ray_cache, np.asarray(y, dtype=float)[None], [config])[0]
+    return solve_batch(scenario, table, np.asarray(y, dtype=float)[None], [config])[0]

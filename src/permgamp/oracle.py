@@ -19,7 +19,7 @@ from scipy.integrate import IntegrationWarning, quad
 
 from . import forward_model
 from .errors import GridSizeError, UnusableLinkError, ValidationError
-from .forward_model import GAIN_FLOOR, RayTable, forward, ray_table, summed_gains
+from .forward_model import GAIN_FLOOR, RayTable, forward, gains_db, ray_table, summed_gains
 from .scenario import Scenario
 from .trunc_gauss import Interval
 
@@ -45,13 +45,14 @@ def log_posterior(scenario: Scenario, ray_cache, y, eps, sigma_z: float) -> floa
     return float(-0.5 * np.dot(resid, resid) / var)
 
 
-def fd_jacobian(scenario: Scenario, ray_cache, eps, step: float = 1e-6):
-    """Central-difference d gain_db / d eps, the cross-check of the solver's
-    analytic Jacobian; returns (a_matrix, warnings). A central step that
-    would cross the eps = 1 boundary degrades to a one-sided difference and
-    is flagged in the warnings."""
+def fd_jacobian(scenario: Scenario, table: RayTable, eps, step: float = 1e-6):
+    """Central-difference d gain_db / d eps over a ray table, the cross-check
+    of the solver's analytic Jacobian; returns (a_matrix, warnings). A
+    central step that would cross the eps = 1 boundary degrades to a
+    one-sided difference and is flagged in the warnings."""
     eps = np.asarray(eps, dtype=float)
-    a = np.zeros((len(ray_cache), len(eps)))
+    pol = scenario.polarization
+    a = np.zeros((table.friis.shape[1], len(eps)))
     warns = []
     for m in range(len(eps)):
         e_hi, e_lo = eps.copy(), eps.copy()
@@ -62,7 +63,7 @@ def fd_jacobian(scenario: Scenario, ray_cache, eps, step: float = 1e-6):
         else:
             width = step
             warns.append(f"fd: one-sided difference for material {m + 1} at eps={eps[m]}")
-        a[:, m] = (forward(scenario, ray_cache, e_hi) - forward(scenario, ray_cache, e_lo)) / width
+        a[:, m] = (gains_db(table, e_hi, pol) - gains_db(table, e_lo, pol)) / width
     return a, warns
 
 

@@ -6,6 +6,8 @@ from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from permgamp import bundled_scenario_path, load_scenario, trace_scenario
+from permgamp import experiment, forward_model, gamp, oracle
+from permgamp.forward_model import ray_table
 
 # Same examples on every run, and no example database written to disk.
 settings.register_profile("permgamp", derandomize=True, database=None, max_examples=100,
@@ -27,6 +29,26 @@ def canyon_rays(canyon):
     return trace_scenario(canyon)
 
 
+@pytest.fixture(scope="session")
+def canyon_table(canyon, canyon_rays):
+    return ray_table(canyon_rays, canyon.wavelength_m)
+
+
 @pytest.fixture()
 def rng():
     return np.random.Generator(np.random.PCG64(20240817))
+
+
+@pytest.fixture()
+def ray_table_calls(monkeypatch):
+    """A list that grows by one at every ray_table call, made in any module."""
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return ray_table(*args)
+
+    assert not hasattr(gamp, "ray_table")  # the solver takes a built table
+    for module in (forward_model, experiment, oracle):
+        monkeypatch.setattr(module, "ray_table", counted)
+    return calls

@@ -101,8 +101,9 @@ def test_criterion_2_jacobian():
         rays = trace_scenario(sc)
         lo, hi = sc.prior_bounds()
         eps = np.array([rng.uniform(lo[m] + 0.3, hi[m] - 0.3) for m in range(2)])
-        a = jacobian(sc, ray_table(rays, sc.wavelength_m), eps[None]).a_matrix[0]
-        fd, _ = fd_jacobian(sc, rays, eps)
+        table = ray_table(rays, sc.wavelength_m)
+        a = jacobian(sc, table, eps[None]).a_matrix[0]
+        fd, _ = fd_jacobian(sc, table, eps)
         scale = np.maximum(np.abs(a), 1e-9)
         worst_rel = max(worst_rel, float(np.max(np.abs(a - fd) / scale)))
 
@@ -144,11 +145,12 @@ def test_criterion_2_jacobian():
 def _criterion3_runs():
     sc = load_scenario(bundled_scenario_path("canyon"))
     rays = trace_scenario(sc)
+    table = ray_table(rays, sc.wavelength_m)
     out = []
     for seed in range(100, 110):
         ds = synthesize_dataset(sc, 0.5, seed=seed)
         y = normalize_measurements(sc, ds)
-        rep = solve(sc, rays, y, default_config(sc, ds.noise_var))
+        rep = solve(sc, table, y, default_config(sc, ds.noise_var))
         out.append((sc, rays, y, rep))
     return out
 
@@ -161,7 +163,7 @@ def _criterion4_runs():
             rays = trace_scenario(sc)
             ds = synthesize_dataset(sc, 0.0, seed=seed)
             y = normalize_measurements(sc, ds)
-            rep = solve(sc, rays, y, default_config(sc, ds.noise_var))
+            rep = solve(sc, ray_table(rays, sc.wavelength_m), y, default_config(sc, ds.noise_var))
             reports.append((n_mat, seed, float(np.max(np.abs(rep.eps_hat - sc.true_eps_vector())))))
     return reports
 

@@ -31,9 +31,8 @@ from permgamp import (
     trace_scenario,
     write_sweep_outputs,
 )
-from permgamp import cli, experiment, forward_model, gamp, raytracer
+from permgamp import cli, experiment, raytracer
 from permgamp.errors import ParseError
-from permgamp.forward_model import ray_table
 from permgamp.cli import main
 from permgamp.experiment import RUN_FIELDS, SUMMARY_FIELDS
 from permgamp.oracle import GRID_GUARD
@@ -662,15 +661,8 @@ def test_sweep_point_failure_leaves_other_points_unchanged(tmp_path, monkeypatch
     assert [s["n_ok"] for s in summary] == [2, 2, 1, 1]
 
 
-def test_sweep_builds_as_many_ray_tables_for_20_points_as_for_1(monkeypatch):
-    calls = []
-
-    def counted(*args):
-        calls.append(1)
-        return ray_table(*args)
-
-    monkeypatch.setattr(forward_model, "ray_table", counted)
-    monkeypatch.setattr(gamp, "ray_table", counted)
+def test_sweep_builds_as_many_ray_tables_for_20_points_as_for_1(ray_table_calls):
+    calls = ray_table_calls
     counts = []
     for sigmas, n_seeds in (([0.5], 1), ([0.1, 1.0, 2.0, 4.0], 5)):
         calls.clear()
@@ -680,7 +672,7 @@ def test_sweep_builds_as_many_ray_tables_for_20_points_as_for_1(monkeypatch):
         ))
         assert all(r["status"] == "ok" for r in rows)
         counts.append(len(calls))
-    assert counts[0] == counts[1]
+    assert counts == [1, 1]  # the prepared problem's one table
 
 
 def test_sweep_points_equal_single_estimates_and_trace_once(monkeypatch):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from permgamp import (
+    Dataset,
     Link,
     Material,
     Scenario,
@@ -17,19 +18,23 @@ from permgamp import (
     fresnel_power_coeff,
     link_gain_db,
     make_canyon_scenario,
+    normalize_measurements,
+    prepare_problem,
+    run_estimate,
     solve,
+    synthesize_dataset,
     trace_link,
     trace_scenario,
 )
-from permgamp import forward_model, gamp
+from permgamp import experiment, forward_model, gamp, oracle, raytracer
 from permgamp.forward_model import (
     Linearization,
     fresnel_power_coeff_deriv,
+    gains_db,
     jacobian,
     link_totals,
     ray_gain_linear,
     ray_table,
-    usable_links,
 )
 from permgamp.oracle import fd_jacobian
 from permgamp.raytracer import Ray, Reflection
@@ -231,17 +236,31 @@ def test_forward_error_names_the_link():
         forward(sc, rays, np.array([1.0]))
 
 
-def test_usable_links_matches_per_link_floor_test():
-    # link 0 LOS, link 1 a single bounce annihilated at eps = 1, link 2 no ray
+def test_prepare_problem_keeps_the_links_above_the_floor(monkeypatch):
+    # link 0 LOS, link 1 a single bounce annihilated at eps = 1, link 2 no
+    # ray; the prior midpoint is eps = 1 (the upper bound 1 + ulp rounds the
+    # midpoint to 1) or eps = 4
     rays = [[_los(5.0)], [_bounce(5.0, 1, 0.2)], []]
-    sc = Scenario(
-        surfaces=(),
-        materials=(Material(1, 1.0, 13.0),),
-        links=tuple(Link((0, n), (5, n), 30, 2, 2) for n in range(3)),
-        wavelength_m=0.1,
-    )
-    assert usable_links(sc, rays, np.array([1.0])).tolist() == [True, False, False]
-    assert usable_links(sc, rays, np.array([4.0])).tolist() == [True, True, False]
+    monkeypatch.setattr(raytracer, "trace_scenario", lambda sc: rays)
+    kept = {}
+    for mid, upper in ((1.0, math.nextafter(1.0, 2.0)), (4.0, 7.0)):
+        sc = Scenario(
+            surfaces=(),
+            materials=(Material(1, 1.0, upper),),
+            links=tuple(Link((0, n), (5, n), 30, 2, 2) for n in range(3)),
+            wavelength_m=0.1,
+        )
+        lo, hi = sc.prior_bounds()
+        assert (0.5 * (lo + hi)).tolist() == [mid]
+        prob = prepare_problem(sc, Dataset(measured_db=[-1.0, -2.0, -3.0], noise_var=0.25))
+        kept[mid] = prob.kept
+        assert prob.dropped == [n for n in range(3) if n not in prob.kept]
+        assert prob.ray_cache == [rays[n] for n in prob.kept]
+        assert prob.y.tolist() == (np.array([-1.0, -2.0, -3.0]) - sc.link_offsets())[prob.kept].tolist()
+        # the kept links' table gives the gains forward gives on their rays
+        eps = np.array([mid])
+        assert np.array_equal(gains_db(prob.table, eps, "TE"), forward(sc, prob.ray_cache, eps))
+    assert kept == {1.0: [0], 4.0: [0, 1]}
     with pytest.raises(UnusableLinkError, match="link 2"):
         forward(sc, rays, np.array([4.0]))
 
@@ -326,7 +345,7 @@ def test_analytic_matches_central_fd(canyon, canyon_rays):
     ]
     for sc, rays, eps in cases:
         la = _linearize(sc, rays, eps)
-        fd, _ = fd_jacobian(sc, rays, eps)
+        fd, _ = fd_jacobian(sc, ray_table(rays, sc.wavelength_m), eps)
         assert np.all(np.isfinite(la.a_matrix))
         # At eps = 1 the FD step is one-sided, with an O(step) error that a
         # relative check cannot absorb; there d|Gamma|^2/d eps is exactly 0.
@@ -372,28 +391,25 @@ def test_first_order_remainder_ratio(canyon, canyon_rays, rng):
 def test_fd_one_sided_at_boundary():
     # eps exactly 1: a central step would cross the physical boundary
     sc = make_canyon_scenario(n_links=10, priors=((1.0, 10.0), (1.0, 12.0)))
-    rays = trace_scenario(sc)
-    _, warns = fd_jacobian(sc, rays, np.array([1.0, 5.0]))
+    table = ray_table(trace_scenario(sc), sc.wavelength_m)
+    _, warns = fd_jacobian(sc, table, np.array([1.0, 5.0]))
     assert any("one-sided" in w and "material 1" in w for w in warns)
-    _, warns = fd_jacobian(sc, rays, np.array([3.0, 5.0]))
+    _, warns = fd_jacobian(sc, table, np.array([3.0, 5.0]))
     assert warns == []
 
 
-def test_solve_builds_ray_tables_once(canyon, canyon_rays, monkeypatch):
-    # jacobian takes a prebuilt table; a solve builds one for its 20
-    # linearizations and forward builds one at each of its 2 residuals
-    calls = []
-
-    def counted(*args):
-        calls.append(1)
-        return ray_table(*args)
-
-    monkeypatch.setattr(forward_model, "ray_table", counted)
-    monkeypatch.setattr(gamp, "ray_table", counted)
-    table = ray_table(canyon_rays, canyon.wavelength_m)
-    jacobian(canyon, table, np.array([[3.0, 6.0]]))
-    assert calls == []
-    y = forward(canyon, canyon_rays, canyon.true_eps_vector())
+def test_solve_builds_ray_tables_once(canyon, canyon_table, ray_table_calls):
+    # a solve and its 20 linearizations run on the caller's table, and an
+    # estimate builds the one table of its prepared problem (the oracle one more)
+    dataset = synthesize_dataset(canyon, 0.5, 3)  # through forward: one table
+    y = normalize_measurements(canyon, dataset)
+    calls = ray_table_calls
     calls.clear()
-    solve(canyon, canyon_rays, y, default_config(canyon, 0.0))
-    assert len(calls) == 3
+    jacobian(canyon, canyon_table, np.array([[3.0, 6.0]]))
+    solve(canyon, canyon_table, y, default_config(canyon, 0.0))
+    assert calls == []
+    run_estimate(canyon, dataset)
+    assert len(calls) == 1
+    calls.clear()
+    run_estimate(canyon, dataset, with_oracle=True, grid_step=0.5)
+    assert len(calls) == 2

@@ -23,7 +23,7 @@ from permgamp import (
     truncated_moments,
 )
 from permgamp import gamp
-from permgamp.forward_model import Linearization
+from permgamp.forward_model import Linearization, ray_table
 from permgamp.gamp import GampState, init_state, input_step, output_step
 from permgamp.oracle import fd_jacobian
 
@@ -252,20 +252,20 @@ def test_solve_noiseless_single_material():
     sc = make_canyon_scenario(
         n_links=40, n_materials=1, seed=3, true_eps=(6.0,), priors=((1.0, 13.0),)
     )
-    rays = trace_scenario(sc)
+    table = ray_table(trace_scenario(sc), sc.wavelength_m)
     ds = synthesize_dataset(sc, 0.0, seed=1)
     y = normalize_measurements(sc, ds)
     cfg = default_config(sc, ds.noise_var, k_iter=20, k_gamp=5, delta_tr=2.0)
-    rep = solve(sc, rays, y, cfg)
+    rep = solve(sc, table, y, cfg)
     assert abs(rep.eps_hat[0] - 6.0) <= 0.05
     assert rep.iterations_run == 100
 
 
-def test_solve_fixed_point_at_truth(canyon, canyon_rays):
+def test_solve_fixed_point_at_truth(canyon, canyon_rays, canyon_table):
     truth = canyon.true_eps_vector()
     y = forward(canyon, canyon_rays, truth)
     cfg = default_config(canyon, 0.0, x0=truth)
-    rep = solve(canyon, canyon_rays, y, cfg)
+    rep = solve(canyon, canyon_table, y, cfg)
     half = cfg.delta_tr / 2.0
     for x in rep.trajectory:
         assert np.all(np.abs(x - truth) <= half + 1e-12)
@@ -273,22 +273,22 @@ def test_solve_fixed_point_at_truth(canyon, canyon_rays):
     assert rep.residual_db <= 1e-3
 
 
-def test_solve_matches_grid_oracle_one_seed(canyon, canyon_rays):
+def test_solve_matches_grid_oracle_one_seed(canyon, canyon_rays, canyon_table):
     from permgamp import GridSpec, grid_map
 
     ds = synthesize_dataset(canyon, 0.5, seed=104)
     y = normalize_measurements(canyon, ds)
-    rep = solve(canyon, canyon_rays, y, default_config(canyon, ds.noise_var))
+    rep = solve(canyon, canyon_table, y, default_config(canyon, ds.noise_var))
     gm = grid_map(canyon, canyon_rays, y, 0.5, GridSpec(0.05))
     assert np.max(np.abs(rep.eps_hat - gm)) <= 0.05 + 1e-12
 
 
-def test_solve_trajectory_deterministic(canyon, canyon_rays):
+def test_solve_trajectory_deterministic(canyon, canyon_table):
     ds = synthesize_dataset(canyon, 1.0, seed=8)
     y = normalize_measurements(canyon, ds)
     cfg = default_config(canyon, ds.noise_var)
-    r1 = solve(canyon, canyon_rays, y, cfg)
-    r2 = solve(canyon, canyon_rays, y, cfg)
+    r1 = solve(canyon, canyon_table, y, cfg)
+    r2 = solve(canyon, canyon_table, y, cfg)
     assert len(r1.trajectory) == len(r2.trajectory)
     for a, b in zip(r1.trajectory, r2.trajectory):
         assert np.array_equal(a, b)
@@ -296,11 +296,11 @@ def test_solve_trajectory_deterministic(canyon, canyon_rays):
     assert r1.residual_db == r2.residual_db
 
 
-def test_solve_invariants_and_report(canyon, canyon_rays):
+def test_solve_invariants_and_report(canyon, canyon_table):
     ds = synthesize_dataset(canyon, 0.5, seed=2)
     y = normalize_measurements(canyon, ds)
     cfg = default_config(canyon, ds.noise_var)
-    rep = solve(canyon, canyon_rays, y, cfg)
+    rep = solve(canyon, canyon_table, y, cfg)
     lo, hi = canyon.prior_bounds()
     assert np.all(rep.eps_hat >= lo) and np.all(rep.eps_hat <= hi)
     assert len(rep.trajectory) == rep.iterations_run + 1
@@ -308,10 +308,10 @@ def test_solve_invariants_and_report(canyon, canyon_rays):
     assert rep.wall_ms > 0.0
 
 
-def test_solve_noiseless_residual_never_worse(canyon, canyon_rays):
+def test_solve_noiseless_residual_never_worse(canyon, canyon_table):
     ds = synthesize_dataset(canyon, 0.0, seed=6)
     y = normalize_measurements(canyon, ds)
-    rep = solve(canyon, canyon_rays, y, default_config(canyon, 0.0))
+    rep = solve(canyon, canyon_table, y, default_config(canyon, 0.0))
     assert not any("exceeds initial" in w for w in rep.warnings)
 
 
@@ -323,7 +323,7 @@ def test_solve_noiseless_residual_never_worse(canyon, canyon_rays):
     ],
     ids=["mean_above_support", "nan_variance"],
 )
-def test_solve_invariant_check_fires(canyon, canyon_rays, monkeypatch, broken, named):
+def test_solve_invariant_check_fires(canyon, canyon_table, monkeypatch, broken, named):
     # a moment kernel that leaves the support box or loses its variance
     # must stop the solve with an error naming what broke
     def faulty(c_hat, tau_c, box):
@@ -335,15 +335,15 @@ def test_solve_invariant_check_fires(canyon, canyon_rays, monkeypatch, broken, n
     y = normalize_measurements(canyon, ds)
     monkeypatch.setattr(gamp, "truncated_moments", faulty)
     with pytest.raises(SolverError, match=named):
-        solve(canyon, canyon_rays, y, default_config(canyon, ds.noise_var))
+        solve(canyon, canyon_table, y, default_config(canyon, ds.noise_var))
 
 
-def test_report_json_deterministic_and_complete(canyon, canyon_rays):
+def test_report_json_deterministic_and_complete(canyon, canyon_table):
     ds = synthesize_dataset(canyon, 0.5, seed=2)
     y = normalize_measurements(canyon, ds)
     cfg = default_config(canyon, ds.noise_var)
-    r1 = solve(canyon, canyon_rays, y, cfg)
-    r2 = solve(canyon, canyon_rays, y, cfg)
+    r1 = solve(canyon, canyon_table, y, cfg)
+    r2 = solve(canyon, canyon_table, y, cfg)
     assert report_to_json(r1) == report_to_json(r2)
     payload = json.loads(report_to_json(r1))
     assert set(payload) == {
@@ -378,36 +378,36 @@ def test_config_validation(canyon):
     assert cfg.delta_tr.tolist() == [1.0, 2.0]  # per-component widths
 
 
-def test_solve_rejects_mismatched_lengths(canyon, canyon_rays):
+def test_solve_rejects_mismatched_lengths(canyon, canyon_table):
     with pytest.raises(ValidationError):
-        solve(canyon, canyon_rays, np.zeros(3), default_config(canyon, 0.25))
+        solve(canyon, canyon_table, np.zeros(3), default_config(canyon, 0.25))
 
 
-def test_solve_with_damping_still_recovers(canyon, canyon_rays):
+def test_solve_with_damping_still_recovers(canyon, canyon_table):
     ds = synthesize_dataset(canyon, 0.0, seed=4)
     y = normalize_measurements(canyon, ds)
     cfg = default_config(canyon, ds.noise_var, damping=0.7)
-    rep = solve(canyon, canyon_rays, y, cfg)
+    rep = solve(canyon, canyon_table, y, cfg)
     assert np.max(np.abs(rep.eps_hat - canyon.true_eps_vector())) <= 0.05
 
 
-def test_solve_with_fd_jacobian_matches_analytic(canyon, canyon_rays, monkeypatch):
+def test_solve_with_fd_jacobian_matches_analytic(canyon, canyon_rays, canyon_table, monkeypatch):
     ds = synthesize_dataset(canyon, 0.5, seed=5)
     y = normalize_measurements(canyon, ds)
     cfg = default_config(canyon, ds.noise_var)
-    ra = solve(canyon, canyon_rays, y, cfg)
+    ra = solve(canyon, canyon_table, y, cfg)
 
     def fd_linearization(scenario, table, eps):
-        a, _ = fd_jacobian(scenario, canyon_rays, eps[0])
+        a, _ = fd_jacobian(scenario, table, eps[0])
         mu = forward(scenario, canyon_rays, eps[0]) - a @ eps[0]
         return Linearization(a_matrix=a[None], mu=mu[None])
 
     monkeypatch.setattr(gamp, "jacobian", fd_linearization)
-    rf = solve(canyon, canyon_rays, y, cfg)
+    rf = solve(canyon, canyon_table, y, cfg)
     assert np.max(np.abs(ra.eps_hat - rf.eps_hat)) <= 1e-3
 
 
-def test_solve_tm_polarization(canyon, canyon_rays):
+def test_solve_tm_polarization(canyon):
     from permgamp import Scenario, trace_scenario
 
     tm = Scenario(
@@ -418,19 +418,19 @@ def test_solve_tm_polarization(canyon, canyon_rays):
         max_reflections=canyon.max_reflections,
         polarization="TM",
     )
-    rays = trace_scenario(tm)
+    table = ray_table(trace_scenario(tm), tm.wavelength_m)
     ds = synthesize_dataset(tm, 0.0, seed=1)
     y = normalize_measurements(tm, ds)
-    rep = solve(tm, rays, y, default_config(tm, ds.noise_var))
+    rep = solve(tm, table, y, default_config(tm, ds.noise_var))
     assert np.max(np.abs(rep.eps_hat - tm.true_eps_vector())) <= 0.05
 
 
-def test_solve_survives_huge_noise(canyon, canyon_rays):
+def test_solve_survives_huge_noise(canyon, canyon_table):
     # sigma = 50 dB: the estimate is prior-dominated but must stay finite,
     # inside the box, and invariant-clean.
     ds = synthesize_dataset(canyon, 50.0, seed=0)
     y = normalize_measurements(canyon, ds)
-    rep = solve(canyon, canyon_rays, y, default_config(canyon, ds.noise_var))
+    rep = solve(canyon, canyon_table, y, default_config(canyon, ds.noise_var))
     lo, hi = canyon.prior_bounds()
     assert np.all(np.isfinite(rep.eps_hat))
     assert np.all(rep.eps_hat >= lo) and np.all(rep.eps_hat <= hi)
@@ -458,7 +458,7 @@ def _variant(canyon, kind):
 @pytest.mark.parametrize("kind", ["TE", "TM", "unobserved"])
 def test_solve_batch_equals_each_point_solved_alone(canyon, kind):
     sc = _variant(canyon, kind)
-    rays = trace_scenario(sc)
+    table = ray_table(trace_scenario(sc), sc.wavelength_m)
     x0 = [2.0, 9.0, 5.0][: sc.n_materials]
     ys, configs = [], []
     for sigma, seed, overrides in [
@@ -467,10 +467,10 @@ def test_solve_batch_equals_each_point_solved_alone(canyon, kind):
         ds = synthesize_dataset(sc, sigma, seed)
         ys.append(normalize_measurements(sc, ds))
         configs.append(default_config(sc, ds.noise_var, **overrides))
-    batch = gamp.solve_batch(sc, rays, np.array(ys), configs)
+    batch = gamp.solve_batch(sc, table, np.array(ys), configs)
     assert len(batch) == len(configs)
     for got, y, cfg in zip(batch, ys, configs):
-        alone = solve(sc, rays, y, cfg)
+        alone = solve(sc, table, y, cfg)
         assert np.array_equal(got.eps_hat, alone.eps_hat)  # bit for bit
         assert len(got.trajectory) == len(alone.trajectory)
         assert all(np.array_equal(a, b) for a, b in zip(got.trajectory, alone.trajectory))
@@ -482,10 +482,10 @@ def test_solve_batch_equals_each_point_solved_alone(canyon, kind):
         assert all("material 3 unobserved" in r.warnings[-1] for r in batch)
 
 
-def test_solve_batch_rejects_configs_that_differ_in_loop_shape(canyon, canyon_rays):
+def test_solve_batch_rejects_configs_that_differ_in_loop_shape(canyon, canyon_rays, canyon_table):
     y = forward(canyon, canyon_rays, canyon.true_eps_vector())
     configs = [default_config(canyon, 0.25), default_config(canyon, 0.25, k_iter=3)]
     with pytest.raises(ValidationError, match="k_iter"):
-        gamp.solve_batch(canyon, canyon_rays, np.array([y, y]), configs)
+        gamp.solve_batch(canyon, canyon_table, np.array([y, y]), configs)
     with pytest.raises(ValidationError, match="shape"):
-        gamp.solve_batch(canyon, canyon_rays, np.array([y, y]), configs[:1])
+        gamp.solve_batch(canyon, canyon_table, np.array([y, y]), configs[:1])
