@@ -135,9 +135,12 @@ def cmd_generate(args) -> int:
         scenario = make_free_space_scenario(
             n_links=args.links, seed=args.seed, wavelength_m=args.wavelength
         )
-    _emit(scenario_to_dict(scenario), args.out)
+    dataset = None  # drawn first, so that a bad --sigma writes no file
     if args.dataset_out is not None:
-        save_dataset(synthesize_dataset(scenario, args.sigma, args.seed), args.dataset_out)
+        dataset = synthesize_dataset(scenario, args.sigma, args.seed)
+    _emit(scenario_to_dict(scenario), args.out)
+    if dataset is not None:
+        save_dataset(dataset, args.dataset_out)
         _log(f"dataset written to {args.dataset_out}")
     return 0
 

@@ -12,7 +12,6 @@ material) order, so the emitted CSVs are byte-stable.
 from __future__ import annotations
 
 import csv
-import math
 import os
 from dataclasses import dataclass, field
 from typing import ClassVar, Optional, Sequence
@@ -36,6 +35,7 @@ from .scenario import (
     _number,
     _record,
     _string,
+    check_noise_std,
     load_scenario,
     measurement_noise,
     normalize_measurements,
@@ -148,8 +148,10 @@ class ExperimentConfig:
     )
 
     def __post_init__(self):
-        if len(self.sigmas) < 1 or not all(math.isfinite(s) and s >= 0 for s in self.sigmas):
-            raise ValidationError(f"sigmas={list(self.sigmas)}: need one or more finite values >= 0")
+        if len(self.sigmas) < 1:
+            raise ValidationError("sigmas: need one or more values")
+        for i, sigma in enumerate(self.sigmas):
+            check_noise_std(sigma, f"sigmas[{i}]")
         if self.n_seeds < 1:
             raise ValidationError(f"n_seeds={self.n_seeds} must be >= 1")
 

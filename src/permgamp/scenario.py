@@ -436,10 +436,16 @@ def gaussian_draws(rng: np.random.Generator, n: int) -> np.ndarray:
     return np.sqrt(-2.0 * np.log1p(-u1)) * np.cos(2.0 * np.pi * u2)
 
 
+def check_noise_std(sigma, name: str) -> None:
+    """ValidationError naming name unless sigma >= 0 and its square, the
+    noise variance, is finite."""
+    if not (sigma >= 0 and math.isfinite(sigma * sigma)):
+        raise ValidationError(f"{name}={sigma} must be >= 0 with a finite square")
+
+
 def measurement_noise(sigma_z: float, seed: int, n: int) -> np.ndarray:
     """sigma_z times n draws of the PCG64(seed) Gaussian stream."""
-    if sigma_z < 0:
-        raise ValidationError(f"sigma_z={sigma_z} must be >= 0")
+    check_noise_std(sigma_z, "sigma_z")
     return sigma_z * gaussian_draws(np.random.Generator(np.random.PCG64(seed)), n)
 
 
@@ -469,13 +475,22 @@ def synthesize_dataset(scenario: Scenario, sigma_z: float, seed: int) -> Dataset
 
 
 def normalize_measurements(scenario: Scenario, dataset: Dataset) -> np.ndarray:
-    """Strip the known power/gain terms: y_n = measured_n - P_n - Gtx_n - Grx_n."""
+    """Strip the known power/gain terms: y_n = measured_n - P_n - Gtx_n - Grx_n.
+    Levels whose squared sum overflows cannot be scored: ValidationError
+    names the largest."""
     if len(dataset.measured_db) != scenario.n_links:
         raise ValidationError(
             f"measured_db has {len(dataset.measured_db)} entries for "
             f"{scenario.n_links} links"
         )
-    return dataset.measured_db - scenario.link_offsets()
+    with np.errstate(over="ignore"):  # checked just below
+        y = dataset.measured_db - scenario.link_offsets()
+        overflows = not np.isfinite(np.sum(y * y))
+    if overflows:
+        n = int(np.argmax(np.abs(y)))
+        raise ValidationError(f"measured_db[{n}]={dataset.measured_db[n]}: the squared "
+                              f"levels overflow, so no estimate can be scored")
+    return y
 
 
 # ---------------------------------------------------------------------------

@@ -101,6 +101,26 @@ def test_generate_without_sigma_writes_neither_file(tmp_path, capsys):
     assert not out.exists() and not ds_out.exists()
 
 
+@pytest.mark.parametrize("sigma", ["1e300", "nan", "inf"])
+@pytest.mark.parametrize("command", ["generate", "estimate", "oracle", "sweep"])
+def test_a_noise_std_without_a_finite_square_exits_2_naming_it(tmp_path, capsys, command, sigma):
+    canyon = bundled_scenario_path("canyon")
+    argv = {
+        "generate": ["--out", str(tmp_path / "sc.json"), "--sigma", sigma,
+                     "--dataset-out", str(tmp_path / "ds.json")],
+        "estimate": ["--scenario", canyon, "--sigma", sigma],
+        "oracle": ["--scenario", canyon, "--sigma", sigma],
+        "sweep": ["--scenario", canyon, f"--sigmas=0.5,{sigma}", "--seeds", "1",
+                  "--out-dir", str(tmp_path / "out")],
+    }[command]
+    code, out, err = _run(capsys, command, *argv)
+    assert code == 2
+    assert out == ""
+    name = "sigmas[1]" if command == "sweep" else "sigma_z"
+    assert err == f"error: {name}={float(sigma)} must be >= 0 with a finite square\n"
+    assert list(tmp_path.iterdir()) == []  # no file written
+
+
 # ---------------------------------------------------------------------------
 # estimate
 # ---------------------------------------------------------------------------
@@ -144,6 +164,21 @@ def test_estimate_needs_sigma_or_dataset(capsys):
     code, _, err = _run(capsys, "estimate", "--scenario", bundled_scenario_path("canyon"))
     assert code == 2
     assert "--dataset or --sigma" in err
+
+
+@pytest.mark.parametrize("command", ["estimate", "oracle"])
+def test_levels_whose_squares_overflow_exit_2(canyon, tmp_path, capsys, command):
+    # no residual of such levels can be scored: not an Infinity in the
+    # report, nor a gain-floor error from the oracle
+    measured = synthesize_dataset(canyon, 0.5, seed=3).measured_db.copy()
+    measured[0] = 1e300
+    path = tmp_path / "ds.json"
+    save_dataset(Dataset(measured_db=measured, noise_var=0.25), path)
+    code, out, err = _run(capsys, command, "--scenario", bundled_scenario_path("canyon"),
+                          "--dataset", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: measured_db[0]=1e+300: ")
 
 
 def test_estimate_has_no_jacobian_option(capsys):

@@ -13,8 +13,9 @@ import pytest
 
 import per_node_grid
 import scalar_moments
-from permgamp import bundled_scenario_path, gamp, oracle
+from permgamp import bundled_scenario_path, gamp, oracle, save_dataset, save_scenario
 from permgamp.cli import main
+from test_cli import _canyon_plus_sealed_link, _sealed_link_dataset
 
 # SHA-256 of the default `estimate` report (stdout) on the bundled canyon,
 # per (sigma, seed).
@@ -41,6 +42,10 @@ ORACLE_SHA256 = {
 ESTIMATE_ORACLE_SHA256 = {
     (1.0, 2): "ca68498f236a2a5f7b41a93d0933418a5a77eb8131209f4f6683be2cd9bf166b",
 }
+# SHA-256 of the `estimate` report on the canyon plus one link sealed in a
+# box, with noiseless levels: the sealed link is dropped, so the solve runs
+# on a ray table of fewer links than were traced.
+SEALED_LINK_ESTIMATE_SHA256 = "2579cbc11ac35a37ba3ea14624021acdd617ceed5878f99531ab45268a188e8c"
 
 
 def _sha256(data: bytes) -> str:
@@ -108,3 +113,12 @@ def test_oracle_outputs_are_pinned(capsys, monkeypatch):
     # the per-node scan writes the same bytes
     monkeypatch.setattr(oracle, "_grid_ssr", per_node_grid.grid_ssr)
     assert _oracle_digests(capsys) == (ORACLE_SHA256, ESTIMATE_ORACLE_SHA256)
+
+
+def test_estimate_with_a_dropped_link_is_pinned(canyon, tmp_path, capsys):
+    scenario_path, dataset_path = tmp_path / "sc.json", tmp_path / "ds.json"
+    save_scenario(_canyon_plus_sealed_link(canyon), scenario_path)
+    save_dataset(_sealed_link_dataset(canyon), dataset_path)
+    assert main(["estimate", "--scenario", str(scenario_path),
+                 "--dataset", str(dataset_path)]) == 0
+    assert _sha256(capsys.readouterr().out.encode()) == SEALED_LINK_ESTIMATE_SHA256

@@ -1,6 +1,7 @@
 """Scenario/dataset types, file IO, synthesis, and normalization."""
 
 import json
+import math
 import re
 from dataclasses import replace
 from pathlib import Path
@@ -28,7 +29,7 @@ from permgamp import (
     synthesize_dataset,
     trace_scenario,
 )
-from permgamp.scenario import gaussian_draws, read_record, scenario_from_dict
+from permgamp.scenario import gaussian_draws, measurement_noise, read_record, scenario_from_dict
 
 MINIMAL = {
     "wavelength_m": 0.1,
@@ -281,6 +282,26 @@ def test_normalize_matches_recomputation(canyon):
         link = canyon.links[n]
         expect = ds.measured_db[n] - link.tx_power_dbm - link.tx_gain_db - link.rx_gain_db
         assert y[n] == expect
+
+
+@pytest.mark.parametrize("sigma", [-1.0, 1e300, math.inf, math.nan])
+def test_measurement_noise_needs_a_std_with_a_finite_square(sigma):
+    # the square is the dataset's noise variance
+    with pytest.raises(ValidationError, match=re.escape(f"sigma_z={sigma} must be >= 0")):
+        measurement_noise(sigma, 0, 3)
+
+
+def test_normalize_rejects_levels_whose_squares_overflow(canyon):
+    measured = synthesize_dataset(canyon, 0.5, seed=3).measured_db.copy()
+    measured[[4, 7]] = 1e300, -1e301
+    with pytest.raises(ValidationError, match=re.escape("measured_db[7]=-1e+301: ")):
+        normalize_measurements(canyon, Dataset(measured_db=measured, noise_var=0.25))
+    measured[:] = 1.5e153  # each square is finite, their sum is not
+    with pytest.raises(ValidationError, match=re.escape("measured_db[0]=1.5e+153: ")):
+        normalize_measurements(canyon, Dataset(measured_db=measured, noise_var=0.25))
+    measured[:] = 1e153
+    y = normalize_measurements(canyon, Dataset(measured_db=measured, noise_var=0.25))
+    assert np.array_equal(y, measured - canyon.link_offsets())
 
 
 def test_normalize_length_mismatch(canyon):
