@@ -439,7 +439,8 @@ def gaussian_draws(rng: np.random.Generator, n: int) -> np.ndarray:
 def check_noise_std(sigma, name: str) -> None:
     """ValidationError naming name unless sigma >= 0 and its square, the
     noise variance, is finite."""
-    if not (sigma >= 0 and math.isfinite(sigma * sigma)):
+    s = float(sigma)  # a numpy scalar's square would warn on overflow
+    if not (s >= 0 and math.isfinite(s * s)):
         raise ValidationError(f"{name}={sigma} must be >= 0 with a finite square")
 
 

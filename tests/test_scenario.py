@@ -284,7 +284,7 @@ def test_normalize_matches_recomputation(canyon):
         assert y[n] == expect
 
 
-@pytest.mark.parametrize("sigma", [-1.0, 1e300, math.inf, math.nan])
+@pytest.mark.parametrize("sigma", [-1.0, 1e300, np.float64(1e300), math.inf, math.nan])
 def test_measurement_noise_needs_a_std_with_a_finite_square(sigma):
     # the square is the dataset's noise variance
     with pytest.raises(ValidationError, match=re.escape(f"sigma_z={sigma} must be >= 0")):
