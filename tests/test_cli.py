@@ -691,16 +691,15 @@ def test_sweep_point_failure_leaves_other_points_unchanged(tmp_path, monkeypatch
 
 
 def test_sweep_builds_as_many_ray_tables_for_20_points_as_for_1(ray_table_calls):
-    calls = ray_table_calls
     counts = []
     for sigmas, n_seeds in (([0.5], 1), ([0.1, 1.0, 2.0, 4.0], 5)):
-        calls.clear()
+        ray_table_calls.clear()
         rows, _ = run_sweep(ExperimentConfig(
             scenario_path=bundled_scenario_path("canyon"), sigmas=sigmas, n_seeds=n_seeds,
             overrides={"k_iter": 2},
         ))
         assert all(r["status"] == "ok" for r in rows)
-        counts.append(len(calls))
+        counts.append(len(ray_table_calls))
     assert counts == [1, 1]  # the prepared problem's one table
 
 

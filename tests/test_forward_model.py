@@ -26,7 +26,7 @@ from permgamp import (
     trace_link,
     trace_scenario,
 )
-from permgamp import experiment, forward_model, gamp, oracle, raytracer
+from permgamp import raytracer
 from permgamp.forward_model import (
     Linearization,
     fresnel_power_coeff_deriv,
@@ -403,13 +403,12 @@ def test_solve_builds_ray_tables_once(canyon, canyon_table, ray_table_calls):
     # estimate builds the one table of its prepared problem (the oracle one more)
     dataset = synthesize_dataset(canyon, 0.5, 3)  # through forward: one table
     y = normalize_measurements(canyon, dataset)
-    calls = ray_table_calls
-    calls.clear()
+    ray_table_calls.clear()
     jacobian(canyon, canyon_table, np.array([[3.0, 6.0]]))
     solve(canyon, canyon_table, y, default_config(canyon, 0.0))
-    assert calls == []
+    assert ray_table_calls == []
     run_estimate(canyon, dataset)
-    assert len(calls) == 1
-    calls.clear()
+    assert len(ray_table_calls) == 1
+    ray_table_calls.clear()
     run_estimate(canyon, dataset, with_oracle=True, grid_step=0.5)
-    assert len(calls) == 2
+    assert len(ray_table_calls) == 2
