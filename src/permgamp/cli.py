@@ -32,7 +32,7 @@ from .experiment import (
     write_sweep_outputs,
 )
 from .gamp import report_to_dict
-from .oracle import GridSpec, grid_map, log_posterior
+from .oracle import GridSpec, check_scorable, grid_map, log_posterior
 from .scenario import (
     dump_json,
     load_dataset,
@@ -198,6 +198,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_oracle(args) -> int:
     scenario, dataset = _load_problem(args)
+    check_scorable(scenario, dataset)
     prob = prepare_problem(scenario, dataset)
     if prob.dropped:
         _log(f"dropped {len(prob.dropped)} unusable link(s): {prob.dropped}")

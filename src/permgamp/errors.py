@@ -15,7 +15,12 @@ class ValidationError(ValueError):
 
 class UnusableLinkError(RuntimeError):
     """A link has no unblocked ray, or its total gain vanished at the
-    queried permittivity. Harness code drops such links before solving."""
+    queried permittivity. Harness code drops such links before solving.
+    link is the index of the link the message names, if it names one."""
+
+    def __init__(self, message: str, link: int | None = None):
+        super().__init__(message)
+        self.link = link
 
 
 class SolverError(RuntimeError):

@@ -20,9 +20,9 @@ polarization (TE by default):
     Gamma_TE = (cos t - sqrt(eps - sin^2 t)) / (cos t + sqrt(eps - sin^2 t))
     Gamma_TM = (eps cos t - sqrt(eps - sin^2 t)) / (eps cos t + sqrt(eps - sin^2 t))
 
-All gains go through one fold and ray sum, summed_gains: link_totals feeds it
-Fresnel values per permittivity vector, the grid oracle per-axis tables;
-ray_gain_linear is its reference.
+All gains go through one fold and ray sum, summed_gains: link_totals and
+jacobian feed it Fresnel values per permittivity vector, the grid oracle
+per-axis tables; ray_gain_linear is its reference.
 """
 
 from __future__ import annotations
@@ -66,24 +66,15 @@ def _fresnel(eps, c, polarization: str, deriv: bool = False):
     return 2.0 * gamma * dgamma
 
 
-def _checked_fresnel(eps, theta, polarization: str, deriv: bool):
+def fresnel_power_coeff(eps, theta, polarization: str = "TE"):
+    """Power reflection coefficient |Gamma|^2; accepts scalars or arrays."""
     eps = np.asarray(eps, dtype=float)
     if np.any(eps < 1.0):
         raise ValueError(f"eps={eps} below 1 (passive dielectric)")
     if not 0.0 <= theta < math.pi / 2.0:
         raise ValueError(f"theta={theta} outside [0, pi/2)")
-    out = _fresnel(eps, math.cos(theta), polarization, deriv)
+    out = _fresnel(eps, math.cos(theta), polarization)
     return out if out.ndim else float(out)
-
-
-def fresnel_power_coeff(eps, theta, polarization: str = "TE"):
-    """Power reflection coefficient |Gamma|^2; accepts scalars or arrays."""
-    return _checked_fresnel(eps, theta, polarization, deriv=False)
-
-
-def fresnel_power_coeff_deriv(eps, theta, polarization: str = "TE"):
-    """d|Gamma|^2 / d eps, closed form; accepts scalars or arrays."""
-    return _checked_fresnel(eps, theta, polarization, deriv=True)
 
 
 def ray_gain_linear(ray: Ray, eps, wavelength_m: float, polarization: str = "TE"):
@@ -126,72 +117,55 @@ def ray_table(ray_cache, wavelength_m: float) -> RayTable:
     ))
 
 
-def summed_gains(friis, coeff, fold: bool = True) -> np.ndarray:
+def _coefficients(table: RayTable, eps: np.ndarray, polarization: str) -> np.ndarray:
+    """Bounce coefficients |Gamma|^2 (B, K, R, L) at eps (B, M), 1.0 in
+    the padding slots."""
+    if (eps < 1.0).any():
+        raise ValueError(f"eps={eps} below 1 (passive dielectric)")
+    coeff = np.ones((len(eps), table.n_bounces) + table.friis.shape)
+    for m, slots, cos in table.groups:
+        coeff.reshape(len(eps), -1)[:, slots] = _fresnel(eps[:, m, None], cos, polarization)
+    return coeff
+
+
+def summed_gains(friis, coeff) -> np.ndarray:
     """Per-link sums (B, L) over rays, in ray order, of the ray gains friis
-    (R, L) times the bounce coefficients coeff (B, K, R, L): folded into
-    friis left to right, as ray_gain_linear does, or with fold=False friis x
-    (product of the bounces), grouped like link_totals' derivative terms."""
-    if fold:
-        g = friis
-        for b in range(coeff.shape[1]):
-            g = g * coeff[:, b]
-    else:
-        g = friis * np.prod(coeff, axis=1)
+    (R, L) times the bounce coefficients coeff (B, K, R, L), folded into
+    friis left to right as ray_gain_linear does."""
+    g = friis
+    for b in range(coeff.shape[1]):
+        g = g * coeff[:, b]
     total = np.zeros((len(coeff), friis.shape[1]))
     for j in range(friis.shape[0]):
         total += g[..., j, :]
     return total
 
 
-def link_totals(table: RayTable, eps, polarization: str, deriv: bool = False):
+def link_totals(table: RayTable, eps, polarization: str) -> np.ndarray:
     """Summed linear gains (B, L) of every link at a batch of permittivity
-    vectors eps (B, M); with deriv=True also their derivatives (B, L, M).
-
-    Sums run over rays in ray order. Without deriv each ray's gain folds its
-    bounces into friis left to right, as ray_gain_linear does, so totals are
-    bit-identical to summing it. With deriv a ray's gain is friis x (product
-    of its bounces), grouped like its derivative terms friis x (product of
-    the other bounces) x d|Gamma|^2; those come from prefix and suffix
-    products, never g / Gamma, so Gamma = 0 (eps = 1, Brewster) stays exact.
-    """
-    eps = np.asarray(eps, dtype=float)
-    if (eps < 1.0).any():
-        raise ValueError(f"eps={eps} below 1 (passive dielectric)")
-    shape = (len(eps), table.n_bounces) + table.friis.shape    # (B, K, R, L)
-    coeff = np.ones(shape)
-    for m, slots, cos in table.groups:
-        c = _fresnel(eps[:, m, None], cos, polarization)
-        coeff.reshape(len(eps), -1)[:, slots] = c
-    total = summed_gains(table.friis, coeff, fold=not deriv)
-    if not deriv:
-        return total
-    prefix, suffix = np.ones(shape), np.ones(shape)
-    for b in range(1, table.n_bounces):
-        prefix[:, b] = prefix[:, b - 1] * coeff[:, b - 1]
-        suffix[:, -1 - b] = coeff[:, -b] * suffix[:, -b]
-    others = (table.friis * (prefix * suffix)).reshape(len(eps), -1)
-    dtotal = np.zeros(total.shape + eps.shape[1:])
-    for m, slots, cos in table.groups:
-        d = _fresnel(eps[:, m, None], cos, polarization, deriv=True)
-        # unbuffered, in slot order: each link's sum runs over (ray, bounce)
-        np.add.at(dtotal[..., m], (slice(None), slots % shape[3]), others[:, slots] * d)
-    return total, dtotal
+    vectors eps (B, M), bit-identical to summing ray_gain_linear."""
+    coeff = _coefficients(table, np.asarray(eps, dtype=float), polarization)
+    return summed_gains(table.friis, coeff)
 
 
-def gains_db(table: RayTable, eps, polarization: str) -> np.ndarray:
-    """Per-link 10 log10 (math.log10) at one eps (M,) or a batch (B, M);
-    raises naming a link below the floor."""
-    eps = np.asarray(eps, dtype=float)
-    batch = np.atleast_2d(eps)
-    total = link_totals(table, batch, polarization)
+def _checked_db(total: np.ndarray, eps: np.ndarray) -> np.ndarray:
+    """10 log10 (math.log10) of link totals (B, L) at eps (B, M); raises
+    naming a link below the floor."""
     low = total < GAIN_FLOOR
     if low.any():
         b, n = np.argwhere(low)[0]
         raise UnusableLinkError(
-            f"link {n}: total linear gain {total[b, n]:.3e} below floor "
-            f"at eps={batch[b]}"
+            f"link {n}: total linear gain {total[b, n]:.3e} below floor at eps={eps[b]}", int(n)
         )
-    db = np.array([10.0 * math.log10(t) for t in total.ravel().tolist()]).reshape(total.shape)
+    return np.array([10.0 * math.log10(t) for t in total.ravel().tolist()]).reshape(total.shape)
+
+
+def gains_db(table: RayTable, eps, polarization: str) -> np.ndarray:
+    """Per-link dB gains at one eps (M,) or a batch (B, M); raises naming
+    a link below the floor."""
+    eps = np.asarray(eps, dtype=float)
+    batch = np.atleast_2d(eps)
+    db = _checked_db(link_totals(table, batch, polarization), batch)
     return db if eps.ndim == 2 else db[0]
 
 
@@ -218,10 +192,28 @@ class Linearization:
 def jacobian(scenario: Scenario, table: RayTable, eps) -> Linearization:
     """Linearizations (A, mu) of the forward map at each row of eps (B, M),
     the Fresnel products differentiated in closed form over a prebuilt
-    ray table."""
+    ray table, from one array of bounce coefficients.
+
+    mu's gains fold each ray's bounces left to right, as gains_db does. A
+    divides by friis x (product of the bounces), grouped like the
+    derivative terms friis x (product of the other bounces) x d|Gamma|^2;
+    those come from prefix and suffix products, never g / Gamma, so
+    Gamma = 0 (eps = 1, Brewster) stays exact.
+    """
     eps = np.asarray(eps, dtype=float)
     pol = scenario.polarization
-    g0 = gains_db(table, eps, pol)  # names the link if one is unusable
-    total, dtotal = link_totals(table, eps, pol, True)
+    coeff = _coefficients(table, eps, pol)
+    g0 = _checked_db(summed_gains(table.friis, coeff), eps)  # names an unusable link
+    total = summed_gains(table.friis, np.prod(coeff, axis=1, keepdims=True))
+    prefix, suffix = np.ones(coeff.shape), np.ones(coeff.shape)
+    for b in range(1, table.n_bounces):
+        prefix[:, b] = prefix[:, b - 1] * coeff[:, b - 1]
+        suffix[:, -1 - b] = coeff[:, -b] * suffix[:, -b]
+    others = (table.friis * (prefix * suffix)).reshape(len(eps), -1)
+    dtotal = np.zeros(total.shape + eps.shape[1:])
+    for m, slots, cos in table.groups:
+        d = _fresnel(eps[:, m, None], cos, pol, deriv=True)
+        # unbuffered, in slot order: each link's sum runs over (ray, bounce)
+        np.add.at(dtotal[..., m], (slice(None), slots % coeff.shape[3]), others[:, slots] * d)
     a = DB_PER_LN * dtotal / total[..., None]
     return Linearization(a_matrix=a, mu=g0 - (a @ eps[..., None])[..., 0])

@@ -20,7 +20,7 @@ from scipy.integrate import IntegrationWarning, quad
 from . import forward_model
 from .errors import GridSizeError, UnusableLinkError, ValidationError
 from .forward_model import GAIN_FLOOR, RayTable, forward, gains_db, ray_table, summed_gains
-from .scenario import Scenario
+from .scenario import Dataset, Scenario, normalize_measurements
 from .trunc_gauss import Interval
 
 GRID_GUARD = 10_000_000  # max number of grid nodes
@@ -43,6 +43,19 @@ def log_posterior(scenario: Scenario, ray_cache, y, eps, sigma_z: float) -> floa
     var = max(sigma_z**2, SIGMA_VAR_FLOOR)
     resid = np.asarray(y, dtype=float) - forward(scenario, ray_cache, eps)
     return float(-0.5 * np.dot(resid, resid) / var)
+
+
+def check_scorable(scenario: Scenario, dataset: Dataset) -> None:
+    """ValidationError naming the largest level unless the squared levels
+    over the floored noise variance, the scale of log_posterior, are finite."""
+    y = normalize_measurements(scenario, dataset)
+    if not math.isfinite(float(np.sum(y * y)) / max(dataset.noise_var, SIGMA_VAR_FLOOR)):
+        n = int(np.argmax(np.abs(y)))
+        raise ValidationError(
+            f"measured_db[{n}]={dataset.measured_db[n]}: the squared levels over "
+            f"noise_var={dataset.noise_var} (floored at {SIGMA_VAR_FLOOR}) overflow, "
+            f"so no log posterior can be scored"
+        )
 
 
 def fd_jacobian(scenario: Scenario, table: RayTable, eps, step: float = 1e-6):

@@ -27,7 +27,7 @@ from typing import Callable, ClassVar, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError, UnusableLinkError, ValidationError
 
 Point = tuple[float, float]
 
@@ -291,6 +291,12 @@ class Scenario:
                 raise ValidationError(
                     f"surfaces[{i}].material={s.material_index} references no material"
                 )
+        for i, link in enumerate(self.links):
+            if _los_friis_overflows(self.wavelength_m, math.dist(link.tx_pos, link.rx_pos)):
+                raise ValidationError(
+                    f"links[{i}]: the line-of-sight free-space factor (wavelength_m / "
+                    f"(4 pi |tx - rx|))^2 overflows at wavelength_m={self.wavelength_m}"
+                )
 
     @property
     def n_materials(self) -> int:
@@ -316,6 +322,15 @@ class Scenario:
     def link_offsets(self) -> np.ndarray:
         """Known dB terms P_n + Gtx_n + Grx_n of each link's measured level."""
         return np.array([l.tx_power_dbm + l.tx_gain_db + l.rx_gain_db for l in self.links])
+
+
+def _los_friis_overflows(wavelength_m: float, distance_m: float) -> bool:
+    """Whether the free-space factor of a ray as long as the link, the
+    largest of any of its rays, overflows as the ray table computes it."""
+    try:
+        return math.isinf((wavelength_m / (4.0 * math.pi * distance_m)) ** 2)
+    except OverflowError:
+        return True
 
 
 def _candidate_bounces(n_surfaces: int, max_reflections: int) -> int:
@@ -455,7 +470,8 @@ def synthesize_dataset(scenario: Scenario, sigma_z: float, seed: int) -> Dataset
 
     measured_n = p_dbm_n + g_tx_db_n + g_rx_db_n + gain_db_n(true eps) + z_n,
     z_n ~ N(0, sigma_z^2) on the PCG64(seed) stream. A link without an
-    unblocked ray has no level to draw: ValidationError names it.
+    unblocked ray, or whose total gain at the true permittivities is below
+    the forward model's floor, has no level to draw: ValidationError names it.
     """
     noise = measurement_noise(sigma_z, seed, scenario.n_links)
     # Local import: forward_model sits above this module in the import graph.
@@ -463,11 +479,13 @@ def synthesize_dataset(scenario: Scenario, sigma_z: float, seed: int) -> Dataset
 
     eps_true = scenario.true_eps_vector()
     ray_cache = raytracer.trace_scenario(scenario)
-    for n, rays in enumerate(ray_cache):
-        if not rays:
-            raise ValidationError(f"links[{n}]: no unblocked ray, so no level can be "
-                                  f"synthesized for this link")
-    gains = forward_model.forward(scenario, ray_cache, eps_true)
+    try:
+        gains = forward_model.forward(scenario, ray_cache, eps_true)
+    except UnusableLinkError as exc:  # a link without rays has total gain 0
+        n = exc.link
+        why = "no unblocked ray" if not ray_cache[n] else "total gain below the floor at true_eps"
+        raise ValidationError(f"links[{n}]: {why}, so no level can be synthesized "
+                              f"for this link") from exc
     return Dataset(
         measured_db=scenario.link_offsets() + gains + noise,
         noise_var=sigma_z**2,

@@ -1,6 +1,9 @@
 """The benchmark's calls into the package: the names its traced run wraps
-must exist, and every workload must run one op that passes its own check."""
+must exist, and every workload must run one op that passes its own check.
+The package imports no name it never uses, apart from names imported only
+for the benchmark to wrap."""
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -12,6 +15,12 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 BENCH = ROOT / "bench"
 WORKLOAD_NAMES = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+PACKAGE = ROOT / "src" / "permgamp"
+# imported where bench/tracing.py wraps them, and used there by nothing else
+BENCH_ONLY_IMPORTS = {
+    "gamp": {"forward"},
+    "experiment": {"forward", "trace_link", "scenario_from_dict", "synthesize_dataset"},
+}
 
 
 def _load(name, monkeypatch):
@@ -42,3 +51,29 @@ def test_every_benchmark_workload_runs_an_op_that_passes_its_check(name, tmp_pat
     workload.setup(11, str(tmp_path))
     checked = workload.check(0, workload.op(0))
     assert checked.failed == 0, checked.problems
+
+
+def _unused_imports(path):
+    """The names path's module imports and never reads; a name that appears
+    only in docstrings or comments is unused."""
+    tree = ast.parse(path.read_text())
+    imported = {
+        (alias.asname or alias.name).split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        for alias in node.names
+    }
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return imported - read
+
+
+def test_the_package_imports_no_name_it_never_uses(monkeypatch):
+    unused = {
+        path.stem: _unused_imports(path)
+        for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"
+    }
+    assert {mod: names for mod, names in unused.items() if names} == BENCH_ONLY_IMPORTS
+    points = set(_load("tracing", monkeypatch).TRACE_POINTS)
+    for mod, names in BENCH_ONLY_IMPORTS.items():
+        assert {(f"permgamp.{mod}", name) for name in names} <= points, mod

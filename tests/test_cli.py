@@ -47,6 +47,27 @@ def _run(capsys, *argv):
     return code, out.out, out.err
 
 
+def _edited_canyon(tmp_path, edit):
+    """The path of sc.json: the fixture's JSON after edit(raw) changed it."""
+    with open(bundled_scenario_path("canyon")) as fh:
+        raw = json.load(fh)
+    edit(raw)
+    path = tmp_path / "sc.json"
+    path.write_text(json.dumps(raw))
+    return path
+
+
+def _far_rx(raw):  # link 0's rays underflow to a total gain of 0 at any eps
+    raw["links"][0]["rx"][0] = 1e200
+
+
+OVERFLOWING_FREE_SPACE = [
+    pytest.param(lambda raw: raw.update(wavelength_m=1e300), 1e300, id="wavelength"),
+    pytest.param(lambda raw: raw["links"][0].update(tx=[0.0, 0.0], rx=[1e-300, 0.0]), 0.1,
+                 id="short_link"),
+]
+
+
 # ---------------------------------------------------------------------------
 # generate
 # ---------------------------------------------------------------------------
@@ -115,6 +136,35 @@ def test_a_noise_std_without_a_finite_square_exits_2_naming_it(tmp_path, capsys,
     assert list(tmp_path.iterdir()) == []  # no file written
 
 
+def test_generate_rejects_a_wavelength_whose_free_space_factor_overflows(tmp_path, capsys):
+    code, out, err = _run(capsys, "generate", "--wavelength", "1e300",
+                          "--out", str(tmp_path / "sc.json"))
+    assert code == 2
+    assert out == ""
+    assert err == ("error: links[0]: the line-of-sight free-space factor (wavelength_m / "
+                   "(4 pi |tx - rx|))^2 overflows at wavelength_m=1e+300\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("edit, wavelength", OVERFLOWING_FREE_SPACE)
+@pytest.mark.parametrize("command", ["estimate", "oracle", "sweep"])
+def test_a_free_space_factor_that_overflows_exits_2_naming_the_link(tmp_path, capsys, command,
+                                                                     edit, wavelength):
+    # every ray is at least |tx - rx| long: the line of sight bounds the
+    # free-space factor that the ray table computes
+    path = _edited_canyon(tmp_path, edit)
+    flags = ["--sigma", "0.5"]
+    if command == "sweep":
+        flags = ["--sigmas", "0.5", "--out-dir", str(tmp_path / "out")]
+    code, out, err = _run(capsys, command, "--scenario", str(path), *flags)
+    assert code == 2
+    assert out == ""
+    assert err == (f"error: {path}: links[0]: the line-of-sight free-space factor "
+                   f"(wavelength_m / (4 pi |tx - rx|))^2 overflows at "
+                   f"wavelength_m={wavelength}\n")
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # estimate
 # ---------------------------------------------------------------------------
@@ -173,6 +223,21 @@ def test_levels_whose_squares_overflow_exit_2(canyon, tmp_path, capsys, command)
     assert code == 2
     assert out == ""
     assert err.startswith("error: measured_db[0]=1e+300: ")
+
+
+def test_oracle_rejects_levels_whose_posterior_overflows(canyon, tmp_path, capsys):
+    # 1e150 squares to a finite 1e300, but the log posterior divides that by
+    # the noise variance floor of 1e-12: no -Infinity in the report
+    measured = synthesize_dataset(canyon, 0.5, seed=3).measured_db.copy()
+    measured[0] = 1e150
+    path = tmp_path / "ds.json"
+    save_dataset(Dataset(measured_db=measured, noise_var=0.0), path)
+    code, out, err = _run(capsys, "oracle", "--scenario", bundled_scenario_path("canyon"),
+                          "--dataset", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == ("error: measured_db[0]=1e+150: the squared levels over noise_var=0.0 "
+                   "(floored at 1e-12) overflow, so no log posterior can be scored\n")
 
 
 def test_estimate_has_no_jacobian_option(capsys):
@@ -879,6 +944,34 @@ def test_synthesis_rejects_a_link_without_rays(canyon, tmp_path, capsys, command
     assert out == ""
     assert err == ("error: links[100]: no unblocked ray, so no level can be synthesized "
                    "for this link\n")
+
+
+@pytest.mark.parametrize("command", ["estimate", "oracle"])
+def test_synthesis_rejects_a_link_whose_gain_underflows(tmp_path, capsys, command):
+    path = _edited_canyon(tmp_path, _far_rx)
+    code, out, err = _run(capsys, command, "--scenario", str(path), "--sigma", "0.5",
+                          "--seed", "3")
+    assert code == 2
+    assert out == ""
+    assert err == ("error: links[0]: total gain below the floor at true_eps, so no level "
+                   "can be synthesized for this link\n")
+
+
+def test_dataset_and_sweep_drop_a_link_whose_gain_underflows(canyon, tmp_path, capsys):
+    path = _edited_canyon(tmp_path, _far_rx)
+    dataset_path = tmp_path / "ds.json"
+    save_dataset(synthesize_dataset(canyon, 0.5, seed=3), dataset_path)
+    code, out, _ = _run(capsys, "estimate", "--scenario", str(path), "--dataset",
+                        str(dataset_path), "--k-iter", "1")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["dropped_links"] == [0]
+    assert payload["n_links_used"] == 99
+    config = ExperimentConfig(scenario_path=str(path), sigmas=[0.5], n_seeds=2,
+                              overrides={"k_iter": 1})
+    rows, _ = run_sweep(config)
+    assert len(rows) == 4
+    assert all(r["status"] == "ok" for r in rows)
 
 
 def test_sweep_drops_a_link_without_rays(canyon, tmp_path):

@@ -26,10 +26,10 @@ from permgamp import (
     trace_link,
     trace_scenario,
 )
-from permgamp import raytracer
+from permgamp import forward_model, raytracer
 from permgamp.forward_model import (
     Linearization,
-    fresnel_power_coeff_deriv,
+    _fresnel,
     gains_db,
     jacobian,
     link_totals,
@@ -118,7 +118,7 @@ def test_fresnel_deriv_against_mpmath(rng):
             hi = _hp_fresnel(mp.mpf(eps) + h, theta, pol)
             lo = _hp_fresnel(mp.mpf(eps) - h, theta, pol)
             ref = float((hi - lo) / (2 * h))
-            got = fresnel_power_coeff_deriv(eps, theta, pol)
+            got = _fresnel(eps, math.cos(theta), pol, deriv=True)
             assert abs(got - ref) <= 1e-9 * max(1.0, abs(ref))
 
 
@@ -412,3 +412,24 @@ def test_solve_builds_ray_tables_once(canyon, canyon_table, ray_table_calls):
     ray_table_calls.clear()
     run_estimate(canyon, dataset, with_oracle=True, grid_step=0.5)
     assert len(ray_table_calls) == 2
+
+
+def test_fresnel_evaluations_per_estimate_and_linearization(canyon, canyon_table, monkeypatch):
+    # a linearization takes its gains, A's denominator and the derivative
+    # terms from one coefficient array: one value and one derivative call
+    # per material; an estimate adds the prior midpoint and the start and
+    # end residuals to its 20 linearizations
+    calls = {False: 0, True: 0}
+    fresnel = forward_model._fresnel
+
+    def counted(eps, c, polarization, deriv=False):
+        calls[deriv] += 1
+        return fresnel(eps, c, polarization, deriv)
+
+    dataset = synthesize_dataset(canyon, 0.5, 3)
+    monkeypatch.setattr(forward_model, "_fresnel", counted)
+    jacobian(canyon, canyon_table, np.array([[3.0, 6.0]]))
+    assert calls == {False: 2, True: 2}
+    calls.update({False: 0, True: 0})
+    run_estimate(canyon, dataset)
+    assert calls == {False: 46, True: 40}
