@@ -175,28 +175,31 @@ def _mv(a: np.ndarray, x: np.ndarray) -> np.ndarray:
 def output_step(
     state: GampState,
     linearization: Linearization,
+    a_sq: np.ndarray,
     y: np.ndarray,
     tau_w,
     damping: float = 1.0,
 ) -> GampState:
     """Per-measurement update of every problem: tau_p, p, s, tau_s (mutates
-    state). y is (B, N); tau_w is a scalar or one value per problem (B, 1)."""
-    a = linearization.a_matrix
+    state). a_sq is the linearization's A squared elementwise; y is (B, N);
+    tau_w is a scalar or one value per problem (B, 1)."""
     with np.errstate(invalid="ignore", over="ignore"):  # checked just below
-        a_sq = a * a
         tau_p = _mv(a_sq, state.tau_x)
-        p_hat = _mv(a, state.x_hat) - tau_p * state.s_hat
+        p_hat = _mv(linearization.a_matrix, state.x_hat) - tau_p * state.s_hat
         s_new = (np.asarray(y) - linearization.mu - p_hat) / (tau_w + tau_p)
         if damping < 1.0:
             s_new = damping * s_new + (1.0 - damping) * state.s_hat
         tau_s = 1.0 / (tau_p + tau_w)
-    for name, arr in (("tau_p", tau_p), ("p_hat", p_hat), ("s_hat", s_new)):
-        bad = ~np.isfinite(arr)
-        if bad.any():
-            raise SolverError(
-                f"output step: non-finite {name} at link {bad.nonzero()[-1][0]} "
-                f"(iteration {state.k})"
-            )
+        # a sum is finite if every term is, unless it overflows: then the exact test
+        finite = math.isfinite(np.add.reduce((tau_p, p_hat, s_new), axis=None))
+    if not finite:
+        for name, arr in (("tau_p", tau_p), ("p_hat", p_hat), ("s_hat", s_new)):
+            bad = ~np.isfinite(arr)
+            if bad.any():
+                raise SolverError(
+                    f"output step: non-finite {name} at link {bad.nonzero()[-1][0]} "
+                    f"(iteration {state.k})"
+                )
     state.tau_p, state.p_hat = tau_p, p_hat
     state.s_hat, state.tau_s = s_new, tau_s
     return state
@@ -205,31 +208,30 @@ def output_step(
 def input_step(
     state: GampState,
     linearization: Linearization,
+    a_sq: np.ndarray,
     prior_var: np.ndarray,
-    lo: np.ndarray,
-    hi: np.ndarray,
+    support: Interval,
 ) -> GampState:
     """Per-parameter update of every problem: tau_c, c, then truncated-
-    Gaussian moments on the support box [lo, hi] (B, M), prior ∩ trust
-    region (mutates state).
+    Gaussian moments on the support box (B, M), prior ∩ trust region
+    (mutates state). a_sq is the linearization's A squared elementwise.
 
     A parameter whose sensing column is all zero is unobservable this
     round: its estimate is held, its variance reset to the prior variance,
     and a warning recorded.
     """
-    a = linearization.a_matrix
-    a_sq = a * a
     denom = _mv(a_sq.swapaxes(-1, -2), state.tau_s)
-    corr = _mv(a.swapaxes(-1, -2), state.s_hat)
+    corr = _mv(linearization.a_matrix.swapaxes(-1, -2), state.s_hat)
     held = denom <= 0.0  # a zero column: that parameter is unobserved
     tau_c = 1.0 / np.where(held, 1.0, denom)
     c_hat = state.x_hat + tau_c * corr
-    if not np.isfinite(c_hat).all():  # also when tau_c is not finite
+    # also when tau_c is not finite; Python floats overflow without a warning
+    if not math.isfinite(sum(c_hat.ravel().tolist())) and not np.isfinite(c_hat).all():
         raise SolverError(
             f"input step: non-finite pseudo-observation for material "
             f"{(~np.isfinite(c_hat)).nonzero()[-1][0] + 1} (iteration {state.k})"
         )
-    mean, var = truncated_moments(c_hat, tau_c, Interval(lo, hi))
+    mean, var = truncated_moments(c_hat, tau_c, support)
     var = np.maximum(var, VARIANCE_FLOOR)
     if held.any():
         mean, var = np.where(held, state.x_hat, mean), np.where(held, prior_var, var)
@@ -275,10 +277,16 @@ def _rms(v: np.ndarray) -> float:
     return float(np.sqrt(np.mean(v * v)))
 
 
-def _check_invariants(state: GampState, lo, hi, active: np.ndarray) -> None:
-    """x inside its box [lo, hi], finite-positive variances, tau_p > 0 on
-    the active (nonzero) rows of A."""
-    x = state.x_hat
+def _check_invariants(state: GampState, support: Interval, inactive: np.ndarray) -> None:
+    """x inside its support box, finite-positive variances, tau_p > 0 on
+    the active rows of A; inactive is 1.0 on A's zero rows, else 0.0."""
+    x, lo, hi = state.x_hat, support.lo, support.hi
+    # one pass, all positive and finite when sound (a passed box test joins as
+    # 1.0, a zero row's tau_p of 0 is lifted to 1); the exact tests name a fault
+    fused = np.concatenate((lo <= x, x <= hi, state.tau_x, state.tau_c, state.tau_s,
+                            state.tau_p + inactive), axis=-1)
+    if fused.min() > 0.0 and fused.max() < math.inf:
+        return
     outside = ~((lo <= x) & (x <= hi))
     if outside.any():
         b, m = np.argwhere(outside)[0]
@@ -289,7 +297,7 @@ def _check_invariants(state: GampState, lo, hi, active: np.ndarray) -> None:
         v = getattr(state, name)
         if not (np.isfinite(v).all() and (v > 0).all()):
             raise SolverError(f"invariant: {name} not finite-positive")
-    if not np.isfinite(state.tau_p).all() or (state.tau_p[active] <= 0).any():
+    if not np.isfinite(state.tau_p).all() or (state.tau_p[inactive == 0.0] <= 0).any():
         raise SolverError("invariant: tau_p not finite-positive on active rows")
 
 
@@ -323,14 +331,16 @@ def solve_batch(
             where = f"the linearization of outer iteration {k1}"
             expansion = state.x_hat.copy()
             lin = jacobian(scenario, table, expansion)
-            t_lo, t_hi = np.maximum(lo, expansion - half), np.minimum(hi, expansion + half)
-            active = np.any(lin.a_matrix != 0.0, axis=-1)
+            with np.errstate(over="ignore"):  # output_step names a non-finite tau_p
+                a_sq = lin.a_matrix * lin.a_matrix
+            support = Interval(np.maximum(lo, expansion - half), np.minimum(hi, expansion + half))
+            inactive = np.all(lin.a_matrix == 0.0, axis=-1).astype(float)
             for _ in range(k_gamp):
-                output_step(state, lin, Y, tau_w, damping)
-                input_step(state, lin, prior_var, t_lo, t_hi)
+                output_step(state, lin, a_sq, Y, tau_w, damping)
+                input_step(state, lin, a_sq, prior_var, support)
                 state.k += 1
                 trajectory.append(state.x_hat.copy())
-                _check_invariants(state, t_lo, t_hi, active)
+                _check_invariants(state, support, inactive)
         where = "the final point"
         g_end = gains_db(table, state.x_hat, scenario.polarization)
     except UnusableLinkError as exc:

@@ -157,10 +157,8 @@ def truncated_moments(c_hat, tau_c, interval: Interval):
     rows = args.reshape(4, -1).tolist()
     # a sum of floats is finite only if every term is; the rare sum that
     # overflows on finite terms just takes the exact test
-    if not math.isfinite(sum(map(sum, rows))):
-        finite = np.isfinite(args).reshape(4, -1).all(axis=1)
-        if not finite.all():
-            name = ("c_hat", "tau_c", "interval.lo", "interval.hi")[finite.argmin()]
+    for name, row in zip(("c_hat", "tau_c", "interval.lo", "interval.hi"), rows):
+        if not math.isfinite(sum(row)) and not all(map(math.isfinite, row)):
             raise ValueError(f"{name} must be finite")
     mean, var, narrow = [0.0] * len(rows[0]), [0.0] * len(rows[0]), []
     for i, (c, tau, lo, hi) in enumerate(zip(*rows)):

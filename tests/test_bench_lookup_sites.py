@@ -10,7 +10,10 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from permgamp import default_config, gamp, normalize_measurements, synthesize_dataset
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCH = ROOT / "bench"
@@ -40,6 +43,33 @@ def test_every_benchmark_lookup_site_resolves_to_a_callable(monkeypatch):
     for mod_name, attr in points:
         fn = getattr(importlib.import_module(mod_name), attr, None)
         assert callable(fn), f"{mod_name}.{attr}"
+
+
+@pytest.mark.parametrize("n_problems", [1, 2])
+def test_a_fixture_solve_calls_the_traced_steps_through_the_solver_module(
+    n_problems, canyon, canyon_table, monkeypatch
+):
+    # bench/tracing.py books each layer's time by wrapping these attributes
+    # of permgamp.gamp: one linearization per outer iteration, and one call
+    # of each step and of the moment kernel per inner step, over (B, M)
+    calls = {name: [] for name in ("jacobian", "output_step", "input_step", "truncated_moments")}
+    for name, seen in calls.items():
+        def counted(*args, _fn=getattr(gamp, name), _seen=seen, **kwargs):
+            _seen.append(args)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(gamp, name, counted)
+    datasets = [synthesize_dataset(canyon, 0.5, seed) for seed in range(n_problems)]
+    Y = np.array([normalize_measurements(canyon, ds) for ds in datasets])
+    configs = [default_config(canyon, ds.noise_var) for ds in datasets]
+    gamp.solve_batch(canyon, canyon_table, Y, configs)
+    assert {name: len(seen) for name, seen in calls.items()} == {
+        "jacobian": 20, "output_step": 200, "input_step": 200, "truncated_moments": 200,
+    }
+    shape = (n_problems, canyon.n_materials)
+    for c_hat, tau_c, box in calls["truncated_moments"]:
+        assert c_hat.shape == tau_c.shape == shape
+        assert isinstance(box.lo, np.ndarray) and isinstance(box.hi, np.ndarray)
+        assert box.lo.shape == box.hi.shape == shape
 
 
 @pytest.mark.parametrize("name", WORKLOAD_NAMES)

@@ -3,6 +3,7 @@ end-to-end recovery."""
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -48,6 +49,11 @@ def _lin(a, mu):
     return Linearization(a_matrix=np.asarray(a, float)[None], mu=np.asarray(mu, float)[None])
 
 
+def _sq(lin):
+    """A squared elementwise, as solve_batch builds it once per linearization."""
+    return lin.a_matrix * lin.a_matrix
+
+
 # ---------------------------------------------------------------------------
 # init_state
 # ---------------------------------------------------------------------------
@@ -83,7 +89,8 @@ def test_init_state_rejects_x0_outside_priors():
 def test_output_step_scalar_substitution():
     # a=1, tau_x=1, x=0, s_prev=0, y-mu=1, tau_w=1
     st = _state([0.0], [1.0], 1)
-    output_step(st, _lin([[1.0]], [0.0]), np.array([1.0]), tau_w=1.0)
+    lin = _lin([[1.0]], [0.0])
+    output_step(st, lin, _sq(lin), np.array([1.0]), tau_w=1.0)
     assert st.tau_p.tolist() == [[1.0]]
     assert st.p_hat.tolist() == [[0.0]]
     assert st.s_hat.tolist() == [[0.5]]
@@ -93,7 +100,8 @@ def test_output_step_scalar_substitution():
 def test_output_step_zero_matrix():
     st = _state([2.0, 3.0], [1.0, 1.0], 4)
     y = np.array([1.0, -2.0, 0.5, 3.0])
-    output_step(st, _lin(np.zeros((4, 2)), np.zeros(4)), y, tau_w=0.5)
+    lin = _lin(np.zeros((4, 2)), np.zeros(4))
+    output_step(st, lin, _sq(lin), y, tau_w=0.5)
     assert np.all(st.tau_p == 0.0)
     assert np.allclose(st.s_hat, y / 0.5, rtol=0, atol=0)
 
@@ -110,7 +118,8 @@ def test_output_step_matches_plain_loops(rng):
 
     st = _state(x, tau_x, n)
     st.s_hat = s_prev[None].copy()
-    output_step(st, _lin(a, mu), y[None], tau_w=tau_w)
+    lin = _lin(a, mu)
+    output_step(st, lin, _sq(lin), y[None], tau_w=tau_w)
 
     # independent elementwise transcription of the four update formulas
     for i in range(n):
@@ -134,14 +143,48 @@ def test_output_step_damping_blends():
     # 0.5 * 1.0 + 0.5 * 1.0 = 1.0 -- pick numbers where they differ
     st2 = _state([0.0], [1.0], 1)
     st2.s_hat = np.array([[0.0]])
-    output_step(st2, lin, y, tau_w=1.0, damping=0.5)
+    output_step(st2, lin, _sq(lin), y, tau_w=1.0, damping=0.5)
     assert st2.s_hat.tolist() == [[0.25]]  # 0.5 * 0.5 + 0.5 * 0
 
 
 def test_output_step_aborts_on_nonfinite():
     st = _state([0.0], [1.0], 2)
-    with pytest.raises(SolverError, match="link 0"):
-        output_step(st, _lin([[np.inf], [1.0]], [0.0, 0.0]), np.array([[1.0, 1.0]]), 1.0)
+    lin = _lin([[np.inf], [1.0]], [0.0, 0.0])
+    with pytest.raises(SolverError, match="non-finite tau_p at link 0"):
+        output_step(st, lin, _sq(lin), np.array([[1.0, 1.0]]), 1.0)
+
+
+@pytest.mark.parametrize(
+    "x, y, named",
+    [(np.inf, [1.0, 1.0], "non-finite p_hat at link 0"),
+     (0.0, [1.0, np.nan], "non-finite s_hat at link 1")],
+    ids=["infinite_x", "nan_y"],
+)
+def test_output_step_names_the_nonfinite_array(x, y, named):
+    st = _state([x], [1.0], 2)
+    lin = _lin([[1.0], [1.0]], [0.0, 0.0])
+    with pytest.raises(SolverError, match=named):
+        output_step(st, lin, _sq(lin), np.array([y]), 1.0)
+
+
+def test_steps_pass_finite_values_whose_sum_overflows():
+    # each step's fused finiteness test is a sum; finite terms whose sum
+    # overflows must take the exact test and pass, without a warning
+    n = 2
+    lin = _lin(np.eye(n), np.zeros(n))
+    st = _state([1e308, 1e308], [1.0, 1.0], n)  # p_hat sums past the float range
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        output_step(st, lin, _sq(lin), np.zeros((1, n)), 1.0)
+    assert st.p_hat.tolist() == [[1e308, 1e308]]
+    st = _state([1e308, 1e308], [1.0, 1.0], n)  # c_hat sums past the float range
+    st.tau_s = np.full((1, n), 0.5)
+    support = Interval(np.ones((1, n)), np.full((1, n), 2.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        input_step(st, lin, _sq(lin), np.array([1.0, 1.0]), support)
+    assert st.c_hat.tolist() == [[1e308, 1e308]]
+    assert np.all((support.lo < st.x_hat) & (st.x_hat < support.hi))
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +198,8 @@ def test_input_step_zero_column_holds_estimate():
     st.tau_s = np.full((1, n), 0.5)
     st.s_hat = np.array([[0.1, -0.2, 0.3]])
     lo, hi = np.array([[3.0, 5.0]]), np.array([[5.0, 7.0]])  # trust inside [1, 13]
-    input_step(st, _lin(a, np.zeros(n)), np.array([12.0, 12.0]), lo, hi)
+    lin = _lin(a, np.zeros(n))
+    input_step(st, lin, _sq(lin), np.array([12.0, 12.0]), Interval(lo, hi))
     assert st.x_hat[0, 1] == 6.0  # unobserved: held
     assert st.tau_x[0, 1] == 12.0  # reset to the prior variance
     assert any("unobserved" in w for w in st.warnings[0])
@@ -168,11 +212,23 @@ def test_input_step_untruncated_limit_returns_c_hat():
     a = np.full((n, 1), 3.0)
     st.tau_s = np.full((1, n), 100.0)  # tau_c = 1 / (9 * 100 * 40): tiny
     st.s_hat = np.full((1, n), 0.01)
-    input_step(st, _lin(a, np.zeros(n)), np.array([100.0 / 12.0]), np.array([[0.0]]), np.array([[10.0]]))
+    lin = _lin(a, np.zeros(n))
+    input_step(st, lin, _sq(lin), np.array([100.0 / 12.0]),
+               Interval(np.array([[0.0]]), np.array([[10.0]])))
     tau_c = 1.0 / (9.0 * 100.0 * n)
     c_expect = 5.0 + tau_c * 3.0 * 0.01 * n
     assert abs(st.x_hat[0, 0] - c_expect) <= 1e-9
     assert abs(st.tau_c[0, 0] - tau_c) <= 1e-15
+
+
+def test_input_step_names_the_material_of_a_nonfinite_pseudo_observation():
+    n = 3
+    st = _state([4.0, np.inf], [1.0, 1.0], n)
+    st.tau_s = np.full((1, n), 0.5)
+    lin = _lin(np.ones((n, 2)), np.zeros(n))
+    support = Interval(np.array([[3.0, 5.0]]), np.array([[5.0, 7.0]]))
+    with pytest.raises(SolverError, match="non-finite pseudo-observation for material 2"):
+        input_step(st, lin, _sq(lin), np.array([12.0, 12.0]), support)
 
 
 def test_composed_step_matches_quadrature(rng):
@@ -183,9 +239,9 @@ def test_composed_step_matches_quadrature(rng):
     x = np.array([4.0, 6.0])
     st = _state(x, np.array([2.0, 3.0]), n)
     lin = _lin(a, mu)
-    output_step(st, lin, y[None], tau_w=0.5)
+    output_step(st, lin, _sq(lin), y[None], tau_w=0.5)
     lo, hi = np.array([[3.0, 5.0]]), np.array([[5.0, 7.0]])  # trust inside [1, 13]
-    input_step(st, lin, np.array([12.0, 12.0]), lo, hi)
+    input_step(st, lin, _sq(lin), np.array([12.0, 12.0]), Interval(lo, hi))
     for k in range(m):
         box = Interval(lo[0, k], hi[0, k])
         qm, qv = quadrature_moments(st.c_hat[0, k], st.tau_c[0, k], box)
@@ -201,10 +257,10 @@ def _run_frozen(a, mu, y, tau_w, prior, iters=400):
     n, m = a.shape
     st = _state([0.5 * (prior.lo + prior.hi)], [prior.width**2 / 12.0], n)
     lin = _lin(a, mu)
+    support = Interval(np.array([[prior.lo]]), np.array([[prior.hi]]))
     for _ in range(iters):
-        output_step(st, lin, y[None], tau_w=tau_w)
-        input_step(st, lin, np.array([prior.width**2 / 12.0]), np.array([[prior.lo]]),
-                   np.array([[prior.hi]]))
+        output_step(st, lin, _sq(lin), y[None], tau_w=tau_w)
+        input_step(st, lin, _sq(lin), np.array([prior.width**2 / 12.0]), support)
     return st
 
 
@@ -336,6 +392,71 @@ def test_solve_invariant_check_fires(canyon, canyon_table, monkeypatch, broken, 
     monkeypatch.setattr(gamp, "truncated_moments", faulty)
     with pytest.raises(SolverError, match=named):
         solve(canyon, canyon_table, y, default_config(canyon, ds.noise_var))
+
+
+def _sound_state():
+    """A one-problem state that passes every invariant, its support box and
+    its inactive rows: x inside [3, 5] x [5, 7], and three links of which
+    the last is a zero row of A (tau_p exactly 0)."""
+    st = _state([4.0, 6.0], [1.0, 2.0], 3)
+    st.tau_c = np.array([[0.5, 0.25]])
+    st.tau_s = np.array([[0.5, 0.5, 0.5]])
+    st.tau_p = np.array([[1.0, 2.0, 0.0]])
+    support = Interval(np.array([[3.0, 5.0]]), np.array([[5.0, 7.0]]))
+    return st, support, np.array([[0.0, 0.0, 1.0]])
+
+
+def test_check_invariants_passes_a_sound_state():
+    gamp._check_invariants(*_sound_state())
+
+
+@pytest.mark.parametrize("value", [math.nan, 0.0, -1.0, math.inf], ids=["nan", "zero", "neg", "inf"])
+@pytest.mark.parametrize("name", ["tau_x", "tau_c", "tau_s", "tau_p"])
+def test_check_invariants_names_a_variance_that_is_not_finite_positive(name, value):
+    st, support, inactive = _sound_state()
+    getattr(st, name)[0, 1] = value  # entry 1 of tau_p is on an active row
+    what = "tau_p not finite-positive on active rows" if name == "tau_p" else f"{name} not finite-positive"
+    with pytest.raises(SolverError, match=f"^invariant: {what}$"):
+        gamp._check_invariants(st, support, inactive)
+
+
+def test_check_invariants_asks_only_finite_tau_p_on_a_zero_row():
+    st, support, inactive = _sound_state()
+    st.tau_p[0, 2] = -0.5  # only finiteness is asked of a zero row
+    gamp._check_invariants(st, support, inactive)
+    for value in (math.nan, math.inf):
+        st.tau_p[0, 2] = value
+        with pytest.raises(SolverError, match="tau_p not finite-positive on active rows"):
+            gamp._check_invariants(st, support, inactive)
+
+
+@pytest.mark.parametrize("m", [0, 1])
+@pytest.mark.parametrize("edge, outward", [("lo", -np.inf), ("hi", np.inf)])
+def test_check_invariants_box_edge_is_inside_and_one_ulp_past_it_is_not(m, edge, outward):
+    st, support, inactive = _sound_state()
+    bound = getattr(support, edge)[0, m]
+    st.x_hat[0, m] = bound
+    gamp._check_invariants(st, support, inactive)
+    st.x_hat[0, m] = np.nextafter(bound, outward)
+    with pytest.raises(SolverError, match=rf"^invariant: x\[{m}\]=.* outside support"):
+        gamp._check_invariants(st, support, inactive)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_check_invariants_names_a_nonfinite_x(value):
+    st, support, inactive = _sound_state()
+    st.x_hat[0, 1] = value
+    with pytest.raises(SolverError, match=r"^invariant: x\[1\]="):
+        gamp._check_invariants(st, support, inactive)
+
+
+def test_check_invariants_passes_finite_values_whose_sum_overflows():
+    st, support, inactive = _sound_state()
+    st.tau_s[0, :2] = 1e308
+    st.tau_p[0, :2] = 1e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gamp._check_invariants(st, support, inactive)
 
 
 def test_report_json_deterministic_and_complete(canyon, canyon_table):

@@ -26,6 +26,9 @@ ESTIMATE_SHA256 = {
     (2.0, 2): "9d884e9ed72875d17f92f97a01def92a1ed9d55ccd82dce8537bacd89d9579b7",
     (4.0, 4): "bc8c16416f828af18236c88378cfe44bb7219f0bbd80cc03937bbfa5c4722f68",
 }
+# SHA-256 of a damped `estimate` report (stdout) on the bundled canyon:
+# --damping 0.5 --k-iter 5 --sigma 1 --seed 1.
+DAMPED_ESTIMATE_SHA256 = "f71c818c15d7ebb39ecac9ba15a627a289e7e973b041535a20cd35eafedbb5e3"
 # SHA-256 of the sweep's CSVs (no timing column) for sigma in {0.1, 1, 2, 4}
 # x 5 seeds on the bundled canyon.
 SWEEP_SHA256 = {
@@ -69,6 +72,13 @@ def _digests(tmp_path, capsys):
 
 def test_estimate_and_sweep_outputs_are_pinned(tmp_path, capsys):
     assert _digests(tmp_path, capsys) == (ESTIMATE_SHA256, SWEEP_SHA256)
+
+
+def test_damped_estimate_is_pinned(capsys):
+    # the only pin through output_step's damping < 1 branch
+    assert main(["estimate", "--scenario", bundled_scenario_path("canyon"), "--damping", "0.5",
+                 "--k-iter", "5", "--sigma", "1", "--seed", "1"]) == 0
+    assert _sha256(capsys.readouterr().out.encode()) == DAMPED_ESTIMATE_SHA256
 
 
 def test_scalar_moment_reference_reaches_every_branch_and_the_same_bytes(
