@@ -5,8 +5,9 @@ solver config before any solve, then solves all points in this process as
 one gamp.solve_batch call, bit for bit each point's own solve; a point's
 wall_ms is the batch's wall time over the number of points. If the batch
 fails, each point is solved alone, so only a failed point gets error rows
-(the status column carries the error tag). Rows come out in (sigma, seed,
-material) order, so the emitted CSVs are byte-stable.
+(the status column carries the error tag). Sigmas must not repeat. Run rows
+come out in (sigma, seed, material) order and summary rows in (sigma,
+material) order, ascending, so the emitted CSVs are byte-stable.
 """
 
 from __future__ import annotations
@@ -152,6 +153,8 @@ class ExperimentConfig:
             raise ValidationError("sigmas: need one or more values")
         for i, sigma in enumerate(self.sigmas):
             check_noise_std(sigma, f"sigmas[{i}]")
+            if sigma in self.sigmas[:i]:
+                raise ValidationError(f"sigmas[{i}]={sigma} repeats an earlier sigma")
         if self.n_seeds < 1:
             raise ValidationError(f"n_seeds={self.n_seeds} must be >= 1")
 
@@ -197,7 +200,8 @@ def run_sweep(
     """
     scenario = load_scenario(config.scenario_path)
     eps_true = scenario.true_eps_vector()  # sweeps synthesize: fail fast without truths
-    points = [(float(sigma), seed) for sigma in config.sigmas for seed in range(config.n_seeds)]
+    sigmas = sorted(map(float, config.sigmas))
+    points = [(sigma, seed) for sigma in sigmas for seed in range(config.n_seeds)]
     try:
         configs = [default_config(scenario, sigma**2, **config.overrides) for sigma, _ in points]
         for point_config in configs:
@@ -231,10 +235,9 @@ def run_sweep(
         for (sigma, seed), outcome in zip(points, outcomes)
         for row in _run_rows(scenario, sigma, seed, outcome, config.include_timing)
     ]
-    rows.sort(key=lambda r: (r["sigma_z"], r["seed"], r["material"]))
 
     summary = []
-    for sigma in config.sigmas:
+    for sigma in sigmas:
         for m in range(1, scenario.n_materials + 1):
             errs = [
                 r["abs_err"]
@@ -245,7 +248,7 @@ def run_sweep(
             mean = float(np.mean(errs)) if n_ok else ""
             std = float(np.std(errs, ddof=1)) if n_ok > 1 else ""
             sem = std / float(np.sqrt(n_ok)) if n_ok > 1 else ""
-            summary.append(dict(zip(SUMMARY_FIELDS, (float(sigma), m, n_ok, mean, std, sem))))
+            summary.append(dict(zip(SUMMARY_FIELDS, (sigma, m, n_ok, mean, std, sem))))
     return rows, summary
 
 

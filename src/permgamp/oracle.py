@@ -15,7 +15,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
 from . import forward_model
 from .errors import GridSizeError, UnusableLinkError, ValidationError
@@ -176,6 +175,10 @@ def quadrature_moments(
     domain is clipped to where the exponent stays above -800 (w underflows
     to exactly 0 beyond), so far-tail spikes are always resolved.
     """
+    # Local import: scipy.integrate is slow to load, and only this test
+    # reference needs it.
+    from scipy.integrate import IntegrationWarning, quad
+
     if not tau_c > 0.0:
         raise ValueError(f"tau_c={tau_c} must be > 0")
     lo, hi = interval.lo, interval.hi

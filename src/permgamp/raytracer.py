@@ -12,11 +12,11 @@ All candidates of a chunk of links are tested at once, exactly, in arrays.
 The line of sight is the order-0 candidate. The images form a tree with one
 level per order, each image one mirror past its parent's. The walk back, the
 leg lengths and the occlusion test are masks over the candidates, computed
-with the IEEE operations of the scalar complex-number formulas and with
-math.hypot; only the survivors' incidence angles are taken one by one, with
-math.acos. So the rays are bit for bit those of the scalar formulas. A chunk
-holds as many links as fit in _CELLS path points (each candidate's path is
-padded to max_order bounces), which bounds a trace's memory.
+with plain real formulas and math.hypot; only the survivors' incidence
+angles are taken one by one, with math.acos. The tests check the rays bit
+for bit against a scalar reference that tests one sequence at a time. A
+chunk holds as many links as fit in _CELLS path points (each candidate's
+path is padded to max_order bounces), which bounds a trace's memory.
 
 Grazing hits (incidence within 1e-9 rad of pi/2) and bounce points outside
 the finite segments are discarded; there is no diffraction model.
@@ -61,10 +61,7 @@ class Ray:
 # -- candidates ----------------------------------------------------------------
 # A candidate is an ordered wall sequence with no immediate repeat; order k
 # has S * (S - 1) ** (k - 1) of them per link for S walls. Walls are the
-# columns (ax, ay, dx, dy) of their endpoint a and direction b - a. CPython
-# 3.11 multiplies a real t into a complex z as complex(t, 0.0) * z, that is
-# (t*x - 0.0*y, t*y + 0.0*x); the array formulas below spell that out, so
-# their signed zeros and NaNs are those of the scalar complex formulas.
+# columns (ax, ay, dx, dy) of their endpoint a and direction b - a.
 
 def _image_tree(walls, tx: np.ndarray, max_order: int) -> list[tuple]:
     """Levels 0..max_order of the image tree over the links whose TX
@@ -84,8 +81,8 @@ def _image_tree(walls, tx: np.ndarray, max_order: int) -> list[tuple]:
         w = c + (c >= prev) if k > 1 else c
         wx, wy, ex, ey = ax[w], ay[w], dx[w], dy[w]
         t = ((px - wx) * ex + (py - wy) * ey) / (ex * ex + ey * ey)
-        fx, fy = wx + (t * ex - 0.0 * ey), wy + (t * ey + 0.0 * ex)  # a + t * d
-        levels.append((w, (2.0 * fx - 0.0 * fy) - px, (2.0 * fy + 0.0 * fx) - py))
+        fx, fy = wx + t * ex, wy + t * ey  # a + t * d
+        levels.append((w, 2.0 * fx - px, 2.0 * fy - py))
     return levels
 
 
@@ -123,7 +120,7 @@ def _walk_back(walls, u_eps: np.ndarray, levels, rx: np.ndarray):
             apx, apy = wx - px, wy - py
             t = (apx * ey - apy * ex) / denom
             u = (apx * vy - apy * vx) / denom
-            px, py = px + (t * vx - 0.0 * vy), py + (t * vy + 0.0 * vx)
+            px, py = px + t * vx, py + t * vy
             keep = np.flatnonzero(~(np.abs(denom) < 1e-15) & (0.0 < t) & (t < 1.0)
                                   & (lo <= u) & (u <= 1.0 - lo))
         else:  # level 0: the TX
@@ -171,10 +168,9 @@ def _trace_links(scenario: Scenario, links) -> list[list[Ray]]:
     walls = (ends[:, 0], ends[:, 1], ends[:, 2] - ends[:, 0], ends[:, 3] - ends[:, 1])
     u_eps, normals = [], []
     for ex, ey in zip(walls[2].tolist(), walls[3].tolist()):
-        u_eps.append(GEOM_EPS / math.hypot(ex, ey))
-        n = 1j * complex(ex, ey)
-        n = n / math.hypot(n.real, n.imag)
-        normals.append((n.real, n.imag))
+        length = math.hypot(ex, ey)
+        u_eps.append(GEOM_EPS / length)
+        normals.append((-ey / length, ex / length))
     u_eps, normals = np.array(u_eps), np.array(normals).reshape(-1, 2)
     materials = [s.material_index for s in scenario.surfaces]
     n_walls, max_order = len(ends), scenario.max_reflections
@@ -205,9 +201,7 @@ def _collect_rays(rays, link, x, y, seq, image, walls, normals, materials) -> No
     Leg j runs from point j to point j + 1 of a path, and its incident walls
     are seq[:, j] and seq[:, j + 1]; padding legs have length 0 and so are
     never blocked. A bounce's incidence angle is acos |(v / |v|) . n| for its
-    incoming leg v and its wall's unit normal n, with v / |v| as CPython 3.11
-    divides a complex by a float: ((vx + vy*0.0) / |v|, (vy - vx*0.0) / |v|),
-    and the min(1.0, .) of Python, which maps NaN to 1.0."""
+    incoming leg v and its wall's unit normal n."""
     vx, vy = np.diff(x, axis=1), np.diff(y, axis=1)
     leg = np.array(list(map(math.hypot, vx.ravel().tolist(), vy.ravel().tolist())))
     blocked = _blocked(walls, x[:, :-1].ravel(), y[:, :-1].ravel(), vx.ravel(), vy.ravel(),
@@ -216,9 +210,9 @@ def _collect_rays(rays, link, x, y, seq, image, walls, normals, materials) -> No
     bounce = w >= 0
     ok = ~blocked.reshape(vx.shape).any(axis=1) & ~((leg <= GEOM_EPS) & bounce).any(axis=1)
     vx, vy, leg, w, bounce = vx[ok, :-1], vy[ok, :-1], leg[ok], w[ok], bounce[ok]
-    cos = np.abs((vx + vy * 0.0) / leg * normals[w, 0] + (vy - vx * 0.0) / leg * normals[w, 1])
+    cos = np.abs(vx / leg * normals[w, 0] + vy / leg * normals[w, 1])
     theta = np.zeros(w.shape)
-    theta[bounce] = list(map(math.acos, np.where(cos < 1.0, cos, 1.0)[bounce].tolist()))
+    theta[bounce] = list(map(math.acos, np.minimum(cos[bounce], 1.0).tolist()))
     keep = ~(theta >= math.pi / 2.0 - GRAZING_EPS).any(axis=1)
     total = map(math.hypot, (x[ok, -1] - image[ok, 0]).tolist(), (y[ok, -1] - image[ok, 1]).tolist())
     for n, kept, k, length, ws, angles, xs, ys in zip(

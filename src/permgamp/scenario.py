@@ -194,6 +194,10 @@ class Material:
         if not self.prior_lo < self.prior_hi:
             raise ValidationError(f"material {self.index}: prior_lo={self.prior_lo} must be < "
                                   f"prior_hi={self.prior_hi}")
+        width = self.prior_hi - self.prior_lo
+        if not math.isfinite(width * width):  # the solver's prior variance is width^2 / 12
+            raise ValidationError(f"material {self.index}: prior_hi={self.prior_hi} leaves a "
+                                  f"prior width whose square overflows")
         if self.true_eps is not None and not self.prior_lo <= self.true_eps <= self.prior_hi:
             raise ValidationError(f"material {self.index}: true_eps={self.true_eps} outside "
                                   f"[{self.prior_lo}, {self.prior_hi}]")

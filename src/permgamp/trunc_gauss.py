@@ -135,7 +135,10 @@ def _narrow_moments(mid, h):
 def _settle(c, lo, hi, mean, var):
     """The hopeless cases: a mean not inside (lo, hi) moves next to the
     endpoint nearer c, and a variance under the floor becomes the floor."""
-    floor = VAR_FLOOR_SCALE * (hi - lo) ** 2
+    try:
+        floor = VAR_FLOOR_SCALE * (hi - lo) ** 2
+    except OverflowError:
+        raise ValueError(f"interval ({lo}, {hi}): its width squared overflows") from None
     if not math.isfinite(mean) or not lo < mean < hi:
         edge = lo if abs(c - lo) <= abs(c - hi) else hi
         mean = edge + math.sqrt(floor) if edge == lo else edge - math.sqrt(floor)
@@ -151,7 +154,8 @@ def truncated_moments(c_hat, tau_c, interval: Interval):
     arrays, and the result is two floats or two arrays to match. Guaranteed
     for finite inputs with tau_c > 0: every mean strictly inside its
     (lo, hi), every variance > 0, all finite. A non-finite input or a
-    tau_c <= 0 raises ValueError naming it.
+    tau_c <= 0 raises ValueError naming it, and so does an interval whose
+    width squared overflows.
     """
     args = np.array([c_hat, tau_c, interval.lo, interval.hi])
     rows = args.reshape(4, -1).tolist()

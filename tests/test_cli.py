@@ -318,6 +318,9 @@ def _inf_noise_var(sc, ds):
                      id="numeric_string_measured_db"),
         pytest.param(lambda sc, ds: sc["links"][3].update(p_dbm=10**400), "links[3].p_dbm",
                      id="int_beyond_float_p_dbm"),
+        # the solver's prior variance (prior_hi - prior_lo)^2 / 12 would overflow
+        pytest.param(lambda sc, ds: sc["materials"][1].update(prior_hi=1e160),
+                     "materials[1]: material 2: prior_hi=1e+160", id="overflowing_prior_width"),
         pytest.param(lambda sc, ds: ([sc], ds), "sc.json: expected a JSON object",
                      id="list_scenario"),
         pytest.param(lambda sc, ds: (sc, [ds]), "ds.json: expected a JSON object",
@@ -498,6 +501,21 @@ def test_sweep_rows_schema_and_determinism(tmp_path, capsys):
     assert len(summary) == 1 + 2 * 2  # sigmas * materials
 
 
+def test_sweep_outputs_follow_ascending_sigma(tmp_path, capsys):
+    # the order the sigmas are given in changes neither file
+    outs = []
+    for sigmas in ("2,0.5", "0.5,2"):
+        out = tmp_path / sigmas
+        assert _run(capsys, "sweep", "--scenario", bundled_scenario_path("canyon"),
+                    "--sigmas", sigmas, "--seeds", "1", "--k-iter", "1",
+                    "--out-dir", str(out))[0] == 0
+        outs.append([(out / name).read_text() for name in ("runs.csv", "summary.csv")])
+    assert outs[0] == outs[1]
+    for text in outs[0]:
+        sigma_z = [line.split(",")[0] for line in text.strip().split("\n")[1:]]
+        assert sigma_z == ["0.5", "0.5", "2.0", "2.0"]  # two materials per sigma
+
+
 def test_sweep_config_file(tmp_path, capsys):
     cfg = {
         "scenario_path": bundled_scenario_path("canyon"),
@@ -532,7 +550,7 @@ def test_sweep_rejects_zero_seeds(tmp_path, capsys):
     assert "n_seeds" in err
 
 
-@pytest.mark.parametrize("sigmas", ["-1", "0.5,nan", "inf", "0.5,1e300", "abc", "0.5,,1"])
+@pytest.mark.parametrize("sigmas", ["-1", "0.5,nan", "inf", "0.5,1e300", "abc", "0.5,,1", "1,1"])
 def test_sweep_rejects_bad_sigmas(tmp_path, capsys, sigmas):
     code, _, err = _run(
         capsys, "sweep", "--scenario", bundled_scenario_path("canyon"),

@@ -1,8 +1,12 @@
 """Grid MAP, log posterior, and quadrature moments."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -10,6 +14,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import per_node_grid
+import permgamp
 from permgamp import (
     GridSizeError,
     GridSpec,
@@ -30,6 +35,18 @@ from permgamp import (
 from permgamp.forward_model import ray_table
 from permgamp.oracle import _grid_ssr, grid_axes
 from permgamp.raytracer import Ray, Reflection
+
+
+def test_the_run_path_does_not_load_scipy_integrate():
+    # only quadrature_moments, a test reference, integrates: importing the
+    # package and its CLI must not pay for scipy.integrate's import
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, permgamp, permgamp.cli; "
+         "print('scipy.integrate' in sys.modules)"],
+        stdin=subprocess.DEVNULL, capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(Path(permgamp.__file__).parents[1])),
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
 
 
 def test_quadrature_symmetric_mean_zero():

@@ -532,11 +532,15 @@ def test_image_chains_visit_each_sequence_once_and_mirror_directly(n_walls, max_
 
 _COORD = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
 _SNAPPED = st.integers(-4, 4).map(float)  # collinear, parallel and touching walls
+_SIGNED_ZERO = st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0, 3.0])
 
 
 @st.composite
 def _random_scenes(draw):
-    coord = _SNAPPED if draw(st.integers(0, 2)) == 0 else _COORD
+    coord = draw(st.sampled_from([_SNAPPED, _SIGNED_ZERO, _COORD, _COORD, None]))
+    if coord is None:  # one power of ten per scene: products and sums overflow
+        scale = 10.0 ** draw(st.integers(154, 300))
+        coord = _COORD.map(lambda v: v * scale)
     point = st.tuples(coord, coord)
     surfaces = []
     for _ in range(draw(st.integers(2, 8))):

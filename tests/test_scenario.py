@@ -88,6 +88,7 @@ def test_malformed_json_is_parse_error(tmp_path):
         (lambda d: d.update(wavelength_m=-1.0), "wavelength_m"),
         (lambda d: d["surfaces"].append({"a": [0, 0], "b": [1, 0], "material": 9}), "material"),
         (lambda d: d["materials"][0].update(prior_hi=float("inf")), "prior_hi"),
+        (lambda d: d["materials"][0].update(prior_hi=1e160), "prior_hi=1e\\+160"),
         (lambda d: d["materials"][0].update(true_eps=float("nan")), "true_eps"),
         (lambda d: d["surfaces"].append({"a": [0, float("nan")], "b": [1, 0], "material": 1}),
          "endpoint_a"),

@@ -202,6 +202,11 @@ def test_rejects_non_finite_inputs(args, named):
         truncated_moments(arrays[0], arrays[1], Interval(arrays[2], arrays[3]))
 
 
+def test_rejects_an_interval_whose_width_squared_overflows():
+    with pytest.raises(ValueError, match=r"interval \(-1e\+155, 1e\+155\)"):
+        truncated_moments(0.0, 1.0, Interval(-1e155, 1e155))
+
+
 def test_array_call_returns_arrays_and_a_scalar_call_floats():
     mean, var = truncated_moments(0.0, 1.0, Interval(0.0, 1.0))
     assert type(mean) is float and type(var) is float
