@@ -21,8 +21,9 @@ polarization (TE by default):
     Gamma_TM = (eps cos t - sqrt(eps - sin^2 t)) / (eps cos t + sqrt(eps - sin^2 t))
 
 All gains go through one fold and ray sum, summed_gains: link_totals and
-jacobian feed it Fresnel values per permittivity vector, the grid oracle
-per-axis tables; ray_gain_linear is its reference.
+jacobian feed it Fresnel values per permittivity vector; ray_gain_linear
+is its reference. The grid oracle folds the same factors in the same order
+without the padding.
 """
 
 from __future__ import annotations
@@ -157,7 +158,7 @@ def _checked_db(total: np.ndarray, eps: np.ndarray) -> np.ndarray:
         raise UnusableLinkError(
             f"link {n}: total linear gain {total[b, n]:.3e} below floor at eps={eps[b]}", int(n)
         )
-    return np.array([10.0 * math.log10(t) for t in total.ravel().tolist()]).reshape(total.shape)
+    return (10.0 * np.array(list(map(math.log10, total.ravel().tolist())))).reshape(total.shape)
 
 
 def gains_db(table: RayTable, eps, polarization: str) -> np.ndarray:
@@ -211,9 +212,13 @@ def jacobian(scenario: Scenario, table: RayTable, eps) -> Linearization:
         suffix[:, -1 - b] = coeff[:, -b] * suffix[:, -b]
     others = (table.friis * (prefix * suffix)).reshape(len(eps), -1)
     dtotal = np.zeros(total.shape + eps.shape[1:])
+    n_links = total.shape[1]
     for m, slots, cos in table.groups:
         d = _fresnel(eps[:, m, None], cos, pol, deriv=True)
-        # unbuffered, in slot order: each link's sum runs over (ray, bounce)
-        np.add.at(dtotal[..., m], (slice(None), slots % coeff.shape[3]), others[:, slots] * d)
+        # bincount sums in input order: each link's sum runs over (ray, bounce)
+        bins = (np.arange(len(eps))[:, None] * n_links + slots % n_links).ravel()
+        dtotal[..., m] = np.bincount(
+            bins, (others[:, slots] * d).ravel(), minlength=total.size
+        ).reshape(total.shape)
     a = DB_PER_LN * dtotal / total[..., None]
     return Linearization(a_matrix=a, mu=g0 - (a @ eps[..., None])[..., 0])

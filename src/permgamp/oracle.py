@@ -1,15 +1,18 @@
 """Independent ground-truth machinery for tests and acceptance checks.
 
 The exact log-posterior of the estimation problem, a brute-force grid
-argmax over the prior box (Fresnel tabulated once per axis node, folded and
-summed over rays by the forward model), a central-difference Jacobian of
-the forward map, and adaptive-quadrature moments of the truncated-Gaussian
-input channel. The iterative solver never imports this module (and this
-module never imports the solver), so the two sides stay independent.
+argmax over the prior box (Fresnel tabulated once per axis node, the grid
+scanned row by row with each ray folding only its real bounces, in the
+forward model's order), a central-difference Jacobian of the forward map,
+and adaptive-quadrature moments of the truncated-Gaussian input channel.
+The iterative solver never imports this module (and this module never
+imports the solver, which tests/test_bench_lookup_sites.py checks), so the
+two sides stay independent.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -18,12 +21,12 @@ import numpy as np
 
 from . import forward_model
 from .errors import GridSizeError, UnusableLinkError, ValidationError
-from .forward_model import GAIN_FLOOR, RayTable, forward, gains_db, ray_table, summed_gains
+from .forward_model import GAIN_FLOOR, RayTable, forward, gains_db, ray_table
 from .scenario import Dataset, Scenario, normalize_measurements
 from .trunc_gauss import Interval
 
 GRID_GUARD = 10_000_000  # max number of grid nodes
-GRID_CHUNK_ELEMENTS = 1 << 15  # nodes x bounce slots per kernel call
+GRID_SEGMENT_ELEMENTS = 1 << 17  # ray slots x last-axis nodes per row segment
 GRID_TABLE_ELEMENTS = 1 << 20  # axis nodes x bounces of one material per table
 SIGMA_VAR_FLOOR = 1e-12  # dB^2; keeps sigma_z = 0 arithmetic finite
 QUAD_ABS_TARGET = 1e-11
@@ -101,46 +104,104 @@ def grid_axes(scenario: Scenario, grid: GridSpec) -> list[np.ndarray]:
     return [lo[m] + grid.step * np.arange(int(count)) for m, count in enumerate(counts)]
 
 
+def _bounce_patterns(table: RayTable):
+    """The table's bounced ray slots (flat over (R, L)) grouped by the
+    materials of their bounces: one (materials in bounce order, slots, cos
+    per bounce) per pattern. Rays without a bounce appear in none."""
+    if not table.groups:
+        return []
+    flat = np.concatenate([slots for _, slots, _ in table.groups])
+    mats = np.concatenate([np.full(len(slots), m) for m, slots, _ in table.groups])
+    cos = np.concatenate([cos for _, _, cos in table.groups])
+    bounce, ray = np.divmod(flat, table.friis.size)
+    order = np.lexsort((bounce, ray))  # each ray's bounces together, in bounce order
+    ray, mats, cos = ray[order], mats[order], cos[order]
+    starts = np.flatnonzero(np.diff(ray, prepend=-1))
+    by_pattern: dict[tuple, list] = {}
+    for a, b in zip(starts.tolist(), np.append(starts[1:], len(ray)).tolist()):
+        by_pattern.setdefault(tuple(mats[a:b].tolist()), []).append(a)
+    patterns = []
+    for pattern, firsts in by_pattern.items():
+        firsts = np.array(firsts, np.intp)
+        patterns.append((pattern, ray[firsts], [cos[firsts + b] for b in range(len(pattern))]))
+    return patterns
+
+
 def _grid_ssr(table: RayTable, axes, y, polarization: str) -> np.ndarray:
     """Sum of squared dB residuals at every node of the Cartesian grid over
     axes, shaped like the grid; +inf at a node that leaves some link's total
     gain below GAIN_FLOOR.
 
-    A bounce's |Gamma|^2 depends only on its own material's axis, so it is
-    tabulated once per axis node (the elementwise _fresnel on the same
-    floats as at each node, so the same bits) and each chunk of nodes only
-    gathers its rows into the bounce slots. An axis whose table would pass
-    GRID_TABLE_ELEMENTS is evaluated per chunk instead.
+    The grid is scanned row by row, the last axis vectorized in segments of
+    at most GRID_SEGMENT_ELEMENTS (ray slots x nodes). Within a row every
+    other material's |Gamma|^2 is fixed: one row of its per-axis table (the
+    elementwise _fresnel on the same floats as at each node, so the same
+    bits), or evaluated per row when that table would pass
+    GRID_TABLE_ELEMENTS. The last axis's |Gamma|^2 is evaluated once per
+    segment. Rays are grouped by their bounce materials and fold only their
+    real bounces, left to right like the forward model: a leading run of
+    last-material bounces once per segment, the rest per row. Skipped
+    padding factors are exact 1.0s, so every node gets the bits of the
+    forward model's fold and ray-order sum.
     """
     shape = tuple(map(len, axes))
-    size = math.prod(shape)
-    slots = max(1, table.friis.size * max(1, table.n_bounces))
-    chunk = max(1, GRID_CHUNK_ELEMENTS // slots)  # bounded temporaries, no gains matrix
+    last = len(axes) - 1
+    n_rays, n_links = table.friis.shape
+    friis = table.friis.reshape(-1, 1)
+    segment = max(1, GRID_SEGMENT_ELEMENTS // max(1, friis.size))
+    patterns = _bounce_patterns(table)
 
-    def fresnel(m, cos, at):  # (nodes, bounces) at the nodes `at` of axis m
-        return forward_model._fresnel(axes[m][at, None], cos, polarization)
+    def fresnel(m, cos, at):  # (slots, nodes) at the nodes `at` of axis m
+        return forward_model._fresnel(axes[m][at], cos[:, None], polarization)
 
-    tables = []
-    for m, _, cos in table.groups:
-        tab = None
-        if len(axes[m]) * len(cos) <= GRID_TABLE_ELEMENTS:
-            tab = np.empty((len(axes[m]), len(cos)))
-            for i in range(0, len(tab), chunk):  # chunk-sized temporaries
-                tab[i:i + chunk] = fresnel(m, cos, slice(i, i + chunk))
-        tables.append(tab)
-    coeff = np.ones((min(chunk, size), table.n_bounces) + table.friis.shape)
-    ssr = np.empty(size)
-    for start in range(0, size, chunk):
-        nodes = np.unravel_index(np.arange(start, min(start + chunk, size)), shape)
-        part = coeff[:len(nodes[0])]  # padding slots stay 1.0 across chunks
-        for (m, slots_m, cos), tab in zip(table.groups, tables):
-            rows = fresnel(m, cos, nodes[m]) if tab is None else tab[nodes[m]]
-            part.reshape(len(part), -1)[:, slots_m] = rows
-        totals = summed_gains(table.friis, part)
-        resid = 10.0 * np.log10(np.maximum(totals, GAIN_FLOOR)) - y
-        out = ssr[start:start + len(part)]
-        out[:] = np.einsum("ij,ij->i", resid, resid)
-        out[(totals < GAIN_FLOOR).any(axis=1)] = math.inf
+    bounces = {m: len(slots) for m, slots, _ in table.groups}
+    row_tables = {}  # (pattern, bounce) -> (axis nodes, slots) of a row material
+    for p, (pattern, slots, cos) in enumerate(patterns):
+        for b, m in enumerate(pattern):
+            if m != last and len(axes[m]) * bounces[m] <= GRID_TABLE_ELEMENTS:
+                tab = row_tables[p, b] = np.empty((len(axes[m]), len(slots)))
+                step = max(1, GRID_SEGMENT_ELEMENTS // len(slots))  # bounded temporaries
+                for i in range(0, len(tab), step):
+                    tab[i:i + step] = fresnel(m, cos[b], slice(i, i + step)).T
+
+    ssr = np.empty((math.prod(shape[:-1]), shape[-1]))
+    for v0 in range(0, shape[-1], segment):
+        nodes = slice(v0, v0 + segment)
+        gains = np.empty((friis.size, len(axes[last][nodes])))
+        gains[:] = friis  # rays without a bounce; padding rays are 0
+        folds = []
+        for p, (pattern, slots, cos) in enumerate(patterns):
+            g = friis[slots]
+            steps = []
+            for b, m in enumerate(pattern):
+                if m == last:
+                    f = fresnel(m, cos[b], nodes)
+                    if steps:
+                        steps.append((m, f, None))
+                    else:
+                        g = g * f  # leading last-axis run: once per segment
+                else:
+                    steps.append((m, row_tables.get((p, b)), cos[b]))
+            if steps:
+                folds.append((slots, g, steps))
+            else:
+                gains[slots] = g
+        by_ray = gains.reshape(n_rays, n_links, gains.shape[1])
+        for row, index in enumerate(itertools.product(*map(range, shape[:-1]))):
+            for slots, g, steps in folds:
+                for m, f, cos in steps:
+                    if m != last:  # this row's node of axis m
+                        f = fresnel(m, cos, index[m]) if f is None else f[index[m], :, None]
+                    g = g * f
+                gains[slots] = g
+            total = np.zeros((n_links, gains.shape[1]))
+            for j in range(n_rays):  # ray order, as summed_gains sums
+                total += by_ray[j]
+            total = np.ascontiguousarray(total.T)
+            resid = 10.0 * np.log10(np.maximum(total, GAIN_FLOOR)) - y
+            out = ssr[row, nodes]
+            out[:] = np.einsum("ij,ij->i", resid, resid)
+            out[(total < GAIN_FLOOR).any(axis=1)] = math.inf
     return ssr.reshape(shape)
 
 

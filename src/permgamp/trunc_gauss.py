@@ -137,8 +137,10 @@ def _settle(c, lo, hi, mean, var):
     endpoint nearer c, and a variance under the floor becomes the floor."""
     try:
         floor = VAR_FLOOR_SCALE * (hi - lo) ** 2
-    except OverflowError:
-        raise ValueError(f"interval ({lo}, {hi}): its width squared overflows") from None
+    except OverflowError:  # a finite width whose square overflows
+        floor = math.inf
+    if floor == math.inf:  # so does a width that itself overflows to inf
+        raise ValueError(f"interval ({lo}, {hi}): its width squared overflows")
     if not math.isfinite(mean) or not lo < mean < hi:
         edge = lo if abs(c - lo) <= abs(c - hi) else hi
         mean = edge + math.sqrt(floor) if edge == lo else edge - math.sqrt(floor)

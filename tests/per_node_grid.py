@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from permgamp.forward_model import GAIN_FLOOR, link_totals
-from permgamp.oracle import GRID_CHUNK_ELEMENTS
+from permgamp.oracle import GRID_SEGMENT_ELEMENTS
 
 
 def grid_ssr(table, axes, y, polarization):
@@ -21,7 +21,7 @@ def grid_ssr(table, axes, y, polarization):
     mesh = np.meshgrid(*axes, indexing="ij")
     eps_nodes = np.stack([m.reshape(-1) for m in mesh], axis=1)
     slots = max(1, table.friis.size * max(1, table.n_bounces))
-    chunk = max(1, GRID_CHUNK_ELEMENTS // slots)
+    chunk = max(1, GRID_SEGMENT_ELEMENTS // slots)
     ssr = np.empty(size)
     for start in range(0, size, chunk):
         totals = link_totals(table, eps_nodes[start:start + chunk], polarization)

@@ -1,7 +1,8 @@
 """The benchmark's calls into the package: the names its traced run wraps
 must exist, and every workload must run one op that passes its own check.
 The package imports no name it never uses, apart from names imported only
-for the benchmark to wrap."""
+for the benchmark to wrap, and the solver and the oracle import nothing
+from each other."""
 
 import ast
 import importlib
@@ -83,16 +84,22 @@ def test_every_benchmark_workload_runs_an_op_that_passes_its_check(name, tmp_pat
     assert checked.failed == 0, checked.problems
 
 
+def _imports(tree):
+    """The import statements of a parsed module, __future__ ones aside."""
+    return [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+    ]
+
+
 def _unused_imports(path):
     """The names path's module imports and never reads; a name that appears
     only in docstrings or comments is unused."""
     tree = ast.parse(path.read_text())
     imported = {
         (alias.asname or alias.name).split(".")[0]
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Import)
-        or isinstance(node, ast.ImportFrom) and node.module != "__future__"
-        for alias in node.names
+        for node in _imports(tree) for alias in node.names
     }
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return imported - read
@@ -107,3 +114,21 @@ def test_the_package_imports_no_name_it_never_uses(monkeypatch):
     points = set(_load("tracing", monkeypatch).TRACE_POINTS)
     for mod, names in BENCH_ONLY_IMPORTS.items():
         assert {(f"permgamp.{mod}", name) for name in names} <= points, mod
+
+
+def _imported_modules(path):
+    """Every module path's module imports from, and every name it imports,
+    each split into its dotted parts."""
+    parts = set()
+    for node in _imports(ast.parse(path.read_text())):
+        base = getattr(node, "module", None) or ""
+        for alias in node.names:
+            parts.update(f"{base}.{alias.name}".strip(".").split("."))
+    return parts
+
+
+@pytest.mark.parametrize("module, other", [("gamp", "oracle"), ("oracle", "gamp")])
+def test_the_solver_and_the_oracle_import_nothing_from_each_other(module, other):
+    # the oracle checks the solver's answers, so neither side may reuse
+    # the other's code
+    assert other not in _imported_modules(PACKAGE / f"{module}.py")

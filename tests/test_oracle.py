@@ -233,9 +233,9 @@ def _grid_problems(draw):
 def test_grid_ssr_matches_the_per_node_scan_bit_for_bit(problem):
     table, axes, y, pol = problem
     want = _bits(per_node_grid.grid_ssr(table, axes, y, pol))
-    for chunk in (1, 7, oracle.GRID_CHUNK_ELEMENTS):
-        for table_elements in (0, oracle.GRID_TABLE_ELEMENTS):  # per chunk, tabulated
-            with mock.patch.object(oracle, "GRID_CHUNK_ELEMENTS", chunk), \
+    for segment in (1, 7, oracle.GRID_SEGMENT_ELEMENTS):
+        for table_elements in (0, oracle.GRID_TABLE_ELEMENTS):  # per row, tabulated
+            with mock.patch.object(oracle, "GRID_SEGMENT_ELEMENTS", segment), \
                  mock.patch.object(oracle, "GRID_TABLE_ELEMENTS", table_elements):
                 assert _bits(_grid_ssr(table, axes, y, pol)) == want
 
@@ -247,6 +247,51 @@ def test_grid_ssr_matches_the_per_node_scan_on_the_canyon(canyon, canyon_rays, r
     axes = grid_axes(canyon, GridSpec(0.25))
     want = per_node_grid.grid_ssr(table, axes, y, canyon.polarization)
     assert _bits(_grid_ssr(table, axes, y, canyon.polarization)) == _bits(want)
+
+
+def _hand_table(*links):
+    """A ray table of links given as lists of rays, each ray a list of
+    (material, incidence angle) bounces; [] is line of sight. The wavelength
+    puts the Friis factors near 1, so link gains lie near 0 dB, where a
+    one-ulp change of a ray's gain still changes the SSR's bits."""
+    cache = [
+        [Ray(21.0 + 7.0 * j, tuple(Reflection(m, a) for m, a in ray)) for j, ray in enumerate(rays)]
+        for rays in links
+    ]
+    return ray_table(cache, 4.0 * math.pi * 20.0)
+
+
+@pytest.mark.parametrize("pol", ["TE", "TM"])
+def test_grid_ssr_folds_each_ray_over_its_bounces_in_order(pol):
+    # a ray that bounces off the last (vectorized) material and then a row
+    # material, and one the reverse, each alone on its link at grazing
+    # incidence, so the order of their products shows in the SSR; a later
+    # link holds line of sight, and links with fewer rays are padded
+    two = _hand_table(
+        [[(2, 1.45), (1, 1.5)]],
+        [[(1, 1.4), (2, 1.5)]],
+        [[], [(2, 0.2)], [(1, 0.9)]],
+    )
+    three = _hand_table(
+        [[(3, 1.45), (1, 1.5)]],
+        [[(1, 1.4), (3, 1.5)]],
+        [[(2, 1.35), (3, 1.5), (1, 1.45)]],
+        [[], [(3, 0.9), (2, 0.1)]],
+    )
+    one = _hand_table(
+        [[(1, 1.45), (1, 1.5)]],
+        [[], [(1, 0.3)]],
+    )
+    beyond_a_segment = oracle.GRID_SEGMENT_ELEMENTS // one.friis.size + 3
+    cases = [
+        (two, [1.5 + 0.37 * np.arange(6), 1.5 + 0.29 * np.arange(40)]),
+        (three, [1.5 + 0.37 * np.arange(4), 2.0 + 0.61 * np.arange(3), 1.5 + 0.29 * np.arange(30)]),
+        (one, [1.5 + 0.0007 * np.arange(beyond_a_segment)]),
+    ]
+    for table, axes in cases:
+        y = np.linspace(-3.0, -1.0, table.friis.shape[1])
+        want = per_node_grid.grid_ssr(table, axes, y, pol)
+        assert _bits(_grid_ssr(table, axes, y, pol)) == _bits(want)
 
 
 def test_grid_map_evaluates_fresnel_once_per_axis_node(canyon, canyon_rays, monkeypatch):

@@ -205,6 +205,9 @@ def test_rejects_non_finite_inputs(args, named):
 def test_rejects_an_interval_whose_width_squared_overflows():
     with pytest.raises(ValueError, match=r"interval \(-1e\+155, 1e\+155\)"):
         truncated_moments(0.0, 1.0, Interval(-1e155, 1e155))
+    # hi - lo overflows to inf itself, and inf ** 2 raises nothing
+    with pytest.raises(ValueError, match=r"interval \(-1e\+308, 1e\+308\)"):
+        truncated_moments(0.0, 1.0, Interval(-1e308, 1e308))
 
 
 def test_array_call_returns_arrays_and_a_scalar_call_floats():
