@@ -172,6 +172,41 @@ def _mv(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (a @ x[..., None])[..., 0]
 
 
+def check_prior_scale(
+    scenario: Scenario, linearization: Linearization, a_sq: np.ndarray, tau_w
+) -> None:
+    """ValidationError naming a material's prior_hi unless the first
+    linearization carries the prior variance: the first step's
+    tau_p = A^2 prior_var finite, and the tau_c = 1 / (A^2)^T tau_s that
+    follows finite on every column of A that is not all zero.
+
+    The scenario cannot know this limit, which depends on A: a prior box so
+    wide that its midpoint makes A tiny and its variance huge would
+    otherwise end the solve in an overflow.
+    """
+    lo, hi = scenario.prior_bounds()
+    prior_var = (hi - lo) ** 2 / 12.0
+    with np.errstate(over="ignore", divide="ignore"):
+        terms = a_sq * prior_var  # (B, N, M): tau_p's terms
+        tau_p = terms.sum(axis=-1)
+        tau_c = 1.0 / _mv(a_sq.swapaxes(-1, -2), 1.0 / (tau_p + tau_w))
+    bad_c = ~np.isfinite(tau_c) & np.any(linearization.a_matrix != 0.0, axis=-2)
+    if bad_c.any():
+        m = bad_c.nonzero()[-1][0]
+        what = "its tau_c = 1 / sum_i A_im^2 tau_s_i is not finite"
+    elif not np.isfinite(tau_p).all():
+        b, i = np.argwhere(~np.isfinite(tau_p))[0]
+        m = np.argmax(terms[b, i])
+        what = f"tau_p = sum_m A_im^2 prior_var_m overflows on row {i}"
+    else:
+        return
+    material = scenario.materials[m]
+    raise ValidationError(
+        f"material {material.index}: prior_hi={material.prior_hi} is too wide for the "
+        f"solver: at the first linearization {what}"
+    )
+
+
 def output_step(
     state: GampState,
     linearization: Linearization,
@@ -333,6 +368,8 @@ def solve_batch(
             lin = jacobian(scenario, table, expansion)
             with np.errstate(over="ignore"):  # output_step names a non-finite tau_p
                 a_sq = lin.a_matrix * lin.a_matrix
+            if k1 == 0:
+                check_prior_scale(scenario, lin, a_sq, tau_w)
             support = Interval(np.maximum(lo, expansion - half), np.minimum(hi, expansion + half))
             inactive = np.all(lin.a_matrix == 0.0, axis=-1).astype(float)
             for _ in range(k_gamp):

@@ -13,8 +13,10 @@ solver only ever sees the normalized values
 so the power/gain bookkeeping stays in this module.
 
 Noise stream: numpy PCG64 seeded with the dataset seed, Gaussian draws via
-an explicit Box-Muller transform on that stream. Both are fully specified,
-so synthetic datasets are reproducible across platforms.
+an explicit Box-Muller transform on that stream, computed through libm's
+log1p, sqrt and cos. The uniforms are fully specified; the draws are the
+same wherever libm rounds those three functions the same way. They do not
+depend on numpy's SIMD dispatch; libms other than glibc were not tested.
 """
 
 from __future__ import annotations
@@ -448,11 +450,13 @@ def gaussian_draws(rng: np.random.Generator, n: int) -> np.ndarray:
 
     1 - u keeps the log argument in (0, 1]; uniforms are consumed in a
     fixed (u1 block, u2 block) order so the stream layout is part of the
-    file-format contract.
+    file-format contract. The transform runs through libm (math), one draw
+    at a time, so its bits do not depend on which SIMD loop numpy picks.
     """
-    u1 = rng.random(n)
-    u2 = rng.random(n)
-    return np.sqrt(-2.0 * np.log1p(-u1)) * np.cos(2.0 * np.pi * u2)
+    u1 = rng.random(n).tolist()
+    u2 = rng.random(n).tolist()
+    return np.array([math.sqrt(-2.0 * math.log1p(-a)) * math.cos(2.0 * math.pi * b)
+                     for a, b in zip(u1, u2)])
 
 
 def check_noise_std(sigma, name: str) -> None:

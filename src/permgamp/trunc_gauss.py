@@ -28,12 +28,13 @@ a tail or is narrow relative to s:
 truncated_moments takes floats or same-shape arrays; the solver calls it once
 per inner step over every (problem, material). Each element's regime is
 picked on Python floats. The one-sided, straddle and hopeless cases stay
-scalar (math.exp/expm1, erf/erfcx results as Python floats), which on a few
-dozen elements costs less than masked numpy arrays; only the narrow rows go
-to numpy, as one (n, 64) quadrature pass.
+scalar (math.exp/expm1/erf and erfcx below, on Python floats), which on a
+few dozen elements costs less than masked numpy arrays; only the narrow
+rows go to numpy, as one (n, 64) quadrature pass.
 
-Phi/phi come from scipy.special (Cephes erf/erfcx, accurate to a couple
-ulp in double precision).
+Phi/phi come from libm through math: erf directly, and the scaled
+complement erfcx(x) = exp(x^2) erfc(x) from exp and erfc (see erfcx), within
+a few ulp in double precision.
 """
 
 from __future__ import annotations
@@ -42,10 +43,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf, erfcx
 
 SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
 INV_SQRT_2 = 1.0 / math.sqrt(2.0)
+INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
 VAR_FLOOR_SCALE = 1e-12  # variance floor = scale * width^2
 
 # Fixed-order Gauss-Legendre rule for the narrow-interval branch.
@@ -66,9 +67,42 @@ class Interval:
         return self.hi - self.lo
 
 
+# erfcx's bands: below _ERFCX_SPLIT x^2 rounds too little to matter in exp;
+# from _ERFCX_ASYMPTOTIC on erfc(x) nears underflow, and the series to
+# k = 7 is exact to ~2e-19 relative (its first omitted term, 15!! / (2x^2)^8).
+_ERFCX_SPLIT = 0.5
+_ERFCX_ASYMPTOTIC = 26.0
+_VELTKAMP = 134217729.0  # 2^27 + 1
+
+
+def erfcx(x: float) -> float:
+    """exp(x^2) * erfc(x) for x >= 0, within a few ulp.
+
+    Small x: the product as written. Mid x: x = hi + lo split exactly
+    (Veltkamp), so that x^2 = hi^2 + (2 hi + lo) lo with hi^2 exact, and exp
+    never sees the rounding of x^2; the small factor exp((2 hi + lo) lo)
+    joins through expm1. Large x: erfc underflows, so the asymptotic series
+    1/(x sqrt(pi)) sum_k (-1)^k (2k-1)!! / (2x^2)^k, k = 0..7, in Horner
+    form and in 1/x so that x^2 may overflow.
+    """
+    if x < _ERFCX_SPLIT:
+        return math.exp(x * x) * math.erfc(x)
+    if x < _ERFCX_ASYMPTOTIC:
+        c = _VELTKAMP * x
+        hi = c - (c - x)
+        lo = x - hi
+        p = math.exp(hi * hi) * math.erfc(x)
+        return p + p * math.expm1((hi + hi + lo) * lo)
+    inv = 1.0 / x
+    r = 0.5 * inv * inv
+    series = 1.0 - r * (1.0 - 3.0 * r * (1.0 - 5.0 * r * (1.0 - 7.0 * r * (
+        1.0 - 9.0 * r * (1.0 - 11.0 * r * (1.0 - 13.0 * r))))))
+    return INV_SQRT_PI * inv * series
+
+
 def _mills(x: float) -> float:
     """Phi_c(x) / phi(x) = sqrt(pi/2) * erfcx(x / sqrt(2)), for x >= 0."""
-    return SQRT_HALF_PI * float(erfcx(x * INV_SQRT_2))
+    return SQRT_HALF_PI * erfcx(x * INV_SQRT_2)
 
 
 def _one_sided_ratios(alpha: float, beta: float) -> tuple[float, float]:
@@ -94,7 +128,7 @@ def _one_sided_ratios(alpha: float, beta: float) -> tuple[float, float]:
 def _straddle_ratios(alpha: float, beta: float) -> tuple[float, float]:
     """Same ratios for alpha <= 0 <= beta (Z is well away from underflow
     unless the interval is tiny, which expm1 keeps accurate)."""
-    z = 0.5 * (float(erf(beta * INV_SQRT_2)) - float(erf(alpha * INV_SQRT_2)))
+    z = 0.5 * (math.erf(beta * INV_SQRT_2) - math.erf(alpha * INV_SQRT_2))
     if z <= 0.0:
         return math.inf, math.inf
     ea = 0.5 * alpha * alpha

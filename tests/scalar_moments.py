@@ -12,9 +12,10 @@ the same means and variances bit for bit.
 import math
 
 import numpy as np
-from scipy.special import erf, erfcx
 
-from permgamp.trunc_gauss import _GL_U, _GL_W, INV_SQRT_2, SQRT_HALF_PI, VAR_FLOOR_SCALE, Interval
+from permgamp.trunc_gauss import (
+    _GL_U, _GL_W, INV_SQRT_2, SQRT_HALF_PI, VAR_FLOOR_SCALE, Interval, erfcx,
+)
 
 
 def _mills(x: float) -> float:
@@ -45,7 +46,7 @@ def _one_sided_ratios(alpha: float, beta: float) -> tuple[float, float]:
 def _straddle_ratios(alpha: float, beta: float) -> tuple[float, float]:
     """Same ratios for alpha <= 0 <= beta (Z is well away from underflow
     unless the interval is tiny, which expm1 keeps accurate)."""
-    z = 0.5 * (erf(beta * INV_SQRT_2) - erf(alpha * INV_SQRT_2))
+    z = 0.5 * (math.erf(beta * INV_SQRT_2) - math.erf(alpha * INV_SQRT_2))
     if z <= 0.0:
         return math.inf, math.inf
     ea = 0.5 * alpha * alpha

@@ -344,6 +344,28 @@ def test_estimate_rejects_non_finite_inputs(canyon, tmp_path, capsys, corrupt, n
     assert out == ""
 
 
+@pytest.mark.parametrize("prior_hi, code", [(1e103, 0), (1e105, 2), (1e110, 2), (1e154, 2)])
+def test_a_prior_too_wide_for_the_solver_exits_2_naming_it(tmp_path, capsys, recwarn,
+                                                           prior_hi, code):
+    # every prior width squares inside the float range, but past ~1e105 the
+    # first linearization's A is so small at the prior midpoint that
+    # tau_c = 1 / sum A^2 tau_s overflows (1e105), or A^2 underflows (1e110)
+    def widen(raw):
+        for material in raw["materials"]:
+            material["prior_hi"] = prior_hi
+    scenario = _edited_canyon(tmp_path, widen)
+    got, out, err = _run(capsys, "estimate", "--scenario", str(scenario), "--sigma", "0.5",
+                         "--seed", "1")
+    assert [w.message for w in recwarn if issubclass(w.category, RuntimeWarning)] == []
+    if code == 0:
+        assert (got, err) == (0, "")
+    else:
+        assert (got, out) == (2, "")
+        assert err == (f"error: material 1: prior_hi={prior_hi!r} is too wide for the solver: "
+                       "at the first linearization its tau_c = 1 / sum_i A_im^2 tau_s_i "
+                       "is not finite\n")
+
+
 @pytest.mark.parametrize("max_reflections", [400, 100000])
 def test_estimate_rejects_a_max_reflections_past_the_tracer_bound(tmp_path, max_reflections):
     with open(bundled_scenario_path("canyon")) as fh:

@@ -4,6 +4,7 @@ end-to-end recovery."""
 import json
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -80,6 +81,17 @@ def test_init_state_rejects_x0_outside_priors():
     cfg = default_config(sc, 0.25, x0=np.array([0.5, 5.0]))
     with pytest.raises(ValidationError, match="x0"):
         init_state(sc, [cfg], sc.n_links)
+
+
+def test_check_prior_scale_passes_a_zero_column_and_names_an_overflowing_tau_p(canyon):
+    wide = replace(canyon, materials=tuple(replace(m, prior_hi=1e154) for m in canyon.materials))
+    tau_w = np.array([[0.25]])
+    held = _lin([[0.0, 1e-3]] * 3, [0.0] * 3)  # material 1 unobserved: no tau_c to carry
+    gamp.check_prior_scale(wide, held, _sq(held), tau_w)
+    lin = _lin([[1e-3, 10.0], [1e-3, 1e-3]], [0.0, 0.0])  # A^2 prior_var overflows on row 0
+    with pytest.raises(ValidationError, match=r"^material 2: prior_hi=1e\+154 is too wide .* "
+                       r"tau_p = sum_m A_im\^2 prior_var_m overflows on row 0$"):
+        gamp.check_prior_scale(wide, lin, _sq(lin), tau_w)
 
 
 # ---------------------------------------------------------------------------

@@ -37,16 +37,30 @@ from permgamp.oracle import _grid_ssr, grid_axes
 from permgamp.raytracer import Ray, Reflection
 
 
-def test_the_run_path_does_not_load_scipy_integrate():
-    # only quadrature_moments, a test reference, integrates: importing the
-    # package and its CLI must not pay for scipy.integrate's import
+RUN_PATH_SCRIPT = """
+import contextlib, io, sys
+import permgamp, permgamp.cli
+canyon = permgamp.bundled_scenario_path("canyon")
+problem = ["--scenario", canyon, "--sigma", "0.5", "--seed", "1"]
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    codes = [permgamp.cli.main(["estimate", *problem]),
+             permgamp.cli.main(["sweep", "--scenario", canyon, "--sigmas", "0.5,1",
+                                "--seeds", "2", "--out-dir", sys.argv[1]]),
+             permgamp.cli.main(["oracle", *problem])]
+print(codes, sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_the_run_path_loads_no_scipy(tmp_path):
+    # the moment kernel takes erf and erfcx from libm, and only
+    # quadrature_moments, a test reference, integrates: importing the package
+    # and its CLI, and running each command, must not pay for scipy's import
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, permgamp, permgamp.cli; "
-         "print('scipy.integrate' in sys.modules)"],
-        stdin=subprocess.DEVNULL, capture_output=True, text=True, timeout=60,
+        [sys.executable, "-c", RUN_PATH_SCRIPT, str(tmp_path / "sweep")],
+        stdin=subprocess.DEVNULL, capture_output=True, text=True, timeout=120,
         env=dict(os.environ, PYTHONPATH=str(Path(permgamp.__file__).parents[1])),
     )
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[0, 0, 0] []\n", "")
 
 
 def test_quadrature_symmetric_mean_zero():

@@ -1,10 +1,14 @@
 """Byte pins on what the solver and the grid oracle write: estimate reports,
 sweep CSVs and oracle reports.
 
-The digests were taken with numpy 2.4 and scipy 1.17. Another numpy or scipy
-build may round exp, erf or erfcx differently in the last bit, which moves
-every digest here without anything being wrong; re-pin them then, from a
-tree whose outputs are trusted.
+The digests were taken with numpy 2.4 on glibc, x86-64 with AVX-512. They do
+not depend on scipy: the noise draws and the moment kernel's one-sided and
+straddle branches take exp, expm1, erf, erfc, log1p and cos from libm
+through math. Another libm may round those differently in the last bit, and
+so may another numpy build or SIMD level in the numpy code that remains (the
+narrow rows' exp, the forward model); either moves digests here without
+anything being wrong. Re-pin them then, from a tree whose outputs are
+trusted.
 """
 
 import hashlib
@@ -20,20 +24,20 @@ from test_cli import _canyon_plus_sealed_link, _sealed_link_dataset
 # SHA-256 of the default `estimate` report (stdout) on the bundled canyon,
 # per (sigma, seed).
 ESTIMATE_SHA256 = {
-    (0.1, 0): "3d34bf0f182fc7834f6524055c4e196fbfbe4bca0e7b064e6818d0355ac7a5db",
-    (0.5, 3): "e617676e962508e72aa1f5a40e1975b2a70ebf23012ee4390e120786c561fefd",
-    (1.0, 1): "858b5d6747afe79ef24e99202bb6f42f2fd01e6fbc1b477c09514e87711df1a2",
+    (0.1, 0): "61cb95614fd9f31dae8e9804b8affd69ec5d91a2fc0e541ec4d3fdda876ffd52",
+    (0.5, 3): "9b12ca7b83714c4c0da266d192451f36196ccad343899d8b0d8bbbe6372eb73c",
+    (1.0, 1): "1176b067979445ba56d93e7160fdca33c5bb08ece0f48bd0c25401ab10b56da8",
     (2.0, 2): "9d884e9ed72875d17f92f97a01def92a1ed9d55ccd82dce8537bacd89d9579b7",
     (4.0, 4): "bc8c16416f828af18236c88378cfe44bb7219f0bbd80cc03937bbfa5c4722f68",
 }
 # SHA-256 of a damped `estimate` report (stdout) on the bundled canyon:
 # --damping 0.5 --k-iter 5 --sigma 1 --seed 1.
-DAMPED_ESTIMATE_SHA256 = "f71c818c15d7ebb39ecac9ba15a627a289e7e973b041535a20cd35eafedbb5e3"
+DAMPED_ESTIMATE_SHA256 = "f933b747a7dfbf3b3355670354e6f296e89eec2fddae4c03bfdee1ac77dc3546"
 # SHA-256 of the sweep's CSVs (no timing column) for sigma in {0.1, 1, 2, 4}
 # x 5 seeds on the bundled canyon.
 SWEEP_SHA256 = {
-    "runs.csv": "7999d21edd014de23df20cbdadc76f9e755ac7c7ab689cafcac7ed5a86e4406b",
-    "summary.csv": "ff020b2865b1afecd7ce1ad8a234ef8029bd43d67bb1b8980fdbe7bca6095dad",
+    "runs.csv": "850b343ad0c7d499ceb7bc3bdc38bdac69dd867453bfa334f95ed9f20a45af32",
+    "summary.csv": "0199bbd778d4bcf66e392e52a022d5055f5c0f783666ed4302586a0b91ddd278",
 }
 
 # SHA-256 of the `oracle` report (stdout) on the bundled canyon, per
@@ -43,12 +47,12 @@ ORACLE_SHA256 = {
     (2.0, 1): "508f39bef0b7b9bb518585ace7c3b935c2dd093d00eb905c85cac7970c1a7c6d",
 }
 ESTIMATE_ORACLE_SHA256 = {
-    (1.0, 2): "ca68498f236a2a5f7b41a93d0933418a5a77eb8131209f4f6683be2cd9bf166b",
+    (1.0, 2): "b6bf03fb64d7b112406c0f49c4d8c98e0d72058d65b0c5d21e7647844756328a",
 }
 # SHA-256 of the `estimate` report on the canyon plus one link sealed in a
 # box, with noiseless levels: the sealed link is dropped, so the solve runs
 # on a ray table of fewer links than were traced.
-SEALED_LINK_ESTIMATE_SHA256 = "2579cbc11ac35a37ba3ea14624021acdd617ceed5878f99531ab45268a188e8c"
+SEALED_LINK_ESTIMATE_SHA256 = "9b8ecd7dad4f604f5f940d3a83c3bb46177ce7f93a2ddd7df0d15153adb0badc"
 
 
 def _sha256(data: bytes) -> str:
