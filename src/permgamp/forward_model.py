@@ -42,9 +42,9 @@ GAIN_FLOOR = 1e-30          # linear; below this a link is unusable at that eps
 DB_PER_LN = 10.0 / math.log(10.0)
 
 
-def _fresnel(eps, c, polarization: str, deriv: bool = False):
-    """|Gamma|^2, or with deriv=True d|Gamma|^2 / d eps, elementwise over
-    arrays of eps and c = cos(theta); no domain checks."""
+def _fresnel(eps, c, polarization: str):
+    """(Gamma, s = sqrt(eps - sin^2), denominator) elementwise over arrays of
+    eps and c = cos(theta), as _fresnel_slope takes them; no domain checks."""
     # eps - sin^2 = (eps - 1) + cos^2: exact at eps = 1, no cancellation
     s = np.sqrt((eps - 1.0) + c * c)
     if polarization == "TE":
@@ -54,10 +54,12 @@ def _fresnel(eps, c, polarization: str, deriv: bool = False):
     else:
         raise ValueError(f"polarization={polarization!r} not in ('TE', 'TM')")
     # Vacuum reflects nothing: at eps = 1, s = sqrt(c * c) == c exactly in
-    # binary floating point, so num, Gamma and the derivative are exactly 0.
-    gamma = num / den
-    if not deriv:
-        return gamma * gamma
+    # binary floating point, so num, Gamma and the slope are exactly 0.
+    return num / den, s, den
+
+
+def _fresnel_slope(eps, c, polarization: str, gamma, s, den):
+    """d|Gamma|^2 / d eps from _fresnel's (Gamma, s, den) at the same eps, c."""
     # chain rule through sqrt(eps - sin^2); eps - 2 sin^2 = (eps - 2) + 2 cos^2;
     # float_power is libm pow for scalars and arrays alike (** squares arrays)
     if polarization == "TE":
@@ -70,11 +72,12 @@ def _fresnel(eps, c, polarization: str, deriv: bool = False):
 def fresnel_power_coeff(eps, theta, polarization: str = "TE"):
     """Power reflection coefficient |Gamma|^2; accepts scalars or arrays."""
     eps = np.asarray(eps, dtype=float)
-    if np.any(eps < 1.0):
-        raise ValueError(f"eps={eps} below 1 (passive dielectric)")
+    if not ((eps >= 1.0) & (eps < math.inf)).all():
+        raise ValueError(f"eps={eps} must be finite and >= 1 (passive dielectric)")
     if not 0.0 <= theta < math.pi / 2.0:
         raise ValueError(f"theta={theta} outside [0, pi/2)")
-    out = _fresnel(eps, math.cos(theta), polarization)
+    gamma = _fresnel(eps, math.cos(theta), polarization)[0]
+    out = gamma * gamma
     return out if out.ndim else float(out)
 
 
@@ -118,15 +121,16 @@ def ray_table(ray_cache, wavelength_m: float) -> RayTable:
     ))
 
 
-def _coefficients(table: RayTable, eps: np.ndarray, polarization: str) -> np.ndarray:
+def _coefficients(table: RayTable, eps: np.ndarray, polarization: str):
     """Bounce coefficients |Gamma|^2 (B, K, R, L) at eps (B, M), 1.0 in
-    the padding slots."""
-    if (eps < 1.0).any():
-        raise ValueError(f"eps={eps} below 1 (passive dielectric)")
+    the padding slots, and _fresnel's (Gamma, s, den) per table group."""
+    if not ((eps >= 1.0) & (eps < math.inf)).all():
+        raise ValueError(f"eps={eps} must be finite and >= 1 (passive dielectric)")
     coeff = np.ones((len(eps), table.n_bounces) + table.friis.shape)
-    for m, slots, cos in table.groups:
-        coeff.reshape(len(eps), -1)[:, slots] = _fresnel(eps[:, m, None], cos, polarization)
-    return coeff
+    cores = [_fresnel(eps[:, m, None], cos, polarization) for m, _, cos in table.groups]
+    for (_, slots, _), (gamma, _, _) in zip(table.groups, cores):
+        coeff.reshape(len(eps), -1)[:, slots] = gamma * gamma
+    return coeff, cores
 
 
 def summed_gains(friis, coeff) -> np.ndarray:
@@ -145,7 +149,7 @@ def summed_gains(friis, coeff) -> np.ndarray:
 def link_totals(table: RayTable, eps, polarization: str) -> np.ndarray:
     """Summed linear gains (B, L) of every link at a batch of permittivity
     vectors eps (B, M), bit-identical to summing ray_gain_linear."""
-    coeff = _coefficients(table, np.asarray(eps, dtype=float), polarization)
+    coeff, _ = _coefficients(table, np.asarray(eps, dtype=float), polarization)
     return summed_gains(table.friis, coeff)
 
 
@@ -203,7 +207,7 @@ def jacobian(scenario: Scenario, table: RayTable, eps) -> Linearization:
     """
     eps = np.asarray(eps, dtype=float)
     pol = scenario.polarization
-    coeff = _coefficients(table, eps, pol)
+    coeff, cores = _coefficients(table, eps, pol)
     g0 = _checked_db(summed_gains(table.friis, coeff), eps)  # names an unusable link
     total = summed_gains(table.friis, np.prod(coeff, axis=1, keepdims=True))
     prefix, suffix = np.ones(coeff.shape), np.ones(coeff.shape)
@@ -213,8 +217,8 @@ def jacobian(scenario: Scenario, table: RayTable, eps) -> Linearization:
     others = (table.friis * (prefix * suffix)).reshape(len(eps), -1)
     dtotal = np.zeros(total.shape + eps.shape[1:])
     n_links = total.shape[1]
-    for m, slots, cos in table.groups:
-        d = _fresnel(eps[:, m, None], cos, pol, deriv=True)
+    for (m, slots, cos), core in zip(table.groups, cores):
+        d = _fresnel_slope(eps[:, m, None], cos, pol, *core)
         # bincount sums in input order: each link's sum runs over (ray, bounce)
         bins = (np.arange(len(eps))[:, None] * n_links + slots % n_links).ravel()
         dtotal[..., m] = np.bincount(

@@ -22,7 +22,7 @@ import numpy as np
 from . import forward_model
 from .errors import GridSizeError, UnusableLinkError, ValidationError
 from .forward_model import GAIN_FLOOR, RayTable, forward, gains_db, ray_table
-from .scenario import Dataset, Scenario, normalize_measurements
+from .scenario import Dataset, Scenario, check_noise_std, normalize_measurements
 from .trunc_gauss import Interval
 
 GRID_GUARD = 10_000_000  # max number of grid nodes
@@ -37,14 +37,26 @@ def log_posterior(scenario: Scenario, ray_cache, y, eps, sigma_z: float) -> floa
 
     Uniform box prior: -inf outside the prior bounds, otherwise the
     Gaussian log-likelihood -sum (y_n - gain_n(eps))^2 / (2 sigma_z^2).
+    ValidationError names a non-finite y[i] or a sigma_z check_noise_std refuses.
     """
+    y = _checked_levels(y, sigma_z)
     eps = np.asarray(eps, dtype=float)
     lo, hi = scenario.prior_bounds()
     if np.any(eps < lo) or np.any(eps > hi):
         return -math.inf
     var = max(sigma_z**2, SIGMA_VAR_FLOOR)
-    resid = np.asarray(y, dtype=float) - forward(scenario, ray_cache, eps)
+    resid = y - forward(scenario, ray_cache, eps)
     return float(-0.5 * np.dot(resid, resid) / var)
+
+
+def _checked_levels(y, sigma_z) -> np.ndarray:
+    """y as floats; ValidationError naming a bad sigma_z or the first non-finite y[i]."""
+    check_noise_std(sigma_z, "sigma_z")
+    y = np.asarray(y, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(y))
+    if bad.size:
+        raise ValidationError(f"y[{bad[0]}]={y[bad[0]]} must be finite")
+    return y
 
 
 def check_scorable(scenario: Scenario, dataset: Dataset) -> None:
@@ -104,33 +116,26 @@ def grid_axes(scenario: Scenario, grid: GridSpec) -> list[np.ndarray]:
     return [lo[m] + grid.step * np.arange(int(count)) for m, count in enumerate(counts)]
 
 
-def _bounce_patterns(table: RayTable):
-    """The table's bounced ray slots (flat over (R, L)) grouped by the
-    materials of their bounces: one (materials in bounce order, slots, cos
-    per bounce) per pattern. Rays without a bounce appear in none."""
-    if not table.groups:
-        return []
-    flat = np.concatenate([slots for _, slots, _ in table.groups])
-    mats = np.concatenate([np.full(len(slots), m) for m, slots, _ in table.groups])
-    cos = np.concatenate([cos for _, _, cos in table.groups])
-    bounce, ray = np.divmod(flat, table.friis.size)
-    order = np.lexsort((bounce, ray))  # each ray's bounces together, in bounce order
-    ray, mats, cos = ray[order], mats[order], cos[order]
-    starts = np.flatnonzero(np.diff(ray, prepend=-1))
-    by_pattern: dict[tuple, list] = {}
-    for a, b in zip(starts.tolist(), np.append(starts[1:], len(ray)).tolist()):
-        by_pattern.setdefault(tuple(mats[a:b].tolist()), []).append(a)
-    patterns = []
-    for pattern, firsts in by_pattern.items():
-        firsts = np.array(firsts, np.intp)
-        patterns.append((pattern, ray[firsts], [cos[firsts + b] for b in range(len(pattern))]))
-    return patterns
+def _bounce_patterns(ray_cache):
+    """Bounced rays grouped by their bounce materials: per pattern, (the
+    materials in bounce order, the rays' slots flat over ray_table's (R, L)
+    friis, a contiguous row of math.cos per bounce, as ray_table takes them:
+    column views slow the scan). Rays without a bounce appear in none."""
+    by_pattern: dict[tuple, tuple[list, list]] = {}
+    for n, rays in enumerate(ray_cache):
+        for j, ray in enumerate(rays):
+            if ray.reflections:
+                pattern = tuple(ref.material_index - 1 for ref in ray.reflections)
+                slots, cos = by_pattern.setdefault(pattern, ([], []))
+                slots.append(j * len(ray_cache) + n)
+                cos.append([math.cos(ref.incidence_angle) for ref in ray.reflections])
+    return [(p, np.array(s, np.intp), np.array(c).T.copy()) for p, (s, c) in by_pattern.items()]
 
 
-def _grid_ssr(table: RayTable, axes, y, polarization: str) -> np.ndarray:
+def _grid_ssr(table: RayTable, patterns, axes, y, polarization: str) -> np.ndarray:
     """Sum of squared dB residuals at every node of the Cartesian grid over
     axes, shaped like the grid; +inf at a node that leaves some link's total
-    gain below GAIN_FLOOR.
+    gain below GAIN_FLOOR. Ray gains are table.friis times the patterns' bounces.
 
     The grid is scanned row by row, the last axis vectorized in segments of
     at most GRID_SEGMENT_ELEMENTS (ray slots x nodes). Within a row every
@@ -149,12 +154,13 @@ def _grid_ssr(table: RayTable, axes, y, polarization: str) -> np.ndarray:
     n_rays, n_links = table.friis.shape
     friis = table.friis.reshape(-1, 1)
     segment = max(1, GRID_SEGMENT_ELEMENTS // max(1, friis.size))
-    patterns = _bounce_patterns(table)
 
-    def fresnel(m, cos, at):  # (slots, nodes) at the nodes `at` of axis m
-        return forward_model._fresnel(axes[m][at], cos[:, None], polarization)
+    def fresnel(m, cos, at):  # |Gamma|^2 (slots, nodes) at the nodes `at` of axis m
+        gamma = forward_model._fresnel(axes[m][at], cos[:, None], polarization)[0]
+        return gamma * gamma
 
-    bounces = {m: len(slots) for m, slots, _ in table.groups}
+    bounces = {m: sum(len(slots) * pattern.count(m) for pattern, slots, _ in patterns)
+               for m in range(len(axes))}
     row_tables = {}  # (pattern, bounce) -> (axis nodes, slots) of a row material
     for p, (pattern, slots, cos) in enumerate(patterns):
         for b, m in enumerate(pattern):
@@ -212,11 +218,12 @@ def grid_map(scenario: Scenario, ray_cache, y, sigma_z: float, grid: GridSpec) -
     row-major order). sigma_z only scales the posterior, so the argmax is
     returned for any sigma_z >= 0. A node that leaves a link below
     GAIN_FLOOR is excluded, as forward would refuse it; UnusableLinkError
-    when every node is.
+    when every node is. ValidationError as log_posterior raises it.
     """
+    y = _checked_levels(y, sigma_z)
     axes = grid_axes(scenario, grid)
     table = ray_table(ray_cache, scenario.wavelength_m)
-    ssr = _grid_ssr(table, axes, np.asarray(y, dtype=float), scenario.polarization)
+    ssr = _grid_ssr(table, _bounce_patterns(ray_cache), axes, y, scenario.polarization)
     best = np.unravel_index(np.argmin(ssr), ssr.shape)  # first = lexicographically smallest
     if ssr[best] == math.inf:
         raise UnusableLinkError(

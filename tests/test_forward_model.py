@@ -1,6 +1,10 @@
 """Fresnel coefficients, ray/link gains, forward map, and linearization."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -30,6 +34,7 @@ from permgamp import forward_model, raytracer
 from permgamp.forward_model import (
     Linearization,
     _fresnel,
+    _fresnel_slope,
     gains_db,
     jacobian,
     link_totals,
@@ -118,7 +123,8 @@ def test_fresnel_deriv_against_mpmath(rng):
             hi = _hp_fresnel(mp.mpf(eps) + h, theta, pol)
             lo = _hp_fresnel(mp.mpf(eps) - h, theta, pol)
             ref = float((hi - lo) / (2 * h))
-            got = _fresnel(eps, math.cos(theta), pol, deriv=True)
+            c = math.cos(theta)
+            got = _fresnel_slope(eps, c, pol, *_fresnel(eps, c, pol))
             assert abs(got - ref) <= 1e-9 * max(1.0, abs(ref))
 
 
@@ -416,20 +422,76 @@ def test_solve_builds_ray_tables_once(canyon, canyon_table, ray_table_calls):
 
 def test_fresnel_evaluations_per_estimate_and_linearization(canyon, canyon_table, monkeypatch):
     # a linearization takes its gains, A's denominator and the derivative
-    # terms from one coefficient array: one value and one derivative call
-    # per material; an estimate adds the prior midpoint and the start and
-    # end residuals to its 20 linearizations
-    calls = {False: 0, True: 0}
-    fresnel = forward_model._fresnel
+    # terms from one coefficient array: one reflection core per material,
+    # whose results the slopes reuse; an estimate adds the prior midpoint
+    # and the start and end residuals to its 20 linearizations
+    calls = {"_fresnel": 0, "_fresnel_slope": 0}
 
-    def counted(eps, c, polarization, deriv=False):
-        calls[deriv] += 1
-        return fresnel(eps, c, polarization, deriv)
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
 
     dataset = synthesize_dataset(canyon, 0.5, 3)
-    monkeypatch.setattr(forward_model, "_fresnel", counted)
+    for name in calls:
+        monkeypatch.setattr(forward_model, name, counted(name, getattr(forward_model, name)))
     jacobian(canyon, canyon_table, np.array([[3.0, 6.0]]))
-    assert calls == {False: 2, True: 2}
-    calls.update({False: 0, True: 0})
+    assert calls == {"_fresnel": 2, "_fresnel_slope": 2}
+    calls.update(dict.fromkeys(calls, 0))
     run_estimate(canyon, dataset)
-    assert calls == {False: 46, True: 40}
+    assert calls == {"_fresnel": 46, "_fresnel_slope": 40}
+
+
+@pytest.mark.parametrize("eps", [[math.nan, 4.0], [3.0, math.inf]], ids=["nan", "inf"])
+@pytest.mark.parametrize("entry", [
+    lambda sc, rays, table, eps: forward(sc, rays, eps),
+    lambda sc, rays, table, eps: gains_db(table, eps, sc.polarization),
+    lambda sc, rays, table, eps: link_totals(table, [eps], sc.polarization),
+    lambda sc, rays, table, eps: jacobian(sc, table, [eps]),
+    lambda sc, rays, table, eps: link_gain_db(rays[0], eps, sc.wavelength_m),
+    lambda sc, rays, table, eps: fresnel_power_coeff(eps, 0.3),
+], ids=["forward", "gains_db", "link_totals", "jacobian", "link_gain_db", "fresnel_power_coeff"])
+def test_a_non_finite_permittivity_is_refused(canyon, canyon_rays, canyon_table, entry, eps):
+    # unchecked, NaN comes out as NaN gains, and inf warns in a divide first
+    with pytest.raises(ValueError, match=r"eps=.* must be finite and >= 1"):
+        entry(canyon, canyon_rays, canyon_table, np.array(eps))
+
+
+DISPATCH_SCRIPT = """
+import hashlib
+import numpy as np
+import permgamp
+from permgamp.forward_model import gains_db, jacobian, ray_table
+canyon = permgamp.load_scenario(permgamp.bundled_scenario_path("canyon"))
+table = ray_table(permgamp.trace_scenario(canyon), canyon.wavelength_m)
+lo, hi = canyon.prior_bounds()
+eps = lo + (hi - lo) * np.random.Generator(np.random.PCG64(0)).random((40, 2))
+lin = jacobian(canyon, table, eps)
+for out in (gains_db(table, eps, canyon.polarization), lin.a_matrix, lin.mu):
+    print(hashlib.sha256(out.tobytes()).hexdigest())
+"""
+AVX512_TARGETS = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+
+
+def test_the_forward_map_bits_do_not_depend_on_numpy_simd_dispatch():
+    # gains_db, A and mu over 40 fixture permittivity pairs, with numpy's
+    # AVX-512 code paths on and off
+    umath = pytest.importorskip("numpy._core._multiarray_umath")
+    if not any(umath.__cpu_features__.get(t) for t in AVX512_TARGETS
+               if t in umath.__cpu_dispatch__):
+        pytest.skip("numpy dispatches to no AVX-512 target on this host")
+
+    def digests(disabled):
+        proc = subprocess.run(
+            [sys.executable, "-c", DISPATCH_SCRIPT], stdin=subprocess.DEVNULL,
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=str(Path(forward_model.__file__).parents[1]),
+                     NPY_DISABLE_CPU_FEATURES=disabled),
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        return proc.stdout.split()
+
+    on = digests("")
+    assert len(on) == 3
+    assert digests(" ".join(AVX512_TARGETS)) == on

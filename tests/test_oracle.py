@@ -24,6 +24,7 @@ from permgamp import (
     Scenario,
     Surface,
     UnusableLinkError,
+    ValidationError,
     forward,
     forward_model,
     grid_map,
@@ -33,7 +34,7 @@ from permgamp import (
     trace_scenario,
 )
 from permgamp.forward_model import ray_table
-from permgamp.oracle import _grid_ssr, grid_axes
+from permgamp.oracle import _bounce_patterns, _grid_ssr, grid_axes
 from permgamp.raytracer import Ray, Reflection
 
 
@@ -102,6 +103,7 @@ def test_log_posterior_outside_prior_is_minus_inf(canyon, canyon_rays):
     lo, hi = canyon.prior_bounds()
     assert log_posterior(canyon, canyon_rays, y, lo - 0.5, 0.5) == -math.inf
     assert log_posterior(canyon, canyon_rays, y, hi + 0.5, 0.5) == -math.inf
+    assert log_posterior(canyon, canyon_rays, y, np.array([math.inf, hi[1]]), 0.5) == -math.inf
 
 
 def test_log_posterior_perfect_fit_is_zero(canyon, canyon_rays):
@@ -136,6 +138,27 @@ def test_log_posterior_link_permutation_invariant(canyon, canyon_rays):
         canyon, [canyon_rays[i] for i in perm], y[perm], eps, 0.5
     )
     assert abs(lp - lp_perm) <= 1e-9 * abs(lp)
+
+
+@pytest.mark.parametrize("run", [
+    lambda sc, rays, y, sigma_z: log_posterior(sc, rays, y, sc.true_eps_vector(), sigma_z),
+    lambda sc, rays, y, sigma_z: grid_map(sc, rays, y, sigma_z, GridSpec(0.25)),
+], ids=["log_posterior", "grid_map"])
+@pytest.mark.parametrize("level, sigma_z, named", [
+    (math.nan, 0.5, r"y\[7\]=nan"),
+    (math.inf, 0.5, r"y\[7\]=inf"),
+    (0.0, math.nan, "sigma_z=nan"),
+    (0.0, math.inf, "sigma_z=inf"),
+    (0.0, -1.0, "sigma_z=-1.0"),
+], ids=["nan_level", "inf_level", "nan_sigma", "inf_sigma", "negative_sigma"])
+def test_the_oracle_refuses_non_finite_levels_and_noise(canyon, canyon_rays, run, level,
+                                                        sigma_z, named):
+    # unchecked, a NaN level steers grid_map to the prior corner (1.5, 3.0)
+    # and makes log_posterior NaN, and an infinite sigma_z scores every eps -0.0
+    y = forward(canyon, canyon_rays, canyon.true_eps_vector())
+    y[7] += level
+    with pytest.raises(ValidationError, match=named):
+        run(canyon, canyon_rays, y, sigma_z)
 
 
 def test_grid_map_noiseless_truth_on_node():
@@ -240,18 +263,19 @@ def _grid_problems(draw):
         axes.append(lo + draw(st.sampled_from([0.25, 0.05])) * np.arange(draw(st.integers(1, 5))))
     y = draw(st.lists(st.floats(-160.0, -40.0), min_size=len(ray_cache),
                       max_size=len(ray_cache)))
-    return ray_table(ray_cache, 0.1), axes, np.array(y), draw(st.sampled_from(["TE", "TM"]))
+    return (ray_table(ray_cache, 0.1), _bounce_patterns(ray_cache), axes, np.array(y),
+            draw(st.sampled_from(["TE", "TM"])))
 
 
 @given(_grid_problems())
 def test_grid_ssr_matches_the_per_node_scan_bit_for_bit(problem):
-    table, axes, y, pol = problem
+    table, patterns, axes, y, pol = problem
     want = _bits(per_node_grid.grid_ssr(table, axes, y, pol))
     for segment in (1, 7, oracle.GRID_SEGMENT_ELEMENTS):
         for table_elements in (0, oracle.GRID_TABLE_ELEMENTS):  # per row, tabulated
             with mock.patch.object(oracle, "GRID_SEGMENT_ELEMENTS", segment), \
                  mock.patch.object(oracle, "GRID_TABLE_ELEMENTS", table_elements):
-                assert _bits(_grid_ssr(table, axes, y, pol)) == want
+                assert _bits(_grid_ssr(table, patterns, axes, y, pol)) == want
 
 
 def test_grid_ssr_matches_the_per_node_scan_on_the_canyon(canyon, canyon_rays, rng):
@@ -260,19 +284,21 @@ def test_grid_ssr_matches_the_per_node_scan_on_the_canyon(canyon, canyon_rays, r
     table = ray_table(canyon_rays, canyon.wavelength_m)
     axes = grid_axes(canyon, GridSpec(0.25))
     want = per_node_grid.grid_ssr(table, axes, y, canyon.polarization)
-    assert _bits(_grid_ssr(table, axes, y, canyon.polarization)) == _bits(want)
+    patterns = _bounce_patterns(canyon_rays)
+    assert _bits(_grid_ssr(table, patterns, axes, y, canyon.polarization)) == _bits(want)
 
 
 def _hand_table(*links):
-    """A ray table of links given as lists of rays, each ray a list of
-    (material, incidence angle) bounces; [] is line of sight. The wavelength
-    puts the Friis factors near 1, so link gains lie near 0 dB, where a
-    one-ulp change of a ray's gain still changes the SSR's bits."""
+    """A ray table and its bounce patterns of links given as lists of rays,
+    each ray a list of (material, incidence angle) bounces; [] is line of
+    sight. The wavelength puts the Friis factors near 1, so link gains lie
+    near 0 dB, where a one-ulp change of a ray's gain still changes the
+    SSR's bits."""
     cache = [
         [Ray(21.0 + 7.0 * j, tuple(Reflection(m, a) for m, a in ray)) for j, ray in enumerate(rays)]
         for rays in links
     ]
-    return ray_table(cache, 4.0 * math.pi * 20.0)
+    return ray_table(cache, 4.0 * math.pi * 20.0), _bounce_patterns(cache)
 
 
 @pytest.mark.parametrize("pol", ["TE", "TM"])
@@ -296,16 +322,16 @@ def test_grid_ssr_folds_each_ray_over_its_bounces_in_order(pol):
         [[(1, 1.45), (1, 1.5)]],
         [[], [(1, 0.3)]],
     )
-    beyond_a_segment = oracle.GRID_SEGMENT_ELEMENTS // one.friis.size + 3
+    beyond_a_segment = oracle.GRID_SEGMENT_ELEMENTS // one[0].friis.size + 3
     cases = [
         (two, [1.5 + 0.37 * np.arange(6), 1.5 + 0.29 * np.arange(40)]),
         (three, [1.5 + 0.37 * np.arange(4), 2.0 + 0.61 * np.arange(3), 1.5 + 0.29 * np.arange(30)]),
         (one, [1.5 + 0.0007 * np.arange(beyond_a_segment)]),
     ]
-    for table, axes in cases:
+    for (table, patterns), axes in cases:
         y = np.linspace(-3.0, -1.0, table.friis.shape[1])
         want = per_node_grid.grid_ssr(table, axes, y, pol)
-        assert _bits(_grid_ssr(table, axes, y, pol)) == _bits(want)
+        assert _bits(_grid_ssr(table, patterns, axes, y, pol)) == _bits(want)
 
 
 def test_grid_map_evaluates_fresnel_once_per_axis_node(canyon, canyon_rays, monkeypatch):
@@ -363,7 +389,8 @@ def test_grid_map_excludes_a_node_that_leaves_a_link_below_the_gain_floor(canyon
     assert all(ray.reflections for ray in rays[-1])
     y = forward(sc, rays, sc.true_eps_vector()) + 0.5 * rng.standard_normal(sc.n_links)
     axes = grid_axes(sc, GridSpec(0.25))
-    ssr = _grid_ssr(ray_table(rays, sc.wavelength_m), axes, y, sc.polarization)
+    ssr = _grid_ssr(ray_table(rays, sc.wavelength_m), _bounce_patterns(rays), axes, y,
+                    sc.polarization)
     assert ssr[0, 0] == math.inf  # eps = (1, 1), no warning either
     assert np.isfinite(ssr.ravel()[1:]).all()
     got = grid_map(sc, rays, y, 0.5, GridSpec(0.25))
