@@ -103,20 +103,21 @@ def _add_problem_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scenario", required=True)
     p.add_argument("--dataset", default=None)
     p.add_argument("--sigma", type=float, default=None, help="synthesize with this noise")
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--seed", type=_seed, default=None, help="noise seed of --sigma (default 0)")
     p.add_argument("--grid-step", type=float, default=0.05, help="oracle grid step")
     p.add_argument("--out", default=None)
 
 
 def _load_problem(args):
     scenario = load_scenario(args.scenario)
-    if args.dataset:
-        dataset = load_dataset(args.dataset)
-    else:
+    if not args.dataset:
         if args.sigma is None:
             raise ValidationError("need --dataset or --sigma to obtain measurements")
-        dataset = synthesize_dataset(scenario, args.sigma, args.seed)
-    return scenario, dataset
+        return scenario, synthesize_dataset(scenario, args.sigma, args.seed or 0)
+    for flag, value in (("--sigma", args.sigma), ("--seed", args.seed)):
+        if value is not None:  # refused, not ignored
+            raise ValidationError(f"{flag} is a synthesis flag and cannot go with --dataset")
+    return scenario, load_dataset(args.dataset)
 
 
 def cmd_generate(args) -> int:

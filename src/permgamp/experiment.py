@@ -20,7 +20,8 @@ from typing import ClassVar, Optional, Sequence
 import numpy as np
 
 from .errors import ParseError, UnusableLinkError, ValidationError
-# unused here: forward, scenario_from_dict and trace_link, which bench/ calls or wraps here
+# unused here: forward, scenario_from_dict, synthesize_dataset and trace_link,
+# which bench/ calls or wraps here
 from .forward_model import GAIN_FLOOR, RayTable, forward, gains_db, link_totals, ray_table
 from .gamp import EstimateReport, GampConfig, check_x0, default_config, solve, solve_batch
 from .oracle import GridSpec, grid_map
@@ -63,14 +64,14 @@ def _split_links(scenario: Scenario, ray_cache, y_all) -> PreparedProblem:
     ray table): a link without rays or with a total gain below GAIN_FLOOR
     there is dropped, and then the table is rebuilt over the kept links."""
     lo, hi = scenario.prior_bounds()
-    table = ray_table(ray_cache, scenario.wavelength_m)
-    usable = ~(link_totals(table, [0.5 * (lo + hi)], scenario.polarization)[0] < GAIN_FLOOR)
+    table = ray_table(ray_cache, scenario.wavelength_m, scenario.polarization)
+    usable = ~(link_totals(table, [0.5 * (lo + hi)])[0] < GAIN_FLOOR)
     kept, dropped = np.flatnonzero(usable).tolist(), np.flatnonzero(~usable).tolist()
     if not kept:
         raise UnusableLinkError("every link is unusable")
     if dropped:
         ray_cache = [ray_cache[n] for n in kept]
-        table = ray_table(ray_cache, scenario.wavelength_m)
+        table = ray_table(ray_cache, scenario.wavelength_m, scenario.polarization)
     return PreparedProblem(y_all[kept], ray_cache, table, kept, dropped)
 
 
@@ -210,7 +211,7 @@ def run_sweep(
         raise ValidationError(f"overrides {config.overrides}: {exc}") from exc
     try:  # the problem every point shares: kept links, gains at the true eps
         prob = _split_links(scenario, raytracer.trace_scenario(scenario), np.zeros(scenario.n_links))
-        gains = gains_db(prob.table, eps_true, scenario.polarization)
+        gains = gains_db(prob.table, eps_true)
     except Exception as exc:  # e.g. a link without rays: every point reports it
         outcomes = [exc] * len(points)
     else:

@@ -15,7 +15,7 @@ A the Jacobian d gain_db / d eps and mu = gain(x) - A x, so the affine
 surrogate is gain(x') ~= A x' + mu.
 
 Reflections are lossless-dielectric Fresnel with a scenario-wide
-polarization (TE by default):
+polarization (TE by default), which each ray table carries:
 
     Gamma_TE = (cos t - sqrt(eps - sin^2 t)) / (cos t + sqrt(eps - sin^2 t))
     Gamma_TM = (eps cos t - sqrt(eps - sin^2 t)) / (eps cos t + sqrt(eps - sin^2 t))
@@ -93,7 +93,8 @@ def ray_gain_linear(ray: Ray, eps, wavelength_m: float, polarization: str = "TE"
 
 
 class RayTable(NamedTuple):
-    """Rays padded to (bounces K, rays R, links L) slots: padding rays have
+    """Rays padded to (bounces K, rays R, links L) slots, at the wavelength
+    (in friis) and polarization every kernel evaluates: padding rays have
     Friis factor 0 and padding bounces |Gamma|^2 = 1, exact in the products
     and sums. groups holds, per material m, the flat slots of its bounces
     in (link, ray, bounce) order and their cos(incidence), from math.cos."""
@@ -101,9 +102,11 @@ class RayTable(NamedTuple):
     friis: np.ndarray      # (R, L)
     n_bounces: int         # K
     groups: tuple[tuple[int, np.ndarray, np.ndarray], ...]  # (m, slots, cos)
+    polarization: str      # "TE" or "TM"
 
 
-def ray_table(ray_cache, wavelength_m: float) -> RayTable:
+def ray_table(ray_cache, wavelength_m: float, polarization: str) -> RayTable:
+    """The table of ray_cache's rays at wavelength_m under polarization."""
     n_rays = max(map(len, ray_cache), default=0)
     n_bounces = max((r.n_bounces for rays in ray_cache for r in rays), default=0)
     friis = np.zeros((n_rays, len(ray_cache)))
@@ -118,16 +121,16 @@ def ray_table(ray_cache, wavelength_m: float) -> RayTable:
     return RayTable(friis, n_bounces, tuple(
         (m, np.array(slots, np.intp), np.array(cos))
         for m, (slots, cos) in sorted(groups.items())
-    ))
+    ), polarization)
 
 
-def _coefficients(table: RayTable, eps: np.ndarray, polarization: str):
+def _coefficients(table: RayTable, eps: np.ndarray):
     """Bounce coefficients |Gamma|^2 (B, K, R, L) at eps (B, M), 1.0 in
     the padding slots, and _fresnel's (Gamma, s, den) per table group."""
     if not ((eps >= 1.0) & (eps < math.inf)).all():
         raise ValueError(f"eps={eps} must be finite and >= 1 (passive dielectric)")
     coeff = np.ones((len(eps), table.n_bounces) + table.friis.shape)
-    cores = [_fresnel(eps[:, m, None], cos, polarization) for m, _, cos in table.groups]
+    cores = [_fresnel(eps[:, m, None], cos, table.polarization) for m, _, cos in table.groups]
     for (_, slots, _), (gamma, _, _) in zip(table.groups, cores):
         coeff.reshape(len(eps), -1)[:, slots] = gamma * gamma
     return coeff, cores
@@ -146,10 +149,10 @@ def summed_gains(friis, coeff) -> np.ndarray:
     return total
 
 
-def link_totals(table: RayTable, eps, polarization: str) -> np.ndarray:
+def link_totals(table: RayTable, eps) -> np.ndarray:
     """Summed linear gains (B, L) of every link at a batch of permittivity
     vectors eps (B, M), bit-identical to summing ray_gain_linear."""
-    coeff, _ = _coefficients(table, np.asarray(eps, dtype=float), polarization)
+    coeff, _ = _coefficients(table, np.asarray(eps, dtype=float))
     return summed_gains(table.friis, coeff)
 
 
@@ -165,49 +168,50 @@ def _checked_db(total: np.ndarray, eps: np.ndarray) -> np.ndarray:
     return (10.0 * np.array(list(map(math.log10, total.ravel().tolist())))).reshape(total.shape)
 
 
-def gains_db(table: RayTable, eps, polarization: str) -> np.ndarray:
+def gains_db(table: RayTable, eps) -> np.ndarray:
     """Per-link dB gains at one eps (M,) or a batch (B, M); raises naming
     a link below the floor."""
     eps = np.asarray(eps, dtype=float)
     batch = np.atleast_2d(eps)
-    db = _checked_db(link_totals(table, batch, polarization), batch)
+    db = _checked_db(link_totals(table, batch), batch)
     return db if eps.ndim == 2 else db[0]
 
 
 def link_gain_db(rays, eps, wavelength_m: float, polarization: str = "TE") -> float:
     """10 log10 of the summed linear ray gains (energy superposition)."""
-    return float(gains_db(ray_table([rays], wavelength_m), eps, polarization)[0])
+    return float(gains_db(ray_table([rays], wavelength_m, polarization), eps)[0])
 
 
 def forward(scenario: Scenario, ray_cache, eps) -> np.ndarray:
     """dB link gains for every link at one permittivity vector eps (M,),
     or at each row of a batch (B, M): gains_db on a table of ray_cache."""
-    return gains_db(ray_table(ray_cache, scenario.wavelength_m), eps, scenario.polarization)
+    return gains_db(ray_table(ray_cache, scenario.wavelength_m, scenario.polarization), eps)
 
 
 @dataclass(frozen=True)
 class Linearization:
-    """Affine surrogates of the forward map at a batch of B points:
-    gain(x_b) ~= a_matrix[b] @ x_b + mu[b]."""
+    """Affine surrogates of the forward map at a batch of B expansion points
+    x_b: gain(x'_b) ~= a_matrix[b] @ x'_b + mu[b], with gains[b] = gain(x_b)
+    exactly, the gains_db bits the surrogate is anchored to."""
 
     a_matrix: np.ndarray     # (B, N, M), dB per unit permittivity
     mu: np.ndarray           # (B, N), dB
+    gains: np.ndarray        # (B, N), dB
 
 
-def jacobian(scenario: Scenario, table: RayTable, eps) -> Linearization:
+def jacobian(table: RayTable, eps) -> Linearization:
     """Linearizations (A, mu) of the forward map at each row of eps (B, M),
-    the Fresnel products differentiated in closed form over a prebuilt
-    ray table, from one array of bounce coefficients.
+    and the gains there, the Fresnel products differentiated in closed form
+    over a prebuilt ray table, from one array of bounce coefficients.
 
-    mu's gains fold each ray's bounces left to right, as gains_db does. A
+    The gains fold each ray's bounces left to right, as gains_db does. A
     divides by friis x (product of the bounces), grouped like the
     derivative terms friis x (product of the other bounces) x d|Gamma|^2;
     those come from prefix and suffix products, never g / Gamma, so
     Gamma = 0 (eps = 1, Brewster) stays exact.
     """
     eps = np.asarray(eps, dtype=float)
-    pol = scenario.polarization
-    coeff, cores = _coefficients(table, eps, pol)
+    coeff, cores = _coefficients(table, eps)
     g0 = _checked_db(summed_gains(table.friis, coeff), eps)  # names an unusable link
     total = summed_gains(table.friis, np.prod(coeff, axis=1, keepdims=True))
     prefix, suffix = np.ones(coeff.shape), np.ones(coeff.shape)
@@ -218,11 +222,11 @@ def jacobian(scenario: Scenario, table: RayTable, eps) -> Linearization:
     dtotal = np.zeros(total.shape + eps.shape[1:])
     n_links = total.shape[1]
     for (m, slots, cos), core in zip(table.groups, cores):
-        d = _fresnel_slope(eps[:, m, None], cos, pol, *core)
+        d = _fresnel_slope(eps[:, m, None], cos, table.polarization, *core)
         # bincount sums in input order: each link's sum runs over (ray, bounce)
         bins = (np.arange(len(eps))[:, None] * n_links + slots % n_links).ravel()
         dtotal[..., m] = np.bincount(
             bins, (others[:, slots] * d).ravel(), minlength=total.size
         ).reshape(total.shape)
     a = DB_PER_LN * dtotal / total[..., None]
-    return Linearization(a_matrix=a, mu=g0 - (a @ eps[..., None])[..., 0])
+    return Linearization(a_matrix=a, mu=g0 - (a @ eps[..., None])[..., 0], gains=g0)

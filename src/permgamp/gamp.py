@@ -361,14 +361,15 @@ def solve_batch(
     trajectory = [state.x_hat.copy()]
     where = "the initial point"
     try:  # an unusable link anywhere in the recursion stops it, naming where
-        g_start = gains_db(table, state.x_hat, scenario.polarization)
         for k1 in range(k_iter):
-            where = f"the linearization of outer iteration {k1}"
+            if k1:
+                where = f"the linearization of outer iteration {k1}"
             expansion = state.x_hat.copy()
-            lin = jacobian(scenario, table, expansion)
+            lin = jacobian(table, expansion)
             with np.errstate(over="ignore"):  # output_step names a non-finite tau_p
                 a_sq = lin.a_matrix * lin.a_matrix
             if k1 == 0:
+                g_start = lin.gains  # the forward map at x0
                 check_prior_scale(scenario, lin, a_sq, tau_w)
             support = Interval(np.maximum(lo, expansion - half), np.minimum(hi, expansion + half))
             inactive = np.all(lin.a_matrix == 0.0, axis=-1).astype(float)
@@ -379,7 +380,7 @@ def solve_batch(
                 trajectory.append(state.x_hat.copy())
                 _check_invariants(state, support, inactive)
         where = "the final point"
-        g_end = gains_db(table, state.x_hat, scenario.polarization)
+        g_end = gains_db(table, state.x_hat)
     except UnusableLinkError as exc:
         raise SolverError(f"forward model failed at {where}: {exc}") from exc
     wall_ms = (time.perf_counter() - t0) * 1e3 / len(configs)

@@ -37,11 +37,14 @@ def log_posterior(scenario: Scenario, ray_cache, y, eps, sigma_z: float) -> floa
 
     Uniform box prior: -inf outside the prior bounds, otherwise the
     Gaussian log-likelihood -sum (y_n - gain_n(eps))^2 / (2 sigma_z^2).
-    ValidationError names a non-finite y[i] or a sigma_z check_noise_std refuses.
+    ValidationError as _checked_levels raises it, or for an eps without one
+    entry per material.
     """
-    y = _checked_levels(y, sigma_z)
+    y = _checked_levels(y, sigma_z, len(ray_cache))
     eps = np.asarray(eps, dtype=float)
     lo, hi = scenario.prior_bounds()
+    if eps.shape != lo.shape:
+        raise ValidationError(f"eps has shape {eps.shape} for {len(lo)} materials")
     if np.any(eps < lo) or np.any(eps > hi):
         return -math.inf
     var = max(sigma_z**2, SIGMA_VAR_FLOOR)
@@ -49,10 +52,13 @@ def log_posterior(scenario: Scenario, ray_cache, y, eps, sigma_z: float) -> floa
     return float(-0.5 * np.dot(resid, resid) / var)
 
 
-def _checked_levels(y, sigma_z) -> np.ndarray:
-    """y as floats; ValidationError naming a bad sigma_z or the first non-finite y[i]."""
+def _checked_levels(y, sigma_z, n_links: int) -> np.ndarray:
+    """y as floats; ValidationError naming a bad sigma_z, a y whose shape
+    is not (n_links,), or the first non-finite y[i]."""
     check_noise_std(sigma_z, "sigma_z")
     y = np.asarray(y, dtype=float)
+    if y.shape != (n_links,):
+        raise ValidationError(f"y has shape {y.shape} for {n_links} links")
     bad = np.flatnonzero(~np.isfinite(y))
     if bad.size:
         raise ValidationError(f"y[{bad[0]}]={y[bad[0]]} must be finite")
@@ -72,13 +78,12 @@ def check_scorable(scenario: Scenario, dataset: Dataset) -> None:
         )
 
 
-def fd_jacobian(scenario: Scenario, table: RayTable, eps, step: float = 1e-6):
+def fd_jacobian(table: RayTable, eps, step: float = 1e-6):
     """Central-difference d gain_db / d eps over a ray table, the cross-check
     of the solver's analytic Jacobian; returns (a_matrix, warnings). A
     central step that would cross the eps = 1 boundary degrades to a
     one-sided difference and is flagged in the warnings."""
     eps = np.asarray(eps, dtype=float)
-    pol = scenario.polarization
     a = np.zeros((table.friis.shape[1], len(eps)))
     warns = []
     for m in range(len(eps)):
@@ -90,7 +95,7 @@ def fd_jacobian(scenario: Scenario, table: RayTable, eps, step: float = 1e-6):
         else:
             width = step
             warns.append(f"fd: one-sided difference for material {m + 1} at eps={eps[m]}")
-        a[:, m] = (gains_db(table, e_hi, pol) - gains_db(table, e_lo, pol)) / width
+        a[:, m] = (gains_db(table, e_hi) - gains_db(table, e_lo)) / width
     return a, warns
 
 
@@ -132,7 +137,7 @@ def _bounce_patterns(ray_cache):
     return [(p, np.array(s, np.intp), np.array(c).T.copy()) for p, (s, c) in by_pattern.items()]
 
 
-def _grid_ssr(table: RayTable, patterns, axes, y, polarization: str) -> np.ndarray:
+def _grid_ssr(table: RayTable, patterns, axes, y) -> np.ndarray:
     """Sum of squared dB residuals at every node of the Cartesian grid over
     axes, shaped like the grid; +inf at a node that leaves some link's total
     gain below GAIN_FLOOR. Ray gains are table.friis times the patterns' bounces.
@@ -156,7 +161,7 @@ def _grid_ssr(table: RayTable, patterns, axes, y, polarization: str) -> np.ndarr
     segment = max(1, GRID_SEGMENT_ELEMENTS // max(1, friis.size))
 
     def fresnel(m, cos, at):  # |Gamma|^2 (slots, nodes) at the nodes `at` of axis m
-        gamma = forward_model._fresnel(axes[m][at], cos[:, None], polarization)[0]
+        gamma = forward_model._fresnel(axes[m][at], cos[:, None], table.polarization)[0]
         return gamma * gamma
 
     bounces = {m: sum(len(slots) * pattern.count(m) for pattern, slots, _ in patterns)
@@ -220,10 +225,10 @@ def grid_map(scenario: Scenario, ray_cache, y, sigma_z: float, grid: GridSpec) -
     GAIN_FLOOR is excluded, as forward would refuse it; UnusableLinkError
     when every node is. ValidationError as log_posterior raises it.
     """
-    y = _checked_levels(y, sigma_z)
+    y = _checked_levels(y, sigma_z, len(ray_cache))
     axes = grid_axes(scenario, grid)
-    table = ray_table(ray_cache, scenario.wavelength_m)
-    ssr = _grid_ssr(table, _bounce_patterns(ray_cache), axes, y, scenario.polarization)
+    table = ray_table(ray_cache, scenario.wavelength_m, scenario.polarization)
+    ssr = _grid_ssr(table, _bounce_patterns(ray_cache), axes, y)
     best = np.unravel_index(np.argmin(ssr), ssr.shape)  # first = lexicographically smallest
     if ssr[best] == math.inf:
         raise UnusableLinkError(

@@ -555,10 +555,10 @@ def make_canyon_scenario(
         )
     if n_links < 1:
         raise ValidationError(f"n_links={n_links} must be >= 1")
-    if length_m < 13.0:
-        raise ValidationError(f"length_m={length_m} must be >= 13")
-    if width_m < 3.0:
-        raise ValidationError(f"width_m={width_m} must be >= 3")
+    if not 13.0 <= length_m < math.inf:  # NaN fails too
+        raise ValidationError(f"length_m={length_m} must be finite and >= 13")
+    if not 3.0 <= width_m < math.inf:
+        raise ValidationError(f"width_m={width_m} must be finite and >= 3")
     if not 0.0 <= frac_upper <= 1.0:
         raise ValidationError(f"frac_upper={frac_upper} must be in [0, 1]")
     materials = tuple(

@@ -31,7 +31,7 @@ def canyon_rays(canyon):
 
 @pytest.fixture(scope="session")
 def canyon_table(canyon, canyon_rays):
-    return ray_table(canyon_rays, canyon.wavelength_m)
+    return ray_table(canyon_rays, canyon.wavelength_m, canyon.polarization)
 
 
 @pytest.fixture()

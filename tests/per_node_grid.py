@@ -15,7 +15,7 @@ from permgamp.forward_model import GAIN_FLOOR, link_totals
 from permgamp.oracle import GRID_SEGMENT_ELEMENTS
 
 
-def grid_ssr(table, axes, y, polarization):
+def grid_ssr(table, axes, y):
     """SSR of y against the link gains at every node, shaped like the grid."""
     size = math.prod(len(ax) for ax in axes)
     mesh = np.meshgrid(*axes, indexing="ij")
@@ -24,7 +24,7 @@ def grid_ssr(table, axes, y, polarization):
     chunk = max(1, GRID_SEGMENT_ELEMENTS // slots)
     ssr = np.empty(size)
     for start in range(0, size, chunk):
-        totals = link_totals(table, eps_nodes[start:start + chunk], polarization)
+        totals = link_totals(table, eps_nodes[start:start + chunk])
         low = (totals < GAIN_FLOOR).any(axis=1)
         resid = 10.0 * np.log10(np.where(low[:, None], 1.0, totals)) - np.asarray(y)
         ssr[start:start + chunk] = np.where(low, math.inf, np.einsum("ij,ij->i", resid, resid))

@@ -2,11 +2,13 @@
 must exist, and every workload must run one op that passes its own check.
 The package imports no name it never uses, apart from names imported only
 for the benchmark to wrap, and the solver and the oracle import nothing
-from each other."""
+from each other. The forward-model kernels read the polarization from the
+ray table they are given."""
 
 import ast
 import importlib
 import importlib.util
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -14,7 +16,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from permgamp import default_config, gamp, normalize_measurements, synthesize_dataset
+from permgamp import (
+    default_config,
+    forward_model,
+    gamp,
+    normalize_measurements,
+    oracle,
+    synthesize_dataset,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCH = ROOT / "bench"
@@ -51,9 +60,11 @@ def test_a_fixture_solve_calls_the_traced_steps_through_the_solver_module(
     n_problems, canyon, canyon_table, monkeypatch
 ):
     # bench/tracing.py books each layer's time by wrapping these attributes
-    # of permgamp.gamp: one linearization per outer iteration, and one call
-    # of each step and of the moment kernel per inner step, over (B, M)
-    calls = {name: [] for name in ("jacobian", "output_step", "input_step", "truncated_moments")}
+    # of permgamp.gamp: one linearization per outer iteration, whose first
+    # gains are the start residual's, one call of each step and of the moment
+    # kernel per inner step, over (B, M), and the final point's gains
+    calls = {name: [] for name in ("gains_db", "jacobian", "output_step", "input_step",
+                                   "truncated_moments")}
     for name, seen in calls.items():
         def counted(*args, _fn=getattr(gamp, name), _seen=seen, **kwargs):
             _seen.append(args)
@@ -64,7 +75,8 @@ def test_a_fixture_solve_calls_the_traced_steps_through_the_solver_module(
     configs = [default_config(canyon, ds.noise_var) for ds in datasets]
     gamp.solve_batch(canyon, canyon_table, Y, configs)
     assert {name: len(seen) for name, seen in calls.items()} == {
-        "jacobian": 20, "output_step": 200, "input_step": 200, "truncated_moments": 200,
+        "gains_db": 1, "jacobian": 20, "output_step": 200, "input_step": 200,
+        "truncated_moments": 200,
     }
     shape = (n_problems, canyon.n_materials)
     for c_hat, tau_c, box in calls["truncated_moments"]:
@@ -132,3 +144,22 @@ def test_the_solver_and_the_oracle_import_nothing_from_each_other(module, other)
     # the oracle checks the solver's answers, so neither side may reuse
     # the other's code
     assert other not in _imported_modules(PACKAGE / f"{module}.py")
+
+
+# the table builders and the scalar references, which have no table to read
+TAKE_A_POLARIZATION = {"ray_table", "_fresnel", "_fresnel_slope", "fresnel_power_coeff",
+                       "ray_gain_linear", "link_gain_db"}
+
+
+def test_only_table_builders_and_scalar_references_take_a_polarization():
+    # a ray table carries its polarization, so a kernel given one needs no other
+    takers = {
+        name
+        for module in (forward_model, oracle, gamp)
+        for name, fn in inspect.getmembers(module, inspect.isfunction)
+        if fn.__module__ == module.__name__ and "polarization" in inspect.signature(fn).parameters
+    }
+    assert takers == TAKE_A_POLARIZATION
+    assert list(inspect.signature(forward_model.jacobian).parameters) == ["table", "eps"]
+    assert list(inspect.signature(oracle.fd_jacobian).parameters) == ["table", "eps", "step"]
+    assert "polarization" not in (PACKAGE / "gamp.py").read_text()

@@ -20,8 +20,10 @@ from permgamp import (
     Scenario,
     Surface,
     UnusableLinkError,
+    ValidationError,
     bundled_scenario_path,
     load_scenario,
+    make_canyon_scenario,
     prepare_problem,
     run_estimate,
     run_sweep,
@@ -136,6 +138,21 @@ def test_a_noise_std_without_a_finite_square_exits_2_naming_it(tmp_path, capsys,
     assert list(tmp_path.iterdir()) == []  # no file written
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("flag, key, least", [
+    ("--length", "length_m", 13), ("--width", "width_m", 3),
+])
+def test_a_canyon_size_that_is_not_finite_exits_2_naming_it(tmp_path, capsys, flag, key, least,
+                                                             value):
+    # unchecked, NaN passed the lower bounds and the error named a wall's endpoint
+    message = f"{key}={float(value)} must be finite and >= {least}"
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        make_canyon_scenario(**{key: float(value)})
+    code, out, err = _run(capsys, "generate", flag, value, "--out", str(tmp_path / "sc.json"))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_generate_rejects_a_wavelength_whose_free_space_factor_overflows(tmp_path, capsys):
     code, out, err = _run(capsys, "generate", "--wavelength", "1e300",
                           "--out", str(tmp_path / "sc.json"))
@@ -208,6 +225,18 @@ def test_estimate_needs_sigma_or_dataset(capsys):
     code, _, err = _run(capsys, "estimate", "--scenario", bundled_scenario_path("canyon"))
     assert code == 2
     assert "--dataset or --sigma" in err
+
+
+@pytest.mark.parametrize("command", ["estimate", "oracle"])
+@pytest.mark.parametrize("flag, value", [("--sigma", "4"), ("--seed", "9"), ("--seed", "0")])
+def test_a_dataset_refuses_the_synthesis_flags(canyon, tmp_path, capsys, command, flag, value):
+    # ignored, they would leave the output as if they had not been given
+    path = tmp_path / "ds.json"
+    save_dataset(synthesize_dataset(canyon, 0.5, seed=3), path)
+    code, out, err = _run(capsys, command, "--scenario", bundled_scenario_path("canyon"),
+                          "--dataset", str(path), flag, value)
+    assert (code, out) == (2, "")
+    assert err == f"error: {flag} is a synthesis flag and cannot go with --dataset\n"
 
 
 @pytest.mark.parametrize("command", ["estimate", "oracle"])

@@ -28,6 +28,7 @@ from permgamp import gamp
 from permgamp.forward_model import Linearization, ray_table
 from permgamp.gamp import GampState, init_state, input_step, output_step
 from permgamp.oracle import fd_jacobian
+from test_oracle import _vacuum_canyon
 
 
 def _state(x0, tau_x, n):
@@ -47,7 +48,9 @@ def _state(x0, tau_x, n):
 
 
 def _lin(a, mu):
-    return Linearization(a_matrix=np.asarray(a, float)[None], mu=np.asarray(mu, float)[None])
+    """The linearization (A, mu) expanded at x = 0, where the gains are mu."""
+    mu = np.asarray(mu, float)[None]
+    return Linearization(a_matrix=np.asarray(a, float)[None], mu=mu, gains=mu)
 
 
 def _sq(lin):
@@ -320,7 +323,7 @@ def test_solve_noiseless_single_material():
     sc = make_canyon_scenario(
         n_links=40, n_materials=1, seed=3, true_eps=(6.0,), priors=((1.0, 13.0),)
     )
-    table = ray_table(trace_scenario(sc), sc.wavelength_m)
+    table = ray_table(trace_scenario(sc), sc.wavelength_m, sc.polarization)
     ds = synthesize_dataset(sc, 0.0, seed=1)
     y = normalize_measurements(sc, ds)
     cfg = default_config(sc, ds.noise_var, k_iter=20, k_gamp=5, delta_tr=2.0)
@@ -530,10 +533,10 @@ def test_solve_with_fd_jacobian_matches_analytic(canyon, canyon_rays, canyon_tab
     cfg = default_config(canyon, ds.noise_var)
     ra = solve(canyon, canyon_table, y, cfg)
 
-    def fd_linearization(scenario, table, eps):
-        a, _ = fd_jacobian(scenario, table, eps[0])
-        mu = forward(scenario, canyon_rays, eps[0]) - a @ eps[0]
-        return Linearization(a_matrix=a[None], mu=mu[None])
+    def fd_linearization(table, eps):
+        a, _ = fd_jacobian(table, eps[0])
+        gains = forward(canyon, canyon_rays, eps[0])
+        return Linearization(a_matrix=a[None], mu=(gains - a @ eps[0])[None], gains=gains[None])
 
     monkeypatch.setattr(gamp, "jacobian", fd_linearization)
     rf = solve(canyon, canyon_table, y, cfg)
@@ -551,11 +554,20 @@ def test_solve_tm_polarization(canyon):
         max_reflections=canyon.max_reflections,
         polarization="TM",
     )
-    table = ray_table(trace_scenario(tm), tm.wavelength_m)
+    table = ray_table(trace_scenario(tm), tm.wavelength_m, tm.polarization)
     ds = synthesize_dataset(tm, 0.0, seed=1)
     y = normalize_measurements(tm, ds)
     rep = solve(tm, table, y, default_config(tm, ds.noise_var))
     assert np.max(np.abs(rep.eps_hat - tm.true_eps_vector())) <= 0.05
+
+
+def test_a_start_point_that_leaves_a_link_below_the_floor_is_named(canyon):
+    # the first linearization gives the start residual's gains, so its
+    # unusable link is reported at the initial point
+    sc = _vacuum_canyon(canyon)
+    table = ray_table(trace_scenario(sc), sc.wavelength_m, sc.polarization)
+    with pytest.raises(SolverError, match="forward model failed at the initial point: link 100:"):
+        solve(sc, table, np.zeros(sc.n_links), default_config(sc, 0.25, x0=[1.0, 1.0]))
 
 
 def test_solve_survives_huge_noise(canyon, canyon_table):
@@ -591,7 +603,7 @@ def _variant(canyon, kind):
 @pytest.mark.parametrize("kind", ["TE", "TM", "unobserved"])
 def test_solve_batch_equals_each_point_solved_alone(canyon, kind):
     sc = _variant(canyon, kind)
-    table = ray_table(trace_scenario(sc), sc.wavelength_m)
+    table = ray_table(trace_scenario(sc), sc.wavelength_m, sc.polarization)
     x0 = [2.0, 9.0, 5.0][: sc.n_materials]
     ys, configs = [], []
     for sigma, seed, overrides in [

@@ -161,6 +161,35 @@ def test_the_oracle_refuses_non_finite_levels_and_noise(canyon, canyon_rays, run
         run(canyon, canyon_rays, y, sigma_z)
 
 
+def _grid_map_at(sc, rays, y, eps):
+    return grid_map(sc, rays, y, 0.5, GridSpec(0.25))
+
+
+def _log_posterior_at(sc, rays, y, eps):
+    return log_posterior(sc, rays, y, eps, 0.5)
+
+
+@pytest.mark.parametrize("run, n_levels, n_eps, named", [
+    (_grid_map_at, 1, 2, r"y has shape \(1,\) for 100 links"),
+    (_grid_map_at, 3, 2, r"y has shape \(3,\) for 100 links"),
+    (_log_posterior_at, 1, 2, r"y has shape \(1,\) for 100 links"),
+    (_log_posterior_at, 3, 2, r"y has shape \(3,\) for 100 links"),
+    (_log_posterior_at, 100, 1, r"eps has shape \(1,\) for 2 materials"),
+    (_log_posterior_at, 100, 3, r"eps has shape \(3,\) for 2 materials"),
+], ids=["grid_map-y1", "grid_map-y3", "log_posterior-y1", "log_posterior-y3",
+        "log_posterior-eps1", "log_posterior-eps3"])
+def test_the_oracle_refuses_levels_or_permittivities_of_the_wrong_length(
+    canyon, canyon_rays, run, n_levels, n_eps, named
+):
+    # unchecked, one level broadcasts against every link (grid_map returns
+    # the prior corner, log_posterior a finite score), and three levels or a
+    # wrong-length eps stop in a bare numpy error
+    y = forward(canyon, canyon_rays, canyon.true_eps_vector())[:n_levels]
+    eps = np.resize(canyon.true_eps_vector(), n_eps)
+    with pytest.raises(ValidationError, match=named):
+        run(canyon, canyon_rays, y, eps)
+
+
 def test_grid_map_noiseless_truth_on_node():
     sc = _line_scenario(true_eps=4.0)  # 4.0 = 1.5 + 50 * 0.05, on the grid
     rays = trace_scenario(sc)
@@ -263,33 +292,32 @@ def _grid_problems(draw):
         axes.append(lo + draw(st.sampled_from([0.25, 0.05])) * np.arange(draw(st.integers(1, 5))))
     y = draw(st.lists(st.floats(-160.0, -40.0), min_size=len(ray_cache),
                       max_size=len(ray_cache)))
-    return (ray_table(ray_cache, 0.1), _bounce_patterns(ray_cache), axes, np.array(y),
-            draw(st.sampled_from(["TE", "TM"])))
+    pol = draw(st.sampled_from(["TE", "TM"]))
+    return ray_table(ray_cache, 0.1, pol), _bounce_patterns(ray_cache), axes, np.array(y)
 
 
 @given(_grid_problems())
 def test_grid_ssr_matches_the_per_node_scan_bit_for_bit(problem):
-    table, patterns, axes, y, pol = problem
-    want = _bits(per_node_grid.grid_ssr(table, axes, y, pol))
+    table, patterns, axes, y = problem
+    want = _bits(per_node_grid.grid_ssr(table, axes, y))
     for segment in (1, 7, oracle.GRID_SEGMENT_ELEMENTS):
         for table_elements in (0, oracle.GRID_TABLE_ELEMENTS):  # per row, tabulated
             with mock.patch.object(oracle, "GRID_SEGMENT_ELEMENTS", segment), \
                  mock.patch.object(oracle, "GRID_TABLE_ELEMENTS", table_elements):
-                assert _bits(_grid_ssr(table, patterns, axes, y, pol)) == want
+                assert _bits(_grid_ssr(table, patterns, axes, y)) == want
 
 
-def test_grid_ssr_matches_the_per_node_scan_on_the_canyon(canyon, canyon_rays, rng):
+def test_grid_ssr_matches_the_per_node_scan_on_the_canyon(canyon, canyon_rays, canyon_table, rng):
     y = forward(canyon, canyon_rays, canyon.true_eps_vector())
     y = y + rng.standard_normal(len(y))
-    table = ray_table(canyon_rays, canyon.wavelength_m)
     axes = grid_axes(canyon, GridSpec(0.25))
-    want = per_node_grid.grid_ssr(table, axes, y, canyon.polarization)
+    want = per_node_grid.grid_ssr(canyon_table, axes, y)
     patterns = _bounce_patterns(canyon_rays)
-    assert _bits(_grid_ssr(table, patterns, axes, y, canyon.polarization)) == _bits(want)
+    assert _bits(_grid_ssr(canyon_table, patterns, axes, y)) == _bits(want)
 
 
-def _hand_table(*links):
-    """A ray table and its bounce patterns of links given as lists of rays,
+def _hand_table(pol, *links):
+    """A ray table under pol and its bounce patterns of links given as lists of rays,
     each ray a list of (material, incidence angle) bounces; [] is line of
     sight. The wavelength puts the Friis factors near 1, so link gains lie
     near 0 dB, where a one-ulp change of a ray's gain still changes the
@@ -298,7 +326,7 @@ def _hand_table(*links):
         [Ray(21.0 + 7.0 * j, tuple(Reflection(m, a) for m, a in ray)) for j, ray in enumerate(rays)]
         for rays in links
     ]
-    return ray_table(cache, 4.0 * math.pi * 20.0), _bounce_patterns(cache)
+    return ray_table(cache, 4.0 * math.pi * 20.0, pol), _bounce_patterns(cache)
 
 
 @pytest.mark.parametrize("pol", ["TE", "TM"])
@@ -308,17 +336,20 @@ def test_grid_ssr_folds_each_ray_over_its_bounces_in_order(pol):
     # incidence, so the order of their products shows in the SSR; a later
     # link holds line of sight, and links with fewer rays are padded
     two = _hand_table(
+        pol,
         [[(2, 1.45), (1, 1.5)]],
         [[(1, 1.4), (2, 1.5)]],
         [[], [(2, 0.2)], [(1, 0.9)]],
     )
     three = _hand_table(
+        pol,
         [[(3, 1.45), (1, 1.5)]],
         [[(1, 1.4), (3, 1.5)]],
         [[(2, 1.35), (3, 1.5), (1, 1.45)]],
         [[], [(3, 0.9), (2, 0.1)]],
     )
     one = _hand_table(
+        pol,
         [[(1, 1.45), (1, 1.5)]],
         [[], [(1, 0.3)]],
     )
@@ -330,8 +361,8 @@ def test_grid_ssr_folds_each_ray_over_its_bounces_in_order(pol):
     ]
     for (table, patterns), axes in cases:
         y = np.linspace(-3.0, -1.0, table.friis.shape[1])
-        want = per_node_grid.grid_ssr(table, axes, y, pol)
-        assert _bits(_grid_ssr(table, patterns, axes, y, pol)) == _bits(want)
+        want = per_node_grid.grid_ssr(table, axes, y)
+        assert _bits(_grid_ssr(table, patterns, axes, y)) == _bits(want)
 
 
 def test_grid_map_evaluates_fresnel_once_per_axis_node(canyon, canyon_rays, monkeypatch):
@@ -347,7 +378,7 @@ def test_grid_map_evaluates_fresnel_once_per_axis_node(canyon, canyon_rays, monk
     evaluated.clear()
     grid_map(canyon, canyon_rays, y, 0.5, GridSpec(0.05))
     axes = grid_axes(canyon, GridSpec(0.05))
-    groups = ray_table(canyon_rays, canyon.wavelength_m).groups
+    groups = ray_table(canyon_rays, canyon.wavelength_m, canyon.polarization).groups
     distinct = sum(len(axes[m]) * len(slots) for m, slots, _ in groups)
     assert distinct == 171 * 300 + 181 * 300  # 18,570,600 at one call per node
     assert 0 < sum(evaluated) <= distinct
@@ -389,8 +420,8 @@ def test_grid_map_excludes_a_node_that_leaves_a_link_below_the_gain_floor(canyon
     assert all(ray.reflections for ray in rays[-1])
     y = forward(sc, rays, sc.true_eps_vector()) + 0.5 * rng.standard_normal(sc.n_links)
     axes = grid_axes(sc, GridSpec(0.25))
-    ssr = _grid_ssr(ray_table(rays, sc.wavelength_m), _bounce_patterns(rays), axes, y,
-                    sc.polarization)
+    ssr = _grid_ssr(ray_table(rays, sc.wavelength_m, sc.polarization), _bounce_patterns(rays),
+                    axes, y)
     assert ssr[0, 0] == math.inf  # eps = (1, 1), no warning either
     assert np.isfinite(ssr.ravel()[1:]).all()
     got = grid_map(sc, rays, y, 0.5, GridSpec(0.25))

@@ -20,6 +20,7 @@ import scalar_moments
 from permgamp import bundled_scenario_path, gamp, oracle, save_dataset, save_scenario
 from permgamp.cli import main
 from test_cli import _canyon_plus_sealed_link, _sealed_link_dataset
+from test_forward_model import numpy_dispatches_avx512
 
 # SHA-256 of the default `estimate` report (stdout) on the bundled canyon,
 # per (sigma, seed).
@@ -59,6 +60,13 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _host_assumption() -> str:
+    """A failing estimate or sweep pin's message: the pins assume AVX-512."""
+    state = {True: "on", False: "off", None: "unknown"}[numpy_dispatches_avx512()]
+    return (f"numpy's AVX-512 dispatch is {state} on this host; the digests were taken with "
+            "it on, and without it the narrow rows' np.exp rounds differently (ROADMAP item 2)")
+
+
 def _digests(tmp_path, capsys):
     """(estimate digests, sweep digests) of the pinned panel."""
     canyon = bundled_scenario_path("canyon")
@@ -75,7 +83,7 @@ def _digests(tmp_path, capsys):
 
 
 def test_estimate_and_sweep_outputs_are_pinned(tmp_path, capsys):
-    assert _digests(tmp_path, capsys) == (ESTIMATE_SHA256, SWEEP_SHA256)
+    assert _digests(tmp_path, capsys) == (ESTIMATE_SHA256, SWEEP_SHA256), _host_assumption()
 
 
 def test_damped_estimate_is_pinned(capsys):
@@ -104,7 +112,7 @@ def test_scalar_moment_reference_reaches_every_branch_and_the_same_bytes(
     for name in calls:
         monkeypatch.setattr(scalar_moments, name, counted(name))
     monkeypatch.setattr(gamp, "truncated_moments", scalar_moments.moments_loop)
-    assert _digests(tmp_path, capsys) == (ESTIMATE_SHA256, SWEEP_SHA256)
+    assert _digests(tmp_path, capsys) == (ESTIMATE_SHA256, SWEEP_SHA256), _host_assumption()
     assert all(calls.values()), calls
 
 
