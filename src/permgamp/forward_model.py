@@ -129,6 +129,8 @@ def _coefficients(table: RayTable, eps: np.ndarray):
     the padding slots, and _fresnel's (Gamma, s, den) per table group."""
     if not ((eps >= 1.0) & (eps < math.inf)).all():
         raise ValueError(f"eps={eps} must be finite and >= 1 (passive dielectric)")
+    if table.groups and table.groups[-1][0] >= eps.shape[-1]:
+        raise ValueError(f"eps={eps} has no permittivity for material {table.groups[-1][0] + 1}")
     coeff = np.ones((len(eps), table.n_bounces) + table.friis.shape)
     cores = [_fresnel(eps[:, m, None], cos, table.polarization) for m, _, cos in table.groups]
     for (_, slots, _), (gamma, _, _) in zip(table.groups, cores):
@@ -185,6 +187,9 @@ def link_gain_db(rays, eps, wavelength_m: float, polarization: str = "TE") -> fl
 def forward(scenario: Scenario, ray_cache, eps) -> np.ndarray:
     """dB link gains for every link at one permittivity vector eps (M,),
     or at each row of a batch (B, M): gains_db on a table of ray_cache."""
+    if np.shape(eps)[-1:] != (scenario.n_materials,):
+        raise ValueError(f"eps={eps} must hold one permittivity per material, "
+                         f"{scenario.n_materials}")
     return gains_db(ray_table(ray_cache, scenario.wavelength_m, scenario.polarization), eps)
 
 

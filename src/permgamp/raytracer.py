@@ -8,15 +8,31 @@ the path exists iff walking back from the RX through the image chain yields
 bounce points inside each finite segment, no leg of the resulting polyline
 is blocked by another surface, and no bounce grazes its surface.
 
-All candidates of a chunk of links are tested at once, exactly, in arrays.
-The line of sight is the order-0 candidate. The images form a tree with one
-level per order, each image one mirror past its parent's. The walk back, the
-leg lengths and the occlusion test are masks over the candidates, computed
-with plain real formulas and math.hypot; only the survivors' incidence
-angles are taken one by one, with math.acos. The tests check the rays bit
-for bit against a scalar reference that tests one sequence at a time. A
-chunk holds as many links as fit in _CELLS path points (each candidate's
-path is padded to max_order bounces), which bounds a trace's memory.
+All candidates of a chunk of links are tested at once, exactly, in arrays,
+with plain real formulas and math.hypot; only the incidence angles of
+unblocked bounces are taken one by one, with math.acos. The tests check the
+rays bit for bit against a scalar reference that tests one sequence at a
+time.
+
+- The tree. The line of sight is the order-0 candidate. The images form a
+  tree with one level per order: each row holds its parent row, its wall
+  and the TX mirrored across its whole sequence.
+- The prune. A walk back crosses wall k-1's line between the order-(k-1)
+  image and the bounce on wall k, so wall k must reach the line's far side
+  from that image. A child wall that lies wholly on the image's side, more
+  than a margin from the line, is dropped with its subtree (the beam test
+  of Funkhouser et al., SIGGRAPH 1998, cut down to one side test per row).
+  The sign of the image's side is the walk back's own numerator, and the
+  margin stands far above its rounding; when unsure, the child stays. The
+  walk back still decides every kept candidate.
+- The walk. Every order walks back at once, from the deepest level up. A
+  level records only its survivors' bounce points, each pointing to the
+  record of the next point on its path, so no path is copied per level.
+- The occlusion. Legs are tested in path order on the candidates whose
+  earlier legs passed, so no padding leg and few legs of blocked paths are
+  tested at all.
+- The bound. A chunk holds as many links as fit in _ROWS tree rows before
+  pruning, which bounds a trace's memory.
 
 Grazing hits (incidence within 1e-9 rad of pi/2) and bounce points outside
 the finite segments are discarded; there is no diffraction model.
@@ -35,8 +51,10 @@ from .scenario import Point, Scenario
 
 GEOM_EPS = 1e-9        # meters; endpoint tolerance for occlusion tests
 GRAZING_EPS = 1e-9     # radians; discard incidence >= pi/2 - GRAZING_EPS
-_CELLS = 1 << 15       # path points (candidates x (max_order + 2)) per chunk of links
+_ROWS = 1 << 14        # image-tree rows (candidates before pruning) per chunk of links
 _BLOCK = 1 << 16       # (leg, wall) pairs per occlusion block
+_SIDE_REL = 1e-5       # prune margin from a wall's line, as a fraction of the reach
+_SIDE_FLOOR = 1e-200   # m^2; keeps the margin above subnormal rounding
 
 
 @dataclass(frozen=True)
@@ -63,36 +81,66 @@ class Ray:
 # has S * (S - 1) ** (k - 1) of them per link for S walls. Walls are the
 # columns (ax, ay, dx, dy) of their endpoint a and direction b - a.
 
-def _image_tree(walls, tx: np.ndarray, max_order: int) -> list[tuple]:
-    """Levels 0..max_order of the image tree over the links whose TX
-    positions are the rows of tx. Level k holds (wall, x, y) columns, one row
-    per link and wall sequence of order k: the sequence's last wall and the
-    TX mirrored across the whole sequence. Row r of level k extends row
-    r // fan_out of level k - 1, so each link's rows stay together and in
-    lexicographic order; level 0 is the TX itself, with wall -1."""
+def _child_table(ends: np.ndarray, walls, lengths: np.ndarray, reach: float) -> np.ndarray:
+    """Which walls may follow a tree row: a (S + 1, 3, S) mask over the child
+    wall, indexed by the row's wall (-1, the last entry, for the TX) and by
+    the side of that wall's line its image is on (0 below, 1 on it or NaN,
+    2 above). No wall follows itself, nor does one whose endpoints (rows of
+    ends) both lie on the image's side, farther from the line than
+    _SIDE_REL * reach, for reach a bound on every distance the walk back
+    meets; _SIDE_FLOOR keeps subnormal side values unsure."""
+    n = len(ends)
+    # side of each wall's endpoints a and b from the line of wall p (row p),
+    # the same cross product as the walk back's numerator; NaN fails both tests
+    ax, ay, dx, dy = (c[:, None] for c in walls)
+    sa = dx * (ends[:, 1] - ay) - dy * (ends[:, 0] - ax)
+    sb = dx * (ends[:, 3] - ay) - dy * (ends[:, 2] - ax)
+    margin = (_SIDE_REL * reach * lengths + _SIDE_FLOOR)[:, None]
+    children = np.ones((n + 1, 3, n), dtype=bool)
+    children[:n, 0] = ~(np.maximum(sa, sb) < -margin)
+    children[:n, 2] = ~(np.minimum(sa, sb) > margin)
+    children[np.arange(n), :, np.arange(n)] = False
+    return children
+
+
+def _image_tree(walls, children: np.ndarray, tx: np.ndarray, max_order: int) -> list[tuple]:
+    """Levels 0..max_order of the pruned image tree over the links whose TX
+    positions are the rows of tx. Level k holds (parent, wall, x, y, link)
+    columns, one row per kept wall sequence of order k: row r extends row
+    parent[r] of level k - 1 by wall[r], and (x, y) is the TX mirrored
+    across the whole sequence. Level 0 is the TX itself, with wall -1. A
+    parent's children come by wall, so each level lists its link's
+    sequences together and in lexicographic order."""
     ax, ay, dx, dy = walls
-    levels = [(np.full(len(tx), -1), tx[:, 0], tx[:, 1])]
+    links = np.arange(len(tx))
+    levels = [(links, np.full(len(tx), -1), tx[:, 0], tx[:, 1], links)]
+    side = np.ones(len(tx), dtype=np.intp)  # the TX has no wall: any wall may follow
     for k in range(1, max_order + 1):
-        fan_out = len(ax) - (k > 1)  # no wall follows itself
-        prev, px, py = (np.repeat(a, fan_out) for a in levels[-1])
-        if len(prev) == 0:
-            break
-        c = np.tile(np.arange(fan_out), len(levels[-1][0]))
-        w = c + (c >= prev) if k > 1 else c
+        _, _, x, y, link = levels[-1]
+        if k > 1:  # the side of each parent's image from its wall's line
+            num = (wx - x) * ey - (wy - y) * ex
+            side = 1 + (num > 0) - (num < 0)
+        parent, w = np.nonzero(children[levels[-1][1], side])
+        px, py = x[parent], y[parent]
         wx, wy, ex, ey = ax[w], ay[w], dx[w], dy[w]
         t = ((px - wx) * ex + (py - wy) * ey) / (ex * ex + ey * ey)
         fx, fy = wx + t * ex, wy + t * ey  # a + t * d
-        levels.append((w, 2.0 * fx - px, 2.0 * fy - py))
+        levels.append((parent, w, 2.0 * fx - px, 2.0 * fy - py, link[parent]))
     return levels
 
 
 def _walk_back(walls, u_eps: np.ndarray, levels, rx: np.ndarray):
-    """(link, x, y, seq, image) of every candidate, of any order, whose walk
-    back from its link's RX (a row of rx) bounces inside every finite
-    segment. Rows of x and y are the paths TX -> bounces -> RX, padded with
-    the RX to max_order bounces; seq holds the wall of each point (-1 at TX,
-    RX and padding) and image the TX mirrored across the whole sequence.
-    The rows come by order, and in lexicographic order within an order.
+    """Walk every candidate of the tree back from its link's RX (a row of
+    rx), keeping those that bounce inside every finite segment. Returns the
+    columns (x, y, wall, next, image x, image y) of a table of path points
+    and the number of candidates, which are its last rows.
+
+    The table's first rows are the RXs, one per link, with wall -1. Then
+    come the records of each level, from the deepest up: a record is a
+    survivor's bounce point on its wall, next is the row of the next point
+    on its path, and the image is the one the point was walked back from.
+    Level 0's records are the candidates, at their TX (wall -1): by order,
+    and in lexicographic order within an order.
 
     Order-m sequences are the rows of level m. They enter the walk at level
     m, with the RX as the next point, beside the survivors of the higher
@@ -101,18 +149,18 @@ def _walk_back(walls, u_eps: np.ndarray, levels, rx: np.ndarray):
     least u_eps[wall] of the wall from either end, and not on a
     (near-)parallel line."""
     ax, ay, dx, dy = walls
-    width = len(levels) + 1
-    anc = np.zeros(0, dtype=np.intp)  # each row's ancestor in the current level
-    x, y = np.empty((width, 0)), np.empty((width, 0))  # column-major: x[j] is point j
-    seq = np.full((width, 0), -1)
-    image = np.empty((2, 0))
+    no_wall = np.full(len(rx), -1)
+    table = [(rx[:, 0], rx[:, 1], no_wall, no_wall, rx[:, 0], rx[:, 1])]
+    size = len(rx)
+    anc = np.zeros(0, dtype=np.intp)  # each survivor's ancestor in the current level
+    nxt, qx, qy = anc, np.empty(0), np.empty(0)  # each survivor's last record: row, point
     for m in range(len(levels) - 1, -1, -1):
-        w_m, x_m, y_m = levels[m]
-        n = len(w_m)  # this level's own rows come first, with the RX as next point
-        link = np.arange(n) // (n // len(rx))
-        anc = np.concatenate([np.arange(n), anc])
-        qx, qy = np.concatenate([rx[link, 0], x[m + 1]]), np.concatenate([rx[link, 1], y[m + 1]])
+        parent, w_m, x_m, y_m, link = levels[m]
+        anc = np.concatenate([np.arange(len(w_m)), anc])
+        nxt = np.concatenate([link, nxt])  # this level's own rows come first, to their RX
+        qx, qy = np.concatenate([rx[link, 0], qx]), np.concatenate([rx[link, 1], qy])
         w, px, py = w_m[anc], x_m[anc], y_m[anc]
+        bx, by = px, py  # level 0: the TX
         if m:
             wx, wy, ex, ey, lo = ax[w], ay[w], dx[w], dy[w], u_eps[w]
             vx, vy = qx - px, qy - py
@@ -120,20 +168,16 @@ def _walk_back(walls, u_eps: np.ndarray, levels, rx: np.ndarray):
             apx, apy = wx - px, wy - py
             t = (apx * ey - apy * ex) / denom
             u = (apx * vy - apy * vx) / denom
-            px, py = px + t * vx, py + t * vy
-            keep = np.flatnonzero(~(np.abs(denom) < 1e-15) & (0.0 < t) & (t < 1.0)
+            # a NaN denominator makes t NaN, which fails 0 < t
+            keep = np.flatnonzero((np.abs(denom) >= 1e-15) & (0.0 < t) & (t < 1.0)
                                   & (lo <= u) & (u <= 1.0 - lo))
-        else:  # level 0: the TX
-            keep = np.arange(len(anc))
-        new, old = keep[keep < n], keep[keep >= n] - n
-        x = np.concatenate([np.empty((width, len(new))), x.take(old, axis=1)], axis=1)
-        y = np.concatenate([np.empty((width, len(new))), y.take(old, axis=1)], axis=1)
-        seq = np.concatenate([np.full((width, len(new)), -1), seq.take(old, axis=1)], axis=1)
-        x[m + 1:, :len(new)], y[m + 1:, :len(new)] = qx[new], qy[new]
-        x[m], y[m], seq[m] = px[keep], py[keep], w[keep]
-        image = np.concatenate([np.stack([x_m[new], y_m[new]]), image.take(old, axis=1)], axis=1)
-        anc = anc[keep] // (n // len(levels[m - 1][0]) if m else 1)  # to the parent level
-    return anc, x.T, y.T, seq.T, image.T
+            w, nxt, anc, px, py, t = w[keep], nxt[keep], anc[keep], px[keep], py[keep], t[keep]
+            bx, by = px + t * vx[keep], py + t * vy[keep]
+        table.append((bx, by, w, nxt, px, py))
+        qx, qy, nxt = bx, by, np.arange(size, size + len(w))
+        size += len(w)
+        anc = parent[anc]  # to the parent level
+    return tuple(map(np.concatenate, zip(*table))), len(w)
 
 
 def _blocked(walls, px, py, vx, vy, leg, before, after) -> np.ndarray:
@@ -152,7 +196,7 @@ def _blocked(walls, px, py, vx, vy, leg, before, after) -> np.ndarray:
         t = (apx * dy - apy * dx) / denom
         u = (apx * vy_ - apy * vx_) / denom
         t_eps = GEOM_EPS / leg[b, None]
-        hit = (~(np.abs(denom) < 1e-15) & (t_eps < t) & (t < 1.0 - t_eps)
+        hit = ((np.abs(denom) >= 1e-15) & (t_eps < t) & (t < 1.0 - t_eps)  # NaN t fails
                & (0.0 <= u) & (u <= 1.0)
                & (wall_ids != before[b, None]) & (wall_ids != after[b, None]))
         blocked[b] = hit.any(axis=1)
@@ -166,65 +210,91 @@ def _trace_links(scenario: Scenario, links) -> list[list[Ray]]:
     ends = np.array([(*s.endpoint_a, *s.endpoint_b) for s in scenario.surfaces],
                     dtype=float).reshape(-1, 4)
     walls = (ends[:, 0], ends[:, 1], ends[:, 2] - ends[:, 0], ends[:, 3] - ends[:, 1])
-    u_eps, normals = [], []
-    for ex, ey in zip(walls[2].tolist(), walls[3].tolist()):
-        length = math.hypot(ex, ey)
-        u_eps.append(GEOM_EPS / length)
-        normals.append((-ey / length, ex / length))
-    u_eps, normals = np.array(u_eps), np.array(normals).reshape(-1, 2)
+    lengths = np.array(list(map(math.hypot, walls[2].tolist(), walls[3].tolist())))
+    u_eps = GEOM_EPS / lengths
+    normals = (-walls[3] / lengths, walls[2] / lengths)
     materials = [s.material_index for s in scenario.surfaces]
     n_walls, max_order = len(ends), scenario.max_reflections
+    pos = np.array([(*scenario.links[n].tx_pos, *scenario.links[n].rx_pos) for n in links],
+                   dtype=float).reshape(-1, 4)
+    # for R the largest coordinate, walls, TXs and RXs lie within sqrt(2) R
+    # of the origin and images within (2 max_order + 1) sqrt(2) R
+    reach = 4.0 * (max_order + 1) * max(np.abs(ends).max(initial=0.0),
+                                        np.abs(pos).max(initial=0.0))
     per_link = 1 + sum(n_walls * (n_walls - 1) ** (k - 1) for k in range(1, max_order + 1))
-    step = max(1, _CELLS // (per_link * (max_order + 2)))  # links per chunk
+    step = max(1, _ROWS // per_link)  # links per chunk
     out: list[list[Ray]] = []
     with np.errstate(all="ignore"):  # an inf or NaN fails every bound
-        for s in range(0, len(links), step):
-            chunk = [scenario.links[n] for n in links[s:s + step]]
-            tx = np.array([link.tx_pos for link in chunk], dtype=float)
-            rx = np.array([link.rx_pos for link in chunk], dtype=float)
-            rays: list[list[Ray]] = [[] for _ in chunk]
-            candidates = _walk_back(walls, u_eps, _image_tree(walls, tx, max_order), rx)
-            _collect_rays(rays, *candidates, walls, normals, materials)
-            for link_rays in rays:
-                link_rays.sort(key=lambda r: (
-                    r.total_length_m, r.n_bounces, tuple(ref.material_index for ref in r.reflections)
-                ))
-            out += rays
+        children = _child_table(ends, walls, lengths, reach)
+        for s in range(0, len(pos), step):
+            tx, rx = pos[s:s + step, :2], pos[s:s + step, 2:]
+            levels = _image_tree(walls, children, tx, max_order)
+            out += _collect_rays(*_walk_back(walls, u_eps, levels, rx), len(rx), walls,
+                                 normals, materials, max_order)
     return out
 
 
-def _collect_rays(rays, link, x, y, seq, image, walls, normals, materials) -> None:
-    """Append to rays[link] the ray of each walked-back candidate whose legs
-    are unblocked and whose bounces neither end a leg of GEOM_EPS or less
-    nor graze their wall.
+def _collect_rays(table, n_candidates, n_links, walls, normals, materials, max_order):
+    """The rays of each link among the walked-back candidates (the last
+    n_candidates rows of the point table; see _walk_back), sorted by length,
+    bounces and materials, ties in candidate order.
 
     Leg j runs from point j to point j + 1 of a path, and its incident walls
-    are seq[:, j] and seq[:, j + 1]; padding legs have length 0 and so are
-    never blocked. A bounce's incidence angle is acos |(v / |v|) . n| for its
-    incoming leg v and its wall's unit normal n."""
-    vx, vy = np.diff(x, axis=1), np.diff(y, axis=1)
-    leg = np.array(list(map(math.hypot, vx.ravel().tolist(), vy.ravel().tolist())))
-    blocked = _blocked(walls, x[:, :-1].ravel(), y[:, :-1].ravel(), vx.ravel(), vy.ravel(),
-                       leg, seq[:, :-1].ravel(), seq[:, 1:].ravel())
-    leg, w = leg.reshape(vx.shape)[:, :-1], seq[:, 1:-1]
+    are those of its two points. Leg j is tested for occlusion only on the
+    candidates whose legs before it passed; a candidate whose leg ends at an
+    RX (a table row below n_links: the link) is unblocked. Its path is then
+    padded with the RX to max_order bounces. It is a ray unless a bounce ends
+    a leg of GEOM_EPS or less or grazes its wall. A bounce's incidence angle
+    is acos |(v / |v|) . n| for its incoming leg v and its wall's unit normal
+    n, and the ray's length is |RX - image| by the image-method length law."""
+    x, y, wall, nxt, ix, iy = table
+    path = np.full((n_candidates, max_order + 2), -1)  # table rows; -1 past a blocked leg
+    cand = np.arange(n_candidates)
+    cur = path[:, 0] = np.arange(len(x) - n_candidates, len(x))
+    for j in range(1, max_order + 2):  # the leg into point j
+        q = nxt[cur]
+        px, py = x[cur], y[cur]
+        vx, vy = x[q] - px, y[q] - py
+        leg = np.array(list(map(math.hypot, vx.tolist(), vy.tolist())))
+        after = wall[q]
+        ok = ~_blocked(walls, px, py, vx, vy, leg, wall[cur], after)
+        end = ok & (after < 0)
+        path[cand[end], j:] = q[end, None]  # the RX, which also pads the path
+        go = ok ^ end
+        cand, cur = cand[go], q[go]
+        if not len(cand):
+            break
+        path[cand, j] = cur
+    path = path[path[:, -1] >= 0]  # the unblocked candidates
+    xs, ys, w = x[path], y[path], wall[path[:, 1:-1]]
     bounce = w >= 0
-    ok = ~blocked.reshape(vx.shape).any(axis=1) & ~((leg <= GEOM_EPS) & bounce).any(axis=1)
-    vx, vy, leg, w, bounce = vx[ok, :-1], vy[ok, :-1], leg[ok], w[ok], bounce[ok]
-    cos = np.abs(vx / leg * normals[w, 0] + vy / leg * normals[w, 1])
+    vx, vy = np.diff(xs[:, :-1])[bounce], np.diff(ys[:, :-1])[bounce]  # into each bounce
+    leg = np.array(list(map(math.hypot, vx.tolist(), vy.tolist())))
+    cos = np.abs(vx / leg * normals[0][w[bounce]] + vy / leg * normals[1][w[bounce]])
     theta = np.zeros(w.shape)
-    theta[bounce] = list(map(math.acos, np.minimum(cos[bounce], 1.0).tolist()))
-    keep = ~(theta >= math.pi / 2.0 - GRAZING_EPS).any(axis=1)
-    total = map(math.hypot, (x[ok, -1] - image[ok, 0]).tolist(), (y[ok, -1] - image[ok, 1]).tolist())
-    for n, kept, k, length, ws, angles, xs, ys in zip(
-        link[ok].tolist(), keep.tolist(), bounce.sum(axis=1).tolist(), total, w.tolist(),
-        theta.tolist(), x[ok, 1:-1].tolist(), y[ok, 1:-1].tolist(),
+    theta[bounce] = list(map(math.acos, np.minimum(cos, 1.0).tolist()))
+    bad = (leg <= GEOM_EPS) | (theta[bounce] >= math.pi / 2.0 - GRAZING_EPS)
+    ok = np.ones(len(path), dtype=bool)
+    ok[np.nonzero(bounce)[0][bad]] = False
+    k = np.count_nonzero(bounce, axis=1)
+    image = path[np.arange(len(path)), k]  # the last bounce, or the TX
+    length = np.array(list(map(math.hypot, (xs[:, -1] - ix[image]).tolist(),
+                               (ys[:, -1] - iy[image]).tolist())))
+    mats = np.array([*materials, -1])[w]  # -1 past the last bounce
+    link = path[:, -1]
+    order = np.lexsort((*mats.T[::-1], k, length, link))
+    order = order[ok[order]]
+    rays: list[list[Ray]] = [[] for _ in range(n_links)]
+    for n, n_k, total, ms, angles, bx, by in zip(
+        link[order].tolist(), k[order].tolist(), length[order].tolist(), mats[order].tolist(),
+        theta[order].tolist(), xs[order, 1:-1].tolist(), ys[order, 1:-1].tolist(),
     ):
-        if kept:
-            rays[n].append(Ray(
-                total_length_m=length,  # image-method length law
-                reflections=tuple(map(Reflection, map(materials.__getitem__, ws[:k]), angles[:k])),
-                points=tuple(zip(xs[:k], ys[:k])),
-            ))
+        rays[n].append(Ray(
+            total_length_m=total,
+            reflections=tuple(map(Reflection, ms[:n_k], angles[:n_k])),
+            points=tuple(zip(bx[:n_k], by[:n_k])),
+        ))
+    return rays
 
 
 def trace_link(scenario: Scenario, link_index: int) -> list[Ray]:

@@ -2,9 +2,10 @@
 
 It tests one wall sequence at a time on Python complex points, with the
 formulas the array tracer writes out on (x, y): the walk back from the RX
-(_line_hit), the leg lengths and incidence angles (_build_reflected_ray) and
-the occlusion test (_segment_blocked). permgamp.raytracer must return its
-rays bit for bit, bounce points and signed zeros included.
+(walk_back, through _line_hit), the leg lengths and incidence angles
+(_build_reflected_ray) and the occlusion test (_segment_blocked).
+permgamp.raytracer must return its rays bit for bit, bounce points and
+signed zeros included.
 """
 
 import math
@@ -75,9 +76,10 @@ def image_chain(walls, tx: complex, seq) -> tuple[complex, ...]:
     return tuple(images)
 
 
-def _build_reflected_ray(scenario, walls, rx: complex, seq, images):
-    # Walk back from RX: bounce point on seq[j] comes from the segment
-    # images[j + 1] -> next point.
+def walk_back(walls, rx: complex, seq, images):
+    """Bounce points of seq, in path order, or None if the walk back from
+    RX leaves a finite segment: the bounce point on seq[j] comes from the
+    segment images[j + 1] -> next point."""
     nxt = rx
     bounce_pts: list[complex] = []
     for j in range(len(seq) - 1, -1, -1):
@@ -93,7 +95,13 @@ def _build_reflected_ray(scenario, walls, rx: complex, seq, images):
             return None  # bounce falls off the finite segment
         bounce_pts.append(point)
         nxt = point
-    bounce_pts.reverse()
+    return bounce_pts[::-1]
+
+
+def _build_reflected_ray(scenario, walls, rx: complex, seq, images):
+    bounce_pts = walk_back(walls, rx, seq, images)
+    if bounce_pts is None:
+        return None
 
     # Occlusion and incidence angles along TX -> bounces -> RX.
     path = [images[0], *bounce_pts, rx]

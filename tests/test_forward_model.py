@@ -459,6 +459,25 @@ def test_a_non_finite_permittivity_is_refused(canyon, canyon_rays, canyon_table,
         entry(canyon, canyon_rays, canyon_table, np.array(eps))
 
 
+PER_MATERIAL = "one permittivity per material, 2"
+NO_COLUMN = "no permittivity for material 2"
+
+
+@pytest.mark.parametrize("entry, eps, message", [
+    (lambda sc, rays, table, eps: forward(sc, rays, eps), [3.0, 6.0, 99.0], PER_MATERIAL),
+    (lambda sc, rays, table, eps: forward(sc, rays, eps), [3.0], PER_MATERIAL),
+    (lambda sc, rays, table, eps: forward(sc, rays, eps), [[3.0, 6.0, 99.0]], PER_MATERIAL),
+    (lambda sc, rays, table, eps: gains_db(table, eps), [3.0], NO_COLUMN),
+    (lambda sc, rays, table, eps: link_totals(table, eps), [[3.0]], NO_COLUMN),
+    (lambda sc, rays, table, eps: jacobian(table, eps), [[3.0]], NO_COLUMN),
+], ids=["forward-3", "forward-1", "forward-batch-3", "gains_db-1", "link_totals-1", "jacobian-1"])
+def test_an_eps_of_the_wrong_length_is_refused(canyon, canyon_rays, canyon_table, entry, eps,
+                                               message):
+    # unchecked, a third entry was ignored and a missing one raised a bare IndexError
+    with pytest.raises(ValueError, match=rf"eps=.* {message}"):
+        entry(canyon, canyon_rays, canyon_table, np.array(eps))
+
+
 DISPATCH_SCRIPT = """
 import hashlib
 import numpy as np

@@ -3,7 +3,9 @@
 import hashlib
 import io
 import math
+import tracemalloc
 from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -464,8 +466,8 @@ def test_room_matches_the_scalar_reference():
 
 
 def test_links_across_chunks_match_the_single_link_trace_and_the_reference():
-    # 2 walls: 1 + 2 + 2 + 2 candidates of 5 path points per link
-    per_chunk = raytracer._CELLS // (7 * 5)
+    # 2 walls: 1 + 2 + 2 + 2 tree rows per link
+    per_chunk = raytracer._ROWS // 7
     sc = make_canyon_scenario(n_links=2 * per_chunk + 7, max_reflections=3)  # 3 chunks
     got = _reprs(trace_scenario(sc))
     assert got == _reprs(trace_link(sc, n) for n in range(sc.n_links))
@@ -487,47 +489,128 @@ def _mirror_xy(p, a, b):
 
 def _tree_chains(levels, k):
     """(link, seq, images) of every row of level k, read back through its
-    ancestors: row r of level m extends row r // fan_out of level m - 1."""
+    parents; level 0's parent column is the link."""
     chains = []
     for r in range(len(levels[k][0])):
         seq, images = [], []
         for m in range(k, 0, -1):
-            w, x, y = levels[m]
+            parent, w, x, y, _ = levels[m]
             seq.append(int(w[r]))
             images.append((float(x[r]), float(y[r])))
-            r //= len(w) // len(levels[m - 1][0])
-        images.append((float(levels[0][1][r]), float(levels[0][2][r])))
-        chains.append((r, tuple(reversed(seq)), images[::-1]))
+            r = int(parent[r])
+        images.append((float(levels[0][2][r]), float(levels[0][3][r])))
+        chains.append((int(levels[0][0][r]), tuple(reversed(seq)), images[::-1]))
     return chains
+
+
+def _wall_columns(ends):
+    """The tracer's wall columns (ax, ay, dx, dy) and lengths of the rows
+    (ax, ay, bx, by) of ends."""
+    walls = (ends[:, 0], ends[:, 1], ends[:, 2] - ends[:, 0], ends[:, 3] - ends[:, 1])
+    return walls, np.array(list(map(math.hypot, walls[2].tolist(), walls[3].tolist())))
 
 
 @pytest.mark.parametrize("max_order", [0, 1, 2, 3])
 @pytest.mark.parametrize("n_walls", [1, 2, 3, 4])
 def test_image_chains_visit_each_sequence_once_and_mirror_directly(n_walls, max_order):
     # The image tree over two links against the reference's wall sequences
-    # (itertools.product), _mirror_xy and the scalar image chain.
+    # (itertools.product), _mirror_xy and the scalar image chain. At an
+    # infinite reach nothing is pruned and the tree holds every sequence;
+    # at a reach like the tracer's it holds a subset, in the same order.
     rng = np.random.Generator(np.random.PCG64(n_walls))
     ends = [tuple(map(float, rng.uniform(-10.0, 10.0, 2))) for _ in range(2 * n_walls)]
     walls = [(complex(*ends[2 * i]), complex(*ends[2 * i + 1])) for i in range(n_walls)]
     columns = np.array([(*ends[2 * i], *ends[2 * i + 1]) for i in range(n_walls)]).reshape(-1, 4)
     tx = [(0.3, -1.7), (4.1, 2.6)]
-    levels = raytracer._image_tree(
-        (columns[:, 0], columns[:, 1], columns[:, 2] - columns[:, 0], columns[:, 3] - columns[:, 1]),
-        np.array(tx), max_order,
-    )
+    wall_columns, lengths = _wall_columns(columns)
     want = scalar_tracer.wall_sequences(n_walls, max_order)  # a prefix before its extensions
-    for link in range(len(tx)):
-        got = [(seq, images) for k in range(1, len(levels))
-               for n, seq, images in _tree_chains(levels, k) if n == link]
-        # once each, lexicographic within an order
-        assert [seq for seq, _ in got] == sorted(want, key=len)
-        for seq, images in got:
-            direct = [tx[link]]
-            for si in seq:
-                direct.append(_mirror_xy(direct[-1], ends[2 * si], ends[2 * si + 1]))
-            assert images == direct
-            assert [(z.real, z.imag) for z in scalar_tracer.image_chain(
-                walls, complex(*tx[link]), seq)] == direct
+    for reach in (math.inf, 4.0 * (max_order + 1) * 10.0):
+        children = raytracer._child_table(columns, wall_columns, lengths, reach)
+        levels = raytracer._image_tree(wall_columns, children, np.array(tx), max_order)
+        assert len(levels) == max_order + 1
+        for link in range(len(tx)):
+            got = [(seq, images) for k in range(1, len(levels))
+                   for n, seq, images in _tree_chains(levels, k) if n == link]
+            seqs = [seq for seq, _ in got]
+            # once each, lexicographic within an order
+            assert seqs == sorted(set(seqs) & set(want), key=lambda seq: (len(seq), seq))
+            if reach == math.inf:
+                assert seqs == sorted(want, key=len)
+            for seq, images in got:
+                direct = [tx[link]]
+                for si in seq:
+                    direct.append(_mirror_xy(direct[-1], ends[2 * si], ends[2 * si + 1]))
+                assert images == direct
+                assert [(z.real, z.imag) for z in scalar_tracer.image_chain(
+                    walls, complex(*tx[link]), seq)] == direct
+
+
+def _walked_back(sc):
+    """(link, seq, bounce points) of every candidate that the array walk
+    back keeps, in its order, and the number of tree rows it walked."""
+    got, rows = [], []
+    walk_back = raytracer._walk_back
+
+    def record(walls, u_eps, levels, rx):
+        table, n_candidates = walk_back(walls, u_eps, levels, rx)
+        x, y, wall, nxt = (c.tolist() for c in table[:4])
+        for r in range(len(x) - n_candidates, len(x)):
+            seq, points = [], []
+            r = nxt[r]
+            while r >= len(rx):  # a bounce record; rows below are the RXs
+                seq.append(wall[r])
+                points.append((x[r], y[r]))
+                r = nxt[r]
+            got.append((r, tuple(seq), repr(points)))
+        rows.append(sum(len(level[0]) for level in levels))
+        return table, n_candidates
+
+    with mock.patch.object(raytracer, "_walk_back", record):
+        trace_scenario(sc)
+    assert len(rows) == 1  # one chunk: its candidates come by order, then link
+    return got, rows[0]
+
+
+def _scalar_walked_back(sc):
+    """(link, seq, bounce points) of every wall sequence, the LOS included,
+    that scalar_tracer.walk_back keeps, by order, link and sequence."""
+    walls = [(complex(*s.endpoint_a), complex(*s.endpoint_b)) for s in sc.surfaces]
+    seqs = [(), *scalar_tracer.wall_sequences(len(walls), sc.max_reflections)]
+    out = []
+    for k in range(sc.max_reflections + 1):
+        for n, link in enumerate(sc.links):
+            for seq in (seq for seq in seqs if len(seq) == k):
+                images = scalar_tracer.image_chain(walls, complex(*link.tx_pos), seq)
+                points = scalar_tracer.walk_back(walls, complex(*link.rx_pos), seq, images)
+                if points is not None:
+                    out.append((n, seq, repr([(z.real, z.imag) for z in points])))
+    return out
+
+
+def test_the_pruned_room_walks_back_every_survivor_of_the_full_tree():
+    # 6 links x 1,597 candidates: the prune drops 2,988 of 9,582 rows, and
+    # the walk back keeps the same 386 candidates; 80 of them become rays
+    sc = _room_12_walls()
+    got, rows = _walked_back(sc)
+    assert rows == 6594
+    assert got == _scalar_walked_back(sc)
+    assert len(got) == 386
+    assert sum(map(len, trace_scenario(sc))) == 80
+
+
+def test_trace_memory_stays_within_the_chunk_bound():
+    # 12 walls at 4 bounces: 17,569 candidates per link, more than one
+    # chunk's _ROWS. The tracer before the prune peaked at 3.96 MB here.
+    sc = _room_12_walls()
+    sc = _scenario(sc.surfaces, sc.links, max_reflections=4)
+    trace_scenario(sc)
+    tracemalloc.start()
+    try:
+        trace_scenario(sc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4e6
 
 
 _COORD = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
@@ -565,3 +648,10 @@ def test_random_scenes_match_the_scalar_reference(sc):
         except UnusableLinkError:
             rays = []
         assert _reprs([rays]) == want[n:n + 1]
+
+
+@settings(max_examples=400)
+@given(_random_scenes())
+def test_random_scenes_walk_back_like_the_scalar_reference(sc):
+    # the prune may drop only candidates that the walk back would reject
+    assert _walked_back(sc)[0] == _scalar_walked_back(sc)
