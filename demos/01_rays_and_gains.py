@@ -11,8 +11,6 @@ import numpy as np
 from permgamp import (
     bundled_scenario_path,
     forward,
-    fresnel_power_coeff,
-    link_gain_db,
     load_scenario,
     trace_link,
     trace_scenario,
@@ -33,12 +31,18 @@ for r in rays:
 
 # Reflection strength rises with permittivity, so the link gain does too.
 for eps in (np.array([2.0, 4.0]), np.array([3.0, 6.0]), np.array([8.0, 10.0])):
-    g = link_gain_db(rays, eps, sc.wavelength_m)
+    g = forward(sc, [rays], eps)[0]  # the forward map of one link
     print(f"gain at eps={eps.tolist()}: {g:8.3f} dB")
 
+# TE power reflection coefficient |Gamma|^2 = ((cos t - s) / (cos t + s))^2,
+# s = sqrt(eps - sin^2 t)
 theta = math.radians(70.0)
-print("\n|Gamma|^2 at 70 deg incidence (TE):",
-      [round(fresnel_power_coeff(e, theta), 3) for e in (2.0, 4.0, 6.0, 9.0)])
+cos_t = math.cos(theta)
+gammas = []
+for e in (2.0, 4.0, 6.0, 9.0):
+    s = math.sqrt(e - math.sin(theta) ** 2)
+    gammas.append(round(((cos_t - s) / (cos_t + s)) ** 2, 3))
+print("\n|Gamma|^2 at 70 deg incidence (TE):", gammas)
 
 # The full forward map is just this, per link.
 cache = trace_scenario(sc)

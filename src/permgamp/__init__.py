@@ -30,7 +30,7 @@ from .scenario import (
     synthesize_dataset,
 )
 from .raytracer import Ray, Reflection, trace_link, trace_scenario
-from .forward_model import forward, fresnel_power_coeff, link_gain_db
+from .forward_model import forward
 from .trunc_gauss import Interval, truncated_moments
 from .gamp import (
     EstimateReport,
@@ -40,7 +40,7 @@ from .gamp import (
     report_to_json,
     solve,
 )
-from .oracle import GridSpec, grid_map, log_posterior, quadrature_moments
+from .oracle import GridSpec, grid_map, log_posterior
 from .experiment import (
     ExperimentConfig,
     prepare_problem,
@@ -72,9 +72,7 @@ __all__ = [
     "bundled_scenario_path",
     "default_config",
     "forward",
-    "fresnel_power_coeff",
     "grid_map",
-    "link_gain_db",
     "load_dataset",
     "load_scenario",
     "log_posterior",
@@ -82,7 +80,6 @@ __all__ = [
     "make_free_space_scenario",
     "normalize_measurements",
     "prepare_problem",
-    "quadrature_moments",
     "report_to_dict",
     "report_to_json",
     "run_estimate",

@@ -21,9 +21,9 @@ polarization (TE by default), which each ray table carries:
     Gamma_TM = (eps cos t - sqrt(eps - sin^2 t)) / (eps cos t + sqrt(eps - sin^2 t))
 
 All gains go through one fold and ray sum, summed_gains: link_totals and
-jacobian feed it Fresnel values per permittivity vector; ray_gain_linear
-is its reference. The grid oracle folds the same factors in the same order
-without the padding.
+jacobian feed it Fresnel values per permittivity vector. Its scalar
+reference, one ray at a time, is tests/scalar_forward.py. The grid oracle
+folds the same factors in the same order without the padding.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import UnusableLinkError
-from .raytracer import Ray
 from .scenario import Scenario
 
 GAIN_FLOOR = 1e-30          # linear; below this a link is unusable at that eps
@@ -67,29 +66,6 @@ def _fresnel_slope(eps, c, polarization: str, gamma, s, den):
     else:
         dgamma = c * ((eps - 2.0) + 2.0 * c * c) / (s * np.float_power(den, 2))
     return 2.0 * gamma * dgamma
-
-
-def fresnel_power_coeff(eps, theta, polarization: str = "TE"):
-    """Power reflection coefficient |Gamma|^2; accepts scalars or arrays."""
-    eps = np.asarray(eps, dtype=float)
-    if not ((eps >= 1.0) & (eps < math.inf)).all():
-        raise ValueError(f"eps={eps} must be finite and >= 1 (passive dielectric)")
-    if not 0.0 <= theta < math.pi / 2.0:
-        raise ValueError(f"theta={theta} outside [0, pi/2)")
-    gamma = _fresnel(eps, math.cos(theta), polarization)[0]
-    out = gamma * gamma
-    return out if out.ndim else float(out)
-
-
-def ray_gain_linear(ray: Ray, eps, wavelength_m: float, polarization: str = "TE"):
-    """Linear power gain of one ray; LOS has an empty reflection product."""
-    eps = np.asarray(eps, dtype=float)
-    g = (wavelength_m / (4.0 * math.pi * ray.total_length_m)) ** 2
-    for ref in ray.reflections:
-        g = g * fresnel_power_coeff(
-            eps[ref.material_index - 1], ref.incidence_angle, polarization
-        )
-    return g
 
 
 class RayTable(NamedTuple):
@@ -141,7 +117,7 @@ def _coefficients(table: RayTable, eps: np.ndarray):
 def summed_gains(friis, coeff) -> np.ndarray:
     """Per-link sums (B, L) over rays, in ray order, of the ray gains friis
     (R, L) times the bounce coefficients coeff (B, K, R, L), folded into
-    friis left to right as ray_gain_linear does."""
+    friis left to right, bounce by bounce."""
     g = friis
     for b in range(coeff.shape[1]):
         g = g * coeff[:, b]
@@ -153,7 +129,7 @@ def summed_gains(friis, coeff) -> np.ndarray:
 
 def link_totals(table: RayTable, eps) -> np.ndarray:
     """Summed linear gains (B, L) of every link at a batch of permittivity
-    vectors eps (B, M), bit-identical to summing ray_gain_linear."""
+    vectors eps (B, M)."""
     coeff, _ = _coefficients(table, np.asarray(eps, dtype=float))
     return summed_gains(table.friis, coeff)
 
@@ -177,11 +153,6 @@ def gains_db(table: RayTable, eps) -> np.ndarray:
     batch = np.atleast_2d(eps)
     db = _checked_db(link_totals(table, batch), batch)
     return db if eps.ndim == 2 else db[0]
-
-
-def link_gain_db(rays, eps, wavelength_m: float, polarization: str = "TE") -> float:
-    """10 log10 of the summed linear ray gains (energy superposition)."""
-    return float(gains_db(ray_table([rays], wavelength_m, polarization), eps)[0])
 
 
 def forward(scenario: Scenario, ray_cache, eps) -> np.ndarray:

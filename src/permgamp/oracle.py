@@ -1,10 +1,10 @@
 """Independent ground-truth machinery for tests and acceptance checks.
 
-The exact log-posterior of the estimation problem, a brute-force grid
+The exact log-posterior of the estimation problem and a brute-force grid
 argmax over the prior box (Fresnel tabulated once per axis node, the grid
 scanned row by row with each ray folding only its real bounces, in the
-forward model's order), a central-difference Jacobian of the forward map,
-and adaptive-quadrature moments of the truncated-Gaussian input channel.
+forward model's order). The finite-difference Jacobian and the quadrature
+moments that check the solver's other parts live with the tests.
 The iterative solver never imports this module (and this module never
 imports the solver, which tests/test_bench_lookup_sites.py checks), so the
 two sides stay independent.
@@ -14,22 +14,19 @@ from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import forward_model
 from .errors import GridSizeError, UnusableLinkError, ValidationError
-from .forward_model import GAIN_FLOOR, RayTable, forward, gains_db, ray_table
+from .forward_model import GAIN_FLOOR, RayTable, forward, ray_table
 from .scenario import Dataset, Scenario, check_noise_std, normalize_measurements
-from .trunc_gauss import Interval
 
 GRID_GUARD = 10_000_000  # max number of grid nodes
 GRID_SEGMENT_ELEMENTS = 1 << 17  # ray slots x last-axis nodes per row segment
 GRID_TABLE_ELEMENTS = 1 << 20  # axis nodes x bounces of one material per table
 SIGMA_VAR_FLOOR = 1e-12  # dB^2; keeps sigma_z = 0 arithmetic finite
-QUAD_ABS_TARGET = 1e-11
 
 
 def log_posterior(scenario: Scenario, ray_cache, y, eps, sigma_z: float) -> float:
@@ -78,27 +75,6 @@ def check_scorable(scenario: Scenario, dataset: Dataset) -> None:
         )
 
 
-def fd_jacobian(table: RayTable, eps, step: float = 1e-6):
-    """Central-difference d gain_db / d eps over a ray table, the cross-check
-    of the solver's analytic Jacobian; returns (a_matrix, warnings). A
-    central step that would cross the eps = 1 boundary degrades to a
-    one-sided difference and is flagged in the warnings."""
-    eps = np.asarray(eps, dtype=float)
-    a = np.zeros((table.friis.shape[1], len(eps)))
-    warns = []
-    for m in range(len(eps)):
-        e_hi, e_lo = eps.copy(), eps.copy()
-        e_hi[m] += step
-        width = 2.0 * step
-        if eps[m] - step >= 1.0:
-            e_lo[m] -= step
-        else:
-            width = step
-            warns.append(f"fd: one-sided difference for material {m + 1} at eps={eps[m]}")
-        a[:, m] = (gains_db(table, e_hi) - gains_db(table, e_lo)) / width
-    return a, warns
-
-
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform per-material grid step; bounds come from the priors."""
@@ -121,26 +97,33 @@ def grid_axes(scenario: Scenario, grid: GridSpec) -> list[np.ndarray]:
     return [lo[m] + grid.step * np.arange(int(count)) for m, count in enumerate(counts)]
 
 
-def _bounce_patterns(ray_cache):
-    """Bounced rays grouped by their bounce materials: per pattern, (the
-    materials in bounce order, the rays' slots flat over ray_table's (R, L)
-    friis, a contiguous row of math.cos per bounce, as ray_table takes them:
-    column views slow the scan). Rays without a bounce appear in none."""
-    by_pattern: dict[tuple, tuple[list, list]] = {}
-    for n, rays in enumerate(ray_cache):
-        for j, ray in enumerate(rays):
-            if ray.reflections:
-                pattern = tuple(ref.material_index - 1 for ref in ray.reflections)
-                slots, cos = by_pattern.setdefault(pattern, ([], []))
-                slots.append(j * len(ray_cache) + n)
-                cos.append([math.cos(ref.incidence_angle) for ref in ray.reflections])
-    return [(p, np.array(s, np.intp), np.array(c).T.copy()) for p, (s, c) in by_pattern.items()]
+def _bounce_patterns(table: RayTable):
+    """The table's bounced rays grouped by their bounce materials: per
+    pattern, (the materials in bounce order, the rays' slots flat over the
+    (R, L) friis, a contiguous row of cos per bounce: column views slow the
+    scan). Rays without a bounce appear in none."""
+    if not table.groups:
+        return []
+    materials = np.full((table.n_bounces, table.friis.size), -1)
+    cos = np.empty(materials.shape)
+    for m, slots, c in table.groups:
+        materials.reshape(-1)[slots] = m
+        cos.reshape(-1)[slots] = c
+    patterns, which = np.unique(materials.T, axis=0, return_inverse=True)
+    which = which.reshape(-1)
+    out = []
+    for p, pattern in enumerate(patterns):
+        k = np.count_nonzero(pattern >= 0)  # a ray's bounces fill the first k
+        if k:
+            slots = np.flatnonzero(which == p)
+            out.append((tuple(pattern[:k].tolist()), slots, cos[:k, slots]))
+    return out
 
 
-def _grid_ssr(table: RayTable, patterns, axes, y) -> np.ndarray:
+def _grid_ssr(table: RayTable, axes, y) -> np.ndarray:
     """Sum of squared dB residuals at every node of the Cartesian grid over
     axes, shaped like the grid; +inf at a node that leaves some link's total
-    gain below GAIN_FLOOR. Ray gains are table.friis times the patterns' bounces.
+    gain below GAIN_FLOOR. Ray gains are table.friis times their bounces.
 
     The grid is scanned row by row, the last axis vectorized in segments of
     at most GRID_SEGMENT_ELEMENTS (ray slots x nodes). Within a row every
@@ -158,6 +141,7 @@ def _grid_ssr(table: RayTable, patterns, axes, y) -> np.ndarray:
     last = len(axes) - 1
     n_rays, n_links = table.friis.shape
     friis = table.friis.reshape(-1, 1)
+    patterns = _bounce_patterns(table)
     segment = max(1, GRID_SEGMENT_ELEMENTS // max(1, friis.size))
 
     def fresnel(m, cos, at):  # |Gamma|^2 (slots, nodes) at the nodes `at` of axis m
@@ -228,63 +212,10 @@ def grid_map(scenario: Scenario, ray_cache, y, sigma_z: float, grid: GridSpec) -
     y = _checked_levels(y, sigma_z, len(ray_cache))
     axes = grid_axes(scenario, grid)
     table = ray_table(ray_cache, scenario.wavelength_m, scenario.polarization)
-    ssr = _grid_ssr(table, _bounce_patterns(ray_cache), axes, y)
+    ssr = _grid_ssr(table, axes, y)
     best = np.unravel_index(np.argmin(ssr), ssr.shape)  # first = lexicographically smallest
     if ssr[best] == math.inf:
         raise UnusableLinkError(
             f"every grid node leaves a link's total linear gain below {GAIN_FLOOR:g}"
         )
     return np.array([ax[i] for ax, i in zip(axes, best)])
-
-
-def quadrature_moments(
-    c_hat: float, tau_c: float, interval: Interval
-) -> tuple[float, float]:
-    """Truncated-Gaussian moments by adaptive quadrature of the definition.
-
-    Integrates w(x) = exp(-((x - c)^2 - d0^2) / (2 tau)) with d0 the
-    distance from c to the interval (zero when inside); the constant shift
-    cancels in the moment ratios and keeps the integrand's peak at 1. The
-    domain is clipped to where the exponent stays above -800 (w underflows
-    to exactly 0 beyond), so far-tail spikes are always resolved.
-    """
-    # Local import: scipy.integrate is slow to load, and only this test
-    # reference needs it.
-    from scipy.integrate import IntegrationWarning, quad
-
-    if not tau_c > 0.0:
-        raise ValueError(f"tau_c={tau_c} must be > 0")
-    lo, hi = interval.lo, interval.hi
-    d0_sq = max(lo - c_hat, c_hat - hi, 0.0) ** 2
-
-    def w(x):
-        return math.exp(-((x - c_hat) ** 2 - d0_sq) / (2.0 * tau_c))
-
-    r_cut = math.sqrt(d0_sq + 1600.0 * tau_c)
-    a = max(lo, c_hat - r_cut)
-    b = min(hi, c_hat + r_cut)
-    if not a < b:  # interval entirely in the underflow region (cannot happen
-        raise RuntimeError("empty effective support")  # with d0 from interval)
-    s = math.sqrt(tau_c)
-    pts = sorted({min(b, max(a, c_hat + k * s)) for k in (-3, -1, 0, 1, 3)})
-    kw = dict(epsabs=1e-300, epsrel=1e-13, limit=500, points=pts)
-
-    with warnings.catch_warnings():
-        # Roundoff chatter is fine as long as the error estimates below
-        # stay under the target.
-        warnings.simplefilter("ignore", IntegrationWarning)
-        z, z_err = quad(w, a, b, **kw)
-        if z <= 0.0:
-            raise RuntimeError(f"quadrature collapsed (Z={z:.3e})")
-        m1, m1_err = quad(lambda x: x * w(x), a, b, **kw)
-        mean = m1 / z
-        v, v_err = quad(lambda x: (x - mean) ** 2 * w(x), a, b, **kw)
-        var = v / z
-    mean_err = (m1_err + abs(mean) * z_err) / z
-    var_err = (v_err + var * z_err) / z
-    if mean_err > QUAD_ABS_TARGET or var_err > QUAD_ABS_TARGET:
-        raise RuntimeError(
-            f"quadrature error above target (mean_err={mean_err:.2e}, "
-            f"var_err={var_err:.2e})"
-        )
-    return mean, var

@@ -22,7 +22,6 @@ from permgamp import (
     load_scenario,
     make_canyon_scenario,
     normalize_measurements,
-    quadrature_moments,
     run_sweep,
     solve,
     synthesize_dataset,
@@ -31,7 +30,8 @@ from permgamp import (
 )
 from permgamp.cli import main as cli_main
 from permgamp.forward_model import jacobian, ray_table
-from permgamp.oracle import fd_jacobian
+from quadrature import quadrature_moments
+from scalar_forward import fd_jacobian
 
 
 def _verdict(num: int, name: str, ok: bool, detail: str) -> None:

@@ -11,11 +11,13 @@ import importlib.util
 import inspect
 import json
 import sys
+import tomllib
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import scalar_forward
 from permgamp import (
     default_config,
     forward_model,
@@ -146,20 +148,45 @@ def test_the_solver_and_the_oracle_import_nothing_from_each_other(module, other)
     assert other not in _imported_modules(PACKAGE / f"{module}.py")
 
 
-# the table builders and the scalar references, which have no table to read
-TAKE_A_POLARIZATION = {"ray_table", "_fresnel", "_fresnel_slope", "fresnel_power_coeff",
-                       "ray_gain_linear", "link_gain_db"}
+def _top_level_imports(path):
+    """The top-level packages that path's module imports by absolute import."""
+    tops = set()
+    for node in _imports(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            tops.update(alias.name.split(".")[0] for alias in node.names)
+        elif node.level == 0:
+            tops.add(node.module.split(".")[0])
+    return tops
+
+
+def test_the_package_imports_no_scipy_and_depends_on_numpy_alone():
+    # scipy serves the test references only, so it is a test dependency
+    assert [p.name for p in sorted(PACKAGE.glob("*.py")) if "scipy" in _top_level_imports(p)] == []
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert [dep.split(">")[0] for dep in project["dependencies"]] == ["numpy"]
+    assert any(dep.startswith("scipy") for dep in project["optional-dependencies"]["test"])
+
+
+# the table builders and reflection cores in the package, and the scalar
+# references in tests/, which have no table to read
+TAKE_A_POLARIZATION = {"ray_table", "_fresnel", "_fresnel_slope"}
+SCALAR_REFERENCES_TAKE_A_POLARIZATION = {"fresnel_power_coeff", "ray_gain_linear"}
+
+
+def _polarization_takers(*modules):
+    return {
+        name
+        for module in modules
+        for name, fn in inspect.getmembers(module, inspect.isfunction)
+        if fn.__module__ == module.__name__ and "polarization" in inspect.signature(fn).parameters
+    }
 
 
 def test_only_table_builders_and_scalar_references_take_a_polarization():
     # a ray table carries its polarization, so a kernel given one needs no other
-    takers = {
-        name
-        for module in (forward_model, oracle, gamp)
-        for name, fn in inspect.getmembers(module, inspect.isfunction)
-        if fn.__module__ == module.__name__ and "polarization" in inspect.signature(fn).parameters
-    }
-    assert takers == TAKE_A_POLARIZATION
+    assert _polarization_takers(forward_model, oracle, gamp) == TAKE_A_POLARIZATION
+    assert _polarization_takers(scalar_forward) == SCALAR_REFERENCES_TAKE_A_POLARIZATION
     assert list(inspect.signature(forward_model.jacobian).parameters) == ["table", "eps"]
-    assert list(inspect.signature(oracle.fd_jacobian).parameters) == ["table", "eps", "step"]
+    assert list(inspect.signature(scalar_forward.fd_jacobian).parameters) == [
+        "table", "eps", "step"]
     assert "polarization" not in (PACKAGE / "gamp.py").read_text()

@@ -270,7 +270,7 @@ def test_oracle_rejects_levels_whose_posterior_overflows(canyon, tmp_path, capsy
 
 
 def test_estimate_has_no_jacobian_option(capsys):
-    # the finite-difference Jacobian is a test reference (oracle.fd_jacobian)
+    # the finite-difference Jacobian is a test reference (tests/scalar_forward.py)
     with pytest.raises(SystemExit) as exit_info:
         main(["estimate", "--scenario", bundled_scenario_path("canyon"), "--sigma", "0.5",
               "--jacobian", "central_fd"])

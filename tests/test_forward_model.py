@@ -19,8 +19,6 @@ from permgamp import (
     UnusableLinkError,
     default_config,
     forward,
-    fresnel_power_coeff,
-    link_gain_db,
     make_canyon_scenario,
     normalize_measurements,
     prepare_problem,
@@ -38,11 +36,10 @@ from permgamp.forward_model import (
     gains_db,
     jacobian,
     link_totals,
-    ray_gain_linear,
     ray_table,
 )
-from permgamp.oracle import fd_jacobian
 from permgamp.raytracer import Ray, Reflection
+from scalar_forward import fd_jacobian, fresnel_power_coeff, ray_gain_linear
 
 # mpmath (50 digits) evaluation of the stated TM formula at eps=4, theta=pi/3
 REF_TM_4_PI3 = 0.002689798300996443631259099
@@ -128,6 +125,10 @@ def test_fresnel_deriv_against_mpmath(rng):
             assert abs(got - ref) <= 1e-9 * max(1.0, abs(ref))
 
 
+def _link_gain_db(rays, eps, wavelength_m):  # one link, TE: the kernel on its table
+    return float(gains_db(ray_table([rays], wavelength_m, "TE"), eps)[0])
+
+
 def _los(length):
     return Ray(total_length_m=length)
 
@@ -155,12 +156,12 @@ def test_ray_gain_bounce_product():
 
 def test_link_gain_single_ray():
     g = ray_gain_linear(_los(2.0), np.array([4.0]), 0.3)
-    assert abs(link_gain_db([_los(2.0)], np.array([4.0]), 0.3) - 10 * math.log10(g)) <= 1e-12
+    assert abs(_link_gain_db([_los(2.0)], np.array([4.0]), 0.3) - 10 * math.log10(g)) <= 1e-12
 
 
 def test_link_gain_doubling_adds_3db():
-    one = link_gain_db([_los(2.0)], np.array([4.0]), 0.3)
-    two = link_gain_db([_los(2.0), _los(2.0)], np.array([4.0]), 0.3)
+    one = _link_gain_db([_los(2.0)], np.array([4.0]), 0.3)
+    two = _link_gain_db([_los(2.0), _los(2.0)], np.array([4.0]), 0.3)
     assert abs(two - one - 10 * math.log10(2.0)) <= 1e-12
 
 
@@ -168,16 +169,16 @@ def test_link_gain_permutation_invariant(canyon, canyon_rays, rng):
     eps = np.array([2.5, 7.0])
     for n in (0, 5, 17):
         rays = list(canyon_rays[n])
-        base = link_gain_db(rays, eps, canyon.wavelength_m)
+        base = _link_gain_db(rays, eps, canyon.wavelength_m)
         perm = list(rays)
         rng.shuffle(perm)
-        assert link_gain_db(perm, eps, canyon.wavelength_m) == base
+        assert _link_gain_db(perm, eps, canyon.wavelength_m) == base
 
 
 def test_link_gain_all_annihilated_raises():
     rays = [_bounce(5.0, 1, 0.2), _bounce(7.0, 1, 0.5)]
     with pytest.raises(UnusableLinkError):
-        link_gain_db(rays, np.array([1.0]), 0.3)
+        _link_gain_db(rays, np.array([1.0]), 0.3)
 
 
 def _canyon3():
@@ -207,7 +208,7 @@ def test_canyon_link_gain_matches_direct_recomputation(canyon, canyon_rays):
                 g *= ((c - s) / (c + s)) ** 2
             total += g
         expect = 10 * math.log10(total)
-        got = link_gain_db(rays[n], eps, sc.wavelength_m)
+        got = _link_gain_db(rays[n], eps, sc.wavelength_m)
         assert abs(got - expect) <= 1e-12
     # the array kernel reproduces the scalar per-ray reference bit for bit
     out = forward(sc3, rays3, eps)
@@ -227,7 +228,7 @@ def test_forward_is_per_link_composition(canyon, canyon_rays):
         out = forward(sc, rays, eps)
         assert out.shape == (sc.n_links,)
         for n in range(0, sc.n_links, stride):
-            assert out[n] == link_gain_db(rays[n], eps, sc.wavelength_m)
+            assert out[n] == _link_gain_db(rays[n], eps, sc.wavelength_m)
 
 
 def test_forward_error_names_the_link():
@@ -281,7 +282,7 @@ def test_forward_single_link_reduces_to_link_gain():
     rays = trace_scenario(sc)
     out = forward(sc, rays, np.array([4.0]))
     assert out.shape == (1,)
-    assert out[0] == link_gain_db(rays[0], np.array([4.0]), 0.1)
+    assert out[0] == _link_gain_db(rays[0], np.array([4.0]), 0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +451,7 @@ def test_fresnel_evaluations_per_estimate_and_linearization(canyon, canyon_table
     lambda sc, rays, table, eps: gains_db(table, eps),
     lambda sc, rays, table, eps: link_totals(table, [eps]),
     lambda sc, rays, table, eps: jacobian(table, [eps]),
-    lambda sc, rays, table, eps: link_gain_db(rays[0], eps, sc.wavelength_m),
+    lambda sc, rays, table, eps: _link_gain_db(rays[0], eps, sc.wavelength_m),
     lambda sc, rays, table, eps: fresnel_power_coeff(eps, 0.3),
 ], ids=["forward", "gains_db", "link_totals", "jacobian", "link_gain_db", "fresnel_power_coeff"])
 def test_a_non_finite_permittivity_is_refused(canyon, canyon_rays, canyon_table, entry, eps):

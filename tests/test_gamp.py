@@ -17,7 +17,6 @@ from permgamp import (
     forward,
     make_canyon_scenario,
     normalize_measurements,
-    quadrature_moments,
     report_to_json,
     solve,
     synthesize_dataset,
@@ -27,7 +26,8 @@ from permgamp import (
 from permgamp import gamp
 from permgamp.forward_model import Linearization, ray_table
 from permgamp.gamp import GampState, init_state, input_step, output_step
-from permgamp.oracle import fd_jacobian
+from quadrature import quadrature_moments
+from scalar_forward import fd_jacobian
 from test_oracle import _vacuum_canyon
 
 

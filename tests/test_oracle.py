@@ -30,16 +30,17 @@ from permgamp import (
     grid_map,
     log_posterior,
     oracle,
-    quadrature_moments,
     trace_scenario,
 )
 from permgamp.forward_model import ray_table
-from permgamp.oracle import _bounce_patterns, _grid_ssr, grid_axes
+from permgamp.oracle import _grid_ssr, grid_axes
 from permgamp.raytracer import Ray, Reflection
+from quadrature import quadrature_moments
 
 
 RUN_PATH_SCRIPT = """
 import contextlib, io, sys
+sys.modules["scipy"] = None  # from here on, any scipy import raises
 import permgamp, permgamp.cli
 canyon = permgamp.bundled_scenario_path("canyon")
 problem = ["--scenario", canyon, "--sigma", "0.5", "--seed", "1"]
@@ -48,20 +49,20 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
              permgamp.cli.main(["sweep", "--scenario", canyon, "--sigmas", "0.5,1",
                                 "--seeds", "2", "--out-dir", sys.argv[1]]),
              permgamp.cli.main(["oracle", *problem])]
-print(codes, sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+print(codes, sys.modules["scipy"], sorted(m for m in sys.modules if m.startswith("scipy.")))
 """
 
 
 def test_the_run_path_loads_no_scipy(tmp_path):
-    # the moment kernel takes erf and erfcx from libm, and only
-    # quadrature_moments, a test reference, integrates: importing the package
-    # and its CLI, and running each command, must not pay for scipy's import
+    # the moment kernel takes erf and erfcx from libm, and only the test
+    # references integrate: importing the package and its CLI, and running
+    # each command, must not import scipy, which the subprocess blocks
     proc = subprocess.run(
         [sys.executable, "-c", RUN_PATH_SCRIPT, str(tmp_path / "sweep")],
         stdin=subprocess.DEVNULL, capture_output=True, text=True, timeout=120,
         env=dict(os.environ, PYTHONPATH=str(Path(permgamp.__file__).parents[1])),
     )
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[0, 0, 0] []\n", "")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[0, 0, 0] None []\n", "")
 
 
 def test_quadrature_symmetric_mean_zero():
@@ -293,18 +294,18 @@ def _grid_problems(draw):
     y = draw(st.lists(st.floats(-160.0, -40.0), min_size=len(ray_cache),
                       max_size=len(ray_cache)))
     pol = draw(st.sampled_from(["TE", "TM"]))
-    return ray_table(ray_cache, 0.1, pol), _bounce_patterns(ray_cache), axes, np.array(y)
+    return ray_table(ray_cache, 0.1, pol), axes, np.array(y)
 
 
 @given(_grid_problems())
 def test_grid_ssr_matches_the_per_node_scan_bit_for_bit(problem):
-    table, patterns, axes, y = problem
+    table, axes, y = problem
     want = _bits(per_node_grid.grid_ssr(table, axes, y))
     for segment in (1, 7, oracle.GRID_SEGMENT_ELEMENTS):
         for table_elements in (0, oracle.GRID_TABLE_ELEMENTS):  # per row, tabulated
             with mock.patch.object(oracle, "GRID_SEGMENT_ELEMENTS", segment), \
                  mock.patch.object(oracle, "GRID_TABLE_ELEMENTS", table_elements):
-                assert _bits(_grid_ssr(table, patterns, axes, y)) == want
+                assert _bits(_grid_ssr(table, axes, y)) == want
 
 
 def test_grid_ssr_matches_the_per_node_scan_on_the_canyon(canyon, canyon_rays, canyon_table, rng):
@@ -312,21 +313,19 @@ def test_grid_ssr_matches_the_per_node_scan_on_the_canyon(canyon, canyon_rays, c
     y = y + rng.standard_normal(len(y))
     axes = grid_axes(canyon, GridSpec(0.25))
     want = per_node_grid.grid_ssr(canyon_table, axes, y)
-    patterns = _bounce_patterns(canyon_rays)
-    assert _bits(_grid_ssr(canyon_table, patterns, axes, y)) == _bits(want)
+    assert _bits(_grid_ssr(canyon_table, axes, y)) == _bits(want)
 
 
 def _hand_table(pol, *links):
-    """A ray table under pol and its bounce patterns of links given as lists of rays,
-    each ray a list of (material, incidence angle) bounces; [] is line of
-    sight. The wavelength puts the Friis factors near 1, so link gains lie
-    near 0 dB, where a one-ulp change of a ray's gain still changes the
-    SSR's bits."""
+    """A ray table under pol of links given as lists of rays, each ray a
+    list of (material, incidence angle) bounces; [] is line of sight. The
+    wavelength puts the Friis factors near 1, so link gains lie near 0 dB,
+    where a one-ulp change of a ray's gain still changes the SSR's bits."""
     cache = [
         [Ray(21.0 + 7.0 * j, tuple(Reflection(m, a) for m, a in ray)) for j, ray in enumerate(rays)]
         for rays in links
     ]
-    return ray_table(cache, 4.0 * math.pi * 20.0, pol), _bounce_patterns(cache)
+    return ray_table(cache, 4.0 * math.pi * 20.0, pol)
 
 
 @pytest.mark.parametrize("pol", ["TE", "TM"])
@@ -353,16 +352,16 @@ def test_grid_ssr_folds_each_ray_over_its_bounces_in_order(pol):
         [[(1, 1.45), (1, 1.5)]],
         [[], [(1, 0.3)]],
     )
-    beyond_a_segment = oracle.GRID_SEGMENT_ELEMENTS // one[0].friis.size + 3
+    beyond_a_segment = oracle.GRID_SEGMENT_ELEMENTS // one.friis.size + 3
     cases = [
         (two, [1.5 + 0.37 * np.arange(6), 1.5 + 0.29 * np.arange(40)]),
         (three, [1.5 + 0.37 * np.arange(4), 2.0 + 0.61 * np.arange(3), 1.5 + 0.29 * np.arange(30)]),
         (one, [1.5 + 0.0007 * np.arange(beyond_a_segment)]),
     ]
-    for (table, patterns), axes in cases:
+    for table, axes in cases:
         y = np.linspace(-3.0, -1.0, table.friis.shape[1])
         want = per_node_grid.grid_ssr(table, axes, y)
-        assert _bits(_grid_ssr(table, patterns, axes, y)) == _bits(want)
+        assert _bits(_grid_ssr(table, axes, y)) == _bits(want)
 
 
 def test_grid_map_evaluates_fresnel_once_per_axis_node(canyon, canyon_rays, monkeypatch):
@@ -420,8 +419,7 @@ def test_grid_map_excludes_a_node_that_leaves_a_link_below_the_gain_floor(canyon
     assert all(ray.reflections for ray in rays[-1])
     y = forward(sc, rays, sc.true_eps_vector()) + 0.5 * rng.standard_normal(sc.n_links)
     axes = grid_axes(sc, GridSpec(0.25))
-    ssr = _grid_ssr(ray_table(rays, sc.wavelength_m, sc.polarization), _bounce_patterns(rays),
-                    axes, y)
+    ssr = _grid_ssr(ray_table(rays, sc.wavelength_m, sc.polarization), axes, y)
     assert ssr[0, 0] == math.inf  # eps = (1, 1), no warning either
     assert np.isfinite(ssr.ravel()[1:]).all()
     got = grid_map(sc, rays, y, 0.5, GridSpec(0.25))

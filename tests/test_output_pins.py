@@ -133,8 +133,7 @@ def _oracle_digests(capsys):
 def test_oracle_outputs_are_pinned(capsys, monkeypatch):
     assert _oracle_digests(capsys) == (ORACLE_SHA256, ESTIMATE_ORACLE_SHA256)
     # the per-node scan writes the same bytes
-    monkeypatch.setattr(oracle, "_grid_ssr", lambda table, patterns, *problem:
-                        per_node_grid.grid_ssr(table, *problem))
+    monkeypatch.setattr(oracle, "_grid_ssr", per_node_grid.grid_ssr)
     assert _oracle_digests(capsys) == (ORACLE_SHA256, ESTIMATE_ORACLE_SHA256)
 
 

@@ -10,8 +10,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import scalar_moments
-from permgamp import Interval, quadrature_moments, truncated_moments
+from permgamp import Interval, truncated_moments
 from permgamp.trunc_gauss import erfcx
+from quadrature import quadrature_moments
 
 # Frozen 50-digit reference (mpmath: phi/Phi of the defining formulas) for
 # c=0, tau=1, interval [0, 1].
