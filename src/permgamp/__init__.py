@@ -6,13 +6,7 @@ multi-step Gaussian message passing with a trust region on the interval
 prior. A brute-force grid oracle ships alongside for verification.
 """
 
-from .errors import (
-    GridSizeError,
-    ParseError,
-    SolverError,
-    UnusableLinkError,
-    ValidationError,
-)
+from .errors import ParseError, SolverError, UnusableLinkError, ValidationError
 from .scenario import (
     Dataset,
     Link,
@@ -56,7 +50,6 @@ __all__ = [
     "EstimateReport",
     "ExperimentConfig",
     "GampConfig",
-    "GridSizeError",
     "GridSpec",
     "Interval",
     "Link",

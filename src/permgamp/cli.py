@@ -17,13 +17,7 @@ import sys
 
 import numpy as np
 
-from .errors import (
-    GridSizeError,
-    ParseError,
-    SolverError,
-    UnusableLinkError,
-    ValidationError,
-)
+from .errors import ParseError, ValidationError
 from .experiment import (
     ExperimentConfig,
     prepare_problem,
@@ -123,6 +117,8 @@ def _load_problem(args):
 def cmd_generate(args) -> int:
     if args.dataset_out is not None and args.sigma is None:
         raise ValidationError("--dataset-out needs --sigma")
+    if args.sigma is not None and args.dataset_out is None:  # refused, not ignored
+        raise ValidationError("--sigma needs --dataset-out")
     if args.template == "canyon":
         scenario = make_canyon_scenario(
             n_materials=args.materials,
@@ -265,10 +261,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ValidationError, GridSizeError, OSError) as exc:
+    except (ParseError, ValidationError, OSError) as exc:
         _log(f"error: {exc}")
         return USAGE_ERROR
-    except (SolverError, UnusableLinkError, RuntimeError) as exc:
+    except RuntimeError as exc:  # SolverError and UnusableLinkError among them
         _log(f"error: {exc}")
         return RUNTIME_ERROR
 

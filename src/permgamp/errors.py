@@ -26,7 +26,3 @@ class UnusableLinkError(RuntimeError):
 class SolverError(RuntimeError):
     """The iterative solver hit a non-finite state or the forward model
     failed at an expansion point."""
-
-
-class GridSizeError(ValueError):
-    """A brute-force grid would exceed the evaluation guard."""

@@ -19,7 +19,7 @@ from typing import ClassVar, Optional, Sequence
 
 import numpy as np
 
-from .errors import ParseError, UnusableLinkError, ValidationError
+from .errors import ParseError, ValidationError
 # unused here: forward, scenario_from_dict, synthesize_dataset and trace_link,
 # which bench/ calls or wraps here
 from .forward_model import GAIN_FLOOR, RayTable, forward, gains_db, link_totals, ray_table
@@ -41,7 +41,6 @@ from .scenario import (
     load_scenario,
     measurement_noise,
     normalize_measurements,
-    read_json,
     read_record,
     scenario_from_dict,
     synthesize_dataset,
@@ -62,13 +61,15 @@ class PreparedProblem:
 def _split_links(scenario: Scenario, ray_cache, y_all) -> PreparedProblem:
     """Keep the links usable at the prior midpoint (one kernel pass over the
     ray table): a link without rays or with a total gain below GAIN_FLOOR
-    there is dropped, and then the table is rebuilt over the kept links."""
+    there is dropped, and then the table is rebuilt over the kept links.
+    ValidationError names links when no link is kept."""
     lo, hi = scenario.prior_bounds()
     table = ray_table(ray_cache, scenario.wavelength_m, scenario.polarization)
     usable = ~(link_totals(table, [0.5 * (lo + hi)])[0] < GAIN_FLOOR)
     kept, dropped = np.flatnonzero(usable).tolist(), np.flatnonzero(~usable).tolist()
     if not kept:
-        raise UnusableLinkError("every link is unusable")
+        raise ValidationError("links: every link is unusable (no unblocked ray, or a "
+                              "total gain below the floor at the prior midpoint)")
     if dropped:
         ray_cache = [ray_cache[n] for n in kept]
         table = ray_table(ray_cache, scenario.wavelength_m, scenario.polarization)
@@ -167,10 +168,6 @@ class ExperimentConfig:
             return cls(**read_record(raw, cls.ROWS))
         except ParseError as exc:
             raise ParseError(f"{source}: {exc}") from exc
-
-    @classmethod
-    def from_json(cls, path) -> "ExperimentConfig":
-        return cls.from_dict(read_json(path), str(path))
 
 
 def _run_rows(scenario: Scenario, sigma, seed, outcome, include_timing: bool) -> list[dict]:

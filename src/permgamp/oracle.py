@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import forward_model
-from .errors import GridSizeError, UnusableLinkError, ValidationError
+from .errors import UnusableLinkError, ValidationError
 from .forward_model import GAIN_FLOOR, RayTable, forward, ray_table
 from .scenario import Dataset, Scenario, check_noise_std, normalize_measurements
 
@@ -87,13 +87,13 @@ class GridSpec:
 
 
 def grid_axes(scenario: Scenario, grid: GridSpec) -> list[np.ndarray]:
-    """One node axis per material; GridSizeError, before any axis is built,
-    when the grid would have more than GRID_GUARD nodes."""
+    """One node axis per material; ValidationError naming grid_step, before
+    any axis is built, when the grid would have more than GRID_GUARD nodes."""
     lo, hi = scenario.prior_bounds()
     counts = np.floor((hi - lo) / grid.step + 1e-9) + 1
     size = math.prod(counts.tolist())
     if size > GRID_GUARD:
-        raise GridSizeError(f"grid has {size:.0f} nodes (> {GRID_GUARD})")
+        raise ValidationError(f"grid_step={grid.step}: grid has {size:.0f} nodes (> {GRID_GUARD})")
     return [lo[m] + grid.step * np.arange(int(count)) for m, count in enumerate(counts)]
 
 

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -205,8 +205,9 @@ def _blocked(walls, px, py, vx, vy, leg, before, after) -> np.ndarray:
 
 # -- tracing -----------------------------------------------------------------
 
-def _trace_links(scenario: Scenario, links) -> list[list[Ray]]:
-    """Rays of each of the given links, sorted by length (LOS first)."""
+def trace_scenario(scenario: Scenario) -> list[list[Ray]]:
+    """Ray lists for every link, in one pass, each sorted by length (LOS
+    first); [] for a link without an unblocked ray."""
     ends = np.array([(*s.endpoint_a, *s.endpoint_b) for s in scenario.surfaces],
                     dtype=float).reshape(-1, 4)
     walls = (ends[:, 0], ends[:, 1], ends[:, 2] - ends[:, 0], ends[:, 3] - ends[:, 1])
@@ -215,7 +216,7 @@ def _trace_links(scenario: Scenario, links) -> list[list[Ray]]:
     normals = (-walls[3] / lengths, walls[2] / lengths)
     materials = [s.material_index for s in scenario.surfaces]
     n_walls, max_order = len(ends), scenario.max_reflections
-    pos = np.array([(*scenario.links[n].tx_pos, *scenario.links[n].rx_pos) for n in links],
+    pos = np.array([(*link.tx_pos, *link.rx_pos) for link in scenario.links],
                    dtype=float).reshape(-1, 4)
     # for R the largest coordinate, walls, TXs and RXs lie within sqrt(2) R
     # of the origin and images within (2 max_order + 1) sqrt(2) R
@@ -305,16 +306,10 @@ def trace_link(scenario: Scenario, link_index: int) -> list[Ray]:
     """
     if not 0 <= link_index < scenario.n_links:
         raise ValidationError(f"link_index={link_index} outside [0, {scenario.n_links})")
-    rays = _trace_links(scenario, [link_index])[0]
+    rays = trace_scenario(replace(scenario, links=(scenario.links[link_index],)))[0]
     if not rays:
         raise UnusableLinkError(f"link {link_index}: no unblocked ray")
     return rays
-
-
-def trace_scenario(scenario: Scenario) -> list[list[Ray]]:
-    """Ray lists for every link, in one pass; [] for a link without an
-    unblocked ray."""
-    return _trace_links(scenario, range(scenario.n_links))
 
 
 def rays_to_csv(ray_cache: list[list[Ray]], fh) -> None:

@@ -534,7 +534,6 @@ def make_canyon_scenario(
     wavelength_m: float = 0.1,
     true_eps: Sequence[float] = (3.0, 6.0),
     priors: Sequence[tuple[float, float]] = ((1.5, 10.0), (3.0, 12.0)),
-    frac_upper: float = 0.4,
     max_reflections: int = 2,
 ) -> Scenario:
     """Street canyon: two parallel walls with links hugging one wall each.
@@ -544,10 +543,9 @@ def make_canyon_scenario(
     the canyon at 0.8..1.1 m from its wall: the near-wall bounce then hits
     at the 60-75 degree incidence where the reflected energy is both strong
     and strongly permittivity-dependent, while the far wall contributes
-    little, so the two materials stay separately identifiable. frac_upper
-    sets the share of links on the top wall (the lower-permittivity wall
-    needs fewer links for the same information). All draws come from
-    PCG64(seed).
+    little, so the two materials stay separately identifiable. 40 % of the
+    links hug the top wall (the lower-permittivity wall needs fewer links
+    for the same information). All draws come from PCG64(seed).
     """
     if not (1 <= n_materials <= 2):
         raise ValidationError(
@@ -559,8 +557,6 @@ def make_canyon_scenario(
         raise ValidationError(f"length_m={length_m} must be finite and >= 13")
     if not 3.0 <= width_m < math.inf:
         raise ValidationError(f"width_m={width_m} must be finite and >= 3")
-    if not 0.0 <= frac_upper <= 1.0:
-        raise ValidationError(f"frac_upper={frac_upper} must be in [0, 1]")
     materials = tuple(
         Material(
             index=m + 1,
@@ -576,7 +572,7 @@ def make_canyon_scenario(
         Surface((-10.0, -half), (length_m + 10.0, -half), 2 if n_materials == 2 else 1),
     )
     rng = np.random.Generator(np.random.PCG64(seed))
-    n_upper = int(round(n_links * frac_upper))
+    n_upper = int(round(n_links * 0.4))
     links = []
     for i in range(n_links):
         x0 = float(rng.uniform(2.0, length_m - 10.0))
@@ -613,18 +609,18 @@ def bundled_scenario_path(name: str = "canyon") -> str:
 def make_free_space_scenario(
     n_links: int = 10,
     seed: int = 1,
-    extent_m: float = 100.0,
     wavelength_m: float = 0.1,
 ) -> Scenario:
-    """No reflectors at all: every link is a single line-of-sight ray."""
+    """No reflectors at all: every link is a single line-of-sight ray, TX
+    and RX drawn from PCG64(seed) in a 100 m square, 5 m or more apart."""
     if n_links < 1:
         raise ValidationError(f"n_links={n_links} must be >= 1")
     rng = np.random.Generator(np.random.PCG64(seed))
     links = []
     for _ in range(n_links):
-        tx = rx = (float(rng.uniform(0.0, extent_m)), float(rng.uniform(0.0, extent_m)))
+        tx = rx = (float(rng.uniform(0.0, 100.0)), float(rng.uniform(0.0, 100.0)))
         while math.dist(tx, rx) < 5.0:  # draw RX until it is 5 m or more from TX
-            rx = (float(rng.uniform(0.0, extent_m)), float(rng.uniform(0.0, extent_m)))
+            rx = (float(rng.uniform(0.0, 100.0)), float(rng.uniform(0.0, 100.0)))
         links.append(Link(tx, rx, tx_power_dbm=30.0, tx_gain_db=2.0, rx_gain_db=2.0))
     materials = (Material(index=1, prior_lo=1.0, prior_hi=13.0, true_eps=6.0),)
     return Scenario(

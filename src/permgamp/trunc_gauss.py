@@ -126,11 +126,9 @@ def _one_sided_ratios(alpha: float, beta: float) -> tuple[float, float]:
 
 
 def _straddle_ratios(alpha: float, beta: float) -> tuple[float, float]:
-    """Same ratios for alpha <= 0 <= beta (Z is well away from underflow
-    unless the interval is tiny, which expm1 keeps accurate)."""
+    """Same ratios for alpha < 0 < beta. The narrow rows take every such
+    interval with beta - alpha <= 1, so here Z >= Phi(1) - Phi(0) > 0.34."""
     z = 0.5 * (math.erf(beta * INV_SQRT_2) - math.erf(alpha * INV_SQRT_2))
-    if z <= 0.0:
-        return math.inf, math.inf
     ea = 0.5 * alpha * alpha
     eb = 0.5 * beta * beta
     if ea <= eb:

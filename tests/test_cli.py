@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -34,10 +35,11 @@ from permgamp import (
     write_sweep_outputs,
 )
 from permgamp import cli, experiment, raytracer
-from permgamp.errors import ParseError
+from permgamp.errors import ParseError, SolverError
 from permgamp.cli import main
 from permgamp.experiment import RUN_FIELDS, SUMMARY_FIELDS
 from permgamp.oracle import GRID_GUARD
+from permgamp.scenario import read_json
 
 
 def _run(capsys, *argv):
@@ -122,6 +124,14 @@ def test_generate_without_sigma_writes_neither_file(tmp_path, capsys):
     assert code == 2
     assert "--sigma" in err
     assert not out.exists() and not ds_out.exists()
+
+
+def test_generate_refuses_a_sigma_without_a_dataset_out(tmp_path, capsys):
+    # without a dataset to draw, --sigma would do nothing: refused, not ignored
+    out = tmp_path / "sc.json"
+    code, stdout, err = _run(capsys, "generate", "--out", str(out), "--sigma", "0.5")
+    assert (code, stdout, err) == (2, "", "error: --sigma needs --dataset-out\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("sigma", ["1e300", "nan", "inf"])
@@ -526,6 +536,17 @@ def test_estimate_solver_flags_reach_config(capsys):
     assert payload["iterations_run"] == 6
 
 
+@pytest.mark.parametrize("kind", [SolverError, UnusableLinkError], ids=lambda kind: kind.__name__)
+def test_a_solver_failure_exits_1_with_one_error_line(capsys, monkeypatch, kind):
+    def fail(*args, **kwargs):
+        raise kind("the solve failed")
+
+    monkeypatch.setattr(experiment, "solve", fail)
+    code, out, err = _run(capsys, "estimate", "--scenario", bundled_scenario_path("canyon"),
+                          "--sigma", "0")
+    assert (code, out, err) == (1, "", "error: the solve failed\n")
+
+
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------
@@ -729,7 +750,7 @@ def test_sweep_config_file_errors_exit_2(tmp_path, capsys, text, named):
     cfg_path = tmp_path / "sweep.json"
     cfg_path.write_text(text)
     with pytest.raises(ParseError, match=re.escape(named)):
-        ExperimentConfig.from_json(cfg_path)
+        ExperimentConfig.from_dict(read_json(cfg_path), str(cfg_path))
     code, _, err = _run(capsys, "sweep", "--config", str(cfg_path))
     assert code == 2
     assert named in err
@@ -899,7 +920,7 @@ def test_sweep_failure_rows_keep_schema(tmp_path):
     )
     rows, summary = run_sweep(config, workers=1)
     assert len(rows) == 2
-    assert all(r["status"] == "error:UnusableLinkError" for r in rows)
+    assert all(r["status"] == "error:ValidationError" for r in rows)
     assert all(r["eps_hat"] == "" for r in rows)
     write_sweep_outputs(rows, summary, tmp_path / "o")
     lines = (tmp_path / "o" / "runs.csv").read_text().strip().split("\n")
@@ -1067,5 +1088,30 @@ def test_prepare_problem_all_unusable_raises(tmp_path):
         links=(Link((0.0, 0.0), (5.0, 5.0), 30, 2, 2),),
         wavelength_m=0.1,
     )
-    with pytest.raises(UnusableLinkError):
+    with pytest.raises(ValidationError, match="links: every link is unusable"):
         prepare_problem(sc, Dataset(measured_db=np.zeros(1), noise_var=0.25))
+
+
+@pytest.mark.parametrize("command", [["estimate"], ["estimate", "--oracle"], ["oracle"]],
+                         ids=["estimate", "estimate_oracle", "oracle"])
+def test_a_dataset_with_no_usable_link_exits_2_naming_links(canyon, tmp_path, capsys, command):
+    # with --dataset nothing is synthesized, so it is dropping the unusable
+    # links that finds none left: an input fault, not a solver failure
+    sealed = _canyon_plus_sealed_link(canyon)
+    scenario_path, dataset_path = tmp_path / "sc.json", tmp_path / "ds.json"
+    save_scenario(replace(sealed, links=sealed.links[100:]), scenario_path)
+    save_dataset(Dataset(measured_db=np.array([-120.0]), noise_var=0.25), dataset_path)
+    code, out, err = _run(capsys, *command, "--scenario", str(scenario_path),
+                          "--dataset", str(dataset_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: links: every link is unusable") and err.count("\n") == 1
+
+
+def test_oracle_drops_the_sealed_link_and_logs_it(canyon, tmp_path, capsys):
+    scenario_path, dataset_path = tmp_path / "sc.json", tmp_path / "ds.json"
+    save_scenario(_canyon_plus_sealed_link(canyon), scenario_path)
+    save_dataset(_sealed_link_dataset(canyon), dataset_path)
+    code, out, err = _run(capsys, "oracle", "--scenario", str(scenario_path),
+                          "--dataset", str(dataset_path))
+    assert (code, err) == (0, "dropped 1 unusable link(s): [100]\n")
+    assert json.loads(out)["n_links_used"] == 100

@@ -16,7 +16,6 @@ from hypothesis import given, strategies as st
 import per_node_grid
 import permgamp
 from permgamp import (
-    GridSizeError,
     GridSpec,
     Interval,
     Link,
@@ -240,7 +239,7 @@ def test_grid_map_never_outside_priors(canyon, canyon_rays, rng):
 
 
 def test_grid_guard(canyon, canyon_rays):
-    with pytest.raises(GridSizeError):
+    with pytest.raises(ValidationError, match="grid_step=0.0001: grid has"):
         grid_map(canyon, canyon_rays, np.zeros(canyon.n_links), 0.5, GridSpec(1e-4))
 
 

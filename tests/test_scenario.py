@@ -100,6 +100,10 @@ def test_malformed_json_is_parse_error(tmp_path):
         (lambda d: d["links"][0].update(p_dbm=float("inf")), "tx_power_dbm"),
         (lambda d: d["links"][0].update(g_rx_db=float("nan")), "rx_gain_db"),
         (lambda d: d.update(wavelength_m=float("inf")), "wavelength_m=inf"),
+        (lambda d: d.update(max_reflections=-1), "max_reflections=-1"),
+        (lambda d: d.update(polarization="XY"), "polarization='XY'"),
+        (lambda d: d.update(materials=[]), "materials: need at least one"),
+        (lambda d: d.update(links=[]), "links: need at least one"),
     ],
 )
 def test_validation_errors_name_the_field(tmp_path, mutate, field):
@@ -198,6 +202,8 @@ def test_max_reflections_is_bounded_by_the_candidate_bounces_per_link():
 def test_dataset_validation():
     with pytest.raises(ValidationError, match="noise_var"):
         Dataset(measured_db=np.zeros(3), noise_var=-1.0)
+    with pytest.raises(ValidationError, match="measured_db must be a 1D vector"):
+        Dataset(measured_db=np.zeros((2, 3)), noise_var=0.25)
 
 
 @pytest.mark.parametrize("point", [[0.0, float("nan")], (float("inf"), 0.0),
@@ -325,6 +331,8 @@ def test_canyon_template_validation():
         make_canyon_scenario(n_links=0)
     with pytest.raises(ValidationError, match="width_m"):
         make_canyon_scenario(width_m=1.0)
+    with pytest.raises(ValidationError, match="n_links=0"):
+        make_free_space_scenario(n_links=0)
 
 
 def test_polarization_persists(tmp_path, canyon):
