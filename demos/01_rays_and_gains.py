@@ -12,7 +12,6 @@ from permgamp import (
     bundled_scenario_path,
     forward,
     load_scenario,
-    trace_link,
     trace_scenario,
 )
 from permgamp.raytracer import rays_to_csv
@@ -21,8 +20,11 @@ sc = load_scenario(bundled_scenario_path("canyon"))
 print(f"canyon: {len(sc.surfaces)} walls, {sc.n_materials} materials, "
       f"{sc.n_links} links, lambda = {sc.wavelength_m} m")
 
-# Every link sees the LOS plus up to two bounces per wall ordering.
-rays = trace_link(sc, 0)
+# Every link sees the LOS plus up to two bounces per wall ordering. The
+# tracer returns every link's rays as columns; indexing one link builds its
+# Ray objects.
+cache = trace_scenario(sc)
+rays = cache[0]
 print(f"\nlink 0 rays ({len(rays)}):")
 for r in rays:
     mats = [ref.material_index for ref in r.reflections]
@@ -31,7 +33,7 @@ for r in rays:
 
 # Reflection strength rises with permittivity, so the link gain does too.
 for eps in (np.array([2.0, 4.0]), np.array([3.0, 6.0]), np.array([8.0, 10.0])):
-    g = forward(sc, [rays], eps)[0]  # the forward map of one link
+    g = forward(sc, cache.take([0]), eps)[0]  # the forward map of link 0 alone
     print(f"gain at eps={eps.tolist()}: {g:8.3f} dB")
 
 # TE power reflection coefficient |Gamma|^2 = ((cos t - s) / (cos t + s))^2,
@@ -45,7 +47,6 @@ for e in (2.0, 4.0, 6.0, 9.0):
 print("\n|Gamma|^2 at 70 deg incidence (TE):", gammas)
 
 # The full forward map is just this, per link.
-cache = trace_scenario(sc)
 g = forward(sc, cache, sc.true_eps_vector())
 print(f"\nforward map at the true eps: mean {g.mean():.2f} dB, "
       f"spread [{g.min():.2f}, {g.max():.2f}] dB over {len(g)} links")

@@ -23,7 +23,7 @@ from .scenario import (
     save_scenario,
     synthesize_dataset,
 )
-from .raytracer import Ray, Reflection, trace_link, trace_scenario
+from .raytracer import Ray, Rays, Reflection, trace_link, trace_scenario
 from .forward_model import forward
 from .trunc_gauss import Interval, truncated_moments
 from .gamp import (
@@ -56,6 +56,7 @@ __all__ = [
     "Material",
     "ParseError",
     "Ray",
+    "Rays",
     "Reflection",
     "Scenario",
     "SolverError",

@@ -26,7 +26,7 @@ from .forward_model import GAIN_FLOOR, RayTable, forward, gains_db, link_totals,
 from .gamp import EstimateReport, GampConfig, check_x0, default_config, solve, solve_batch
 from .oracle import GridSpec, grid_map
 from . import raytracer
-from .raytracer import Ray, trace_link
+from .raytracer import Rays, trace_link
 from .scenario import (
     Dataset,
     Row,
@@ -52,13 +52,13 @@ class PreparedProblem:
     """Normalized measurements, rays and their one ray table for the solvable links."""
 
     y: np.ndarray
-    ray_cache: list[list[Ray]]
+    ray_cache: Rays
     table: RayTable
     kept: list[int]              # original link indices
     dropped: list[int]
 
 
-def _split_links(scenario: Scenario, ray_cache, y_all) -> PreparedProblem:
+def _split_links(scenario: Scenario, ray_cache: Rays, y_all) -> PreparedProblem:
     """Keep the links usable at the prior midpoint (one kernel pass over the
     ray table): a link without rays or with a total gain below GAIN_FLOOR
     there is dropped, and then the table is rebuilt over the kept links.
@@ -71,7 +71,7 @@ def _split_links(scenario: Scenario, ray_cache, y_all) -> PreparedProblem:
         raise ValidationError("links: every link is unusable (no unblocked ray, or a "
                               "total gain below the floor at the prior midpoint)")
     if dropped:
-        ray_cache = [ray_cache[n] for n in kept]
+        ray_cache = ray_cache.take(kept)
         table = ray_table(ray_cache, scenario.wavelength_m, scenario.polarization)
     return PreparedProblem(y_all[kept], ray_cache, table, kept, dropped)
 
@@ -206,10 +206,12 @@ def run_sweep(
             check_x0(scenario, point_config)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"overrides {config.overrides}: {exc}") from exc
-    try:  # the problem every point shares: kept links, gains at the true eps
-        prob = _split_links(scenario, raytracer.trace_scenario(scenario), np.zeros(scenario.n_links))
+    # the problem every point shares: the kept links (ValidationError names
+    # links when none is usable), then the gains at the true eps
+    prob = _split_links(scenario, raytracer.trace_scenario(scenario), np.zeros(scenario.n_links))
+    try:
         gains = gains_db(prob.table, eps_true)
-    except Exception as exc:  # e.g. a link without rays: every point reports it
+    except Exception as exc:  # e.g. a kept link below the floor: every point reports it
         outcomes = [exc] * len(points)
     else:
         # adding and removing the offsets rounds y exactly as

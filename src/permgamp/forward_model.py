@@ -81,23 +81,27 @@ class RayTable(NamedTuple):
     polarization: str      # "TE" or "TM"
 
 
-def ray_table(ray_cache, wavelength_m: float, polarization: str) -> RayTable:
-    """The table of ray_cache's rays at wavelength_m under polarization."""
-    n_rays = max(map(len, ray_cache), default=0)
-    n_bounces = max((r.n_bounces for rays in ray_cache for r in rays), default=0)
-    friis = np.zeros((n_rays, len(ray_cache)))
-    groups: dict[int, tuple[list, list]] = {}
-    for n, rays in enumerate(ray_cache):
-        for j, ray in enumerate(rays):
-            friis[j, n] = (wavelength_m / (4.0 * math.pi * ray.total_length_m)) ** 2
-            for b, ref in enumerate(ray.reflections):
-                slots, cos = groups.setdefault(ref.material_index - 1, ([], []))
-                slots.append((b * n_rays + j) * len(ray_cache) + n)
-                cos.append(math.cos(ref.incidence_angle))
-    return RayTable(friis, n_bounces, tuple(
-        (m, np.array(slots, np.intp), np.array(cos))
-        for m, (slots, cos) in sorted(groups.items())
-    ), polarization)
+def ray_table(rays, wavelength_m: float, polarization: str) -> RayTable:
+    """The table of a traced scenario's rays at wavelength_m under
+    polarization. rays has len() links and, one row per ray in (link, ray)
+    order, the columns link, length, materials (bounce material indices, -1
+    past the last bounce) and angles (see raytracer.Rays)."""
+    n_links = len(rays)
+    per_link = np.bincount(rays.link, minlength=n_links)
+    n_rays = int(per_link.max(initial=0))
+    j = np.arange(len(rays.link)) - np.repeat(np.cumsum(per_link) - per_link, per_link)
+    friis = np.zeros((n_rays, n_links))
+    # float_power is libm pow, as Python's ** on a float is (** squares arrays)
+    friis[j, rays.link] = np.float_power(wavelength_m / (4.0 * math.pi * rays.length), 2)
+    bounce = rays.materials >= 0
+    r, b = np.nonzero(bounce)  # in (link, ray, bounce) order
+    slots = (b * n_rays + j[r]) * n_links + rays.link[r]
+    mats = rays.materials[r, b] - 1
+    cos = np.array(list(map(math.cos, rays.angles[r, b].tolist())))
+    groups = tuple((m, slots[mats == m], cos[mats == m])
+                   for m in np.flatnonzero(np.bincount(mats)).tolist())
+    return RayTable(friis, int(np.count_nonzero(bounce, axis=1).max(initial=0)), groups,
+                    polarization)
 
 
 def _coefficients(table: RayTable, eps: np.ndarray):
@@ -157,7 +161,8 @@ def gains_db(table: RayTable, eps) -> np.ndarray:
 
 def forward(scenario: Scenario, ray_cache, eps) -> np.ndarray:
     """dB link gains for every link at one permittivity vector eps (M,),
-    or at each row of a batch (B, M): gains_db on a table of ray_cache."""
+    or at each row of a batch (B, M): gains_db on a table of ray_cache, a
+    traced scenario's rays."""
     if np.shape(eps)[-1:] != (scenario.n_materials,):
         raise ValueError(f"eps={eps} must hold one permittivity per material, "
                          f"{scenario.n_materials}")

@@ -12,7 +12,9 @@ All candidates of a chunk of links are tested at once, exactly, in arrays,
 with plain real formulas and math.hypot; only the incidence angles of
 unblocked bounces are taken one by one, with math.acos. The tests check the
 rays bit for bit against a scalar reference that tests one sequence at a
-time.
+time. The rays leave the tracer as the columns of one Rays value, from which
+forward_model builds its ray table; Ray objects are built only for a caller
+that indexes or iterates it.
 
 - The tree. The line of sight is the order-0 candidate. The images form a
   tree with one level per order: each row holds its parent row, its wall
@@ -42,6 +44,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -74,6 +77,48 @@ class Ray:
     @property
     def n_bounces(self) -> int:
         return len(self.reflections)
+
+
+@dataclass(frozen=True, eq=False)
+class Rays(Sequence):
+    """The rays of every link of a traced scenario as columns, one row per
+    ray: by link, then by length, bounce count and materials. The bounce
+    columns are padded to max_reflections, with material -1 past a ray's
+    last bounce. As a sequence it holds one list of Ray per link, LOS first,
+    built only when asked for."""
+
+    n_links: int
+    link: np.ndarray       # (R,) ascending
+    length: np.ndarray     # (R,) m
+    materials: np.ndarray  # (R, K) material index of each bounce, -1 past the last
+    angles: np.ndarray     # (R, K) incidence angles, radians
+    points: np.ndarray     # (R, K, 2) bounce points
+
+    def __len__(self) -> int:
+        return self.n_links
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[n] for n in range(self.n_links)[index]]
+        n = range(self.n_links)[index]
+        a, b = np.searchsorted(self.link, [n, n + 1])
+        return [
+            Ray(total, tuple(map(Reflection, ms[:k], angles[:k])), tuple(map(tuple, pts[:k])))
+            for total, ms, angles, pts, k in zip(
+                self.length[a:b].tolist(), self.materials[a:b].tolist(),
+                self.angles[a:b].tolist(), self.points[a:b].tolist(),
+                np.count_nonzero(self.materials[a:b] >= 0, axis=1).tolist(),
+            )
+        ]
+
+    def take(self, links) -> "Rays":
+        """The rays of the given links, in ascending order, numbered from 0
+        in that order."""
+        number = np.full(self.n_links, -1)
+        number[links] = np.arange(len(links))
+        rows = np.flatnonzero(number[self.link] >= 0)
+        return Rays(len(links), number[self.link[rows]], self.length[rows],
+                    self.materials[rows], self.angles[rows], self.points[rows])
 
 
 # -- candidates ----------------------------------------------------------------
@@ -205,9 +250,9 @@ def _blocked(walls, px, py, vx, vy, leg, before, after) -> np.ndarray:
 
 # -- tracing -----------------------------------------------------------------
 
-def trace_scenario(scenario: Scenario) -> list[list[Ray]]:
-    """Ray lists for every link, in one pass, each sorted by length (LOS
-    first); [] for a link without an unblocked ray."""
+def trace_scenario(scenario: Scenario) -> Rays:
+    """The rays of every link, in one pass, each link's sorted by length
+    (LOS first); a link without an unblocked ray has none."""
     ends = np.array([(*s.endpoint_a, *s.endpoint_b) for s in scenario.surfaces],
                     dtype=float).reshape(-1, 4)
     walls = (ends[:, 0], ends[:, 1], ends[:, 2] - ends[:, 0], ends[:, 3] - ends[:, 1])
@@ -224,21 +269,23 @@ def trace_scenario(scenario: Scenario) -> list[list[Ray]]:
                                         np.abs(pos).max(initial=0.0))
     per_link = 1 + sum(n_walls * (n_walls - 1) ** (k - 1) for k in range(1, max_order + 1))
     step = max(1, _ROWS // per_link)  # links per chunk
-    out: list[list[Ray]] = []
+    chunks = []
     with np.errstate(all="ignore"):  # an inf or NaN fails every bound
         children = _child_table(ends, walls, lengths, reach)
         for s in range(0, len(pos), step):
             tx, rx = pos[s:s + step, :2], pos[s:s + step, 2:]
             levels = _image_tree(walls, children, tx, max_order)
-            out += _collect_rays(*_walk_back(walls, u_eps, levels, rx), len(rx), walls,
-                                 normals, materials, max_order)
-    return out
+            link, *columns = _collect_rays(*_walk_back(walls, u_eps, levels, rx), walls,
+                                           normals, materials, max_order)
+            chunks.append((link + s, *columns))
+    return Rays(len(pos), *map(np.concatenate, zip(*chunks)))
 
 
-def _collect_rays(table, n_candidates, n_links, walls, normals, materials, max_order):
-    """The rays of each link among the walked-back candidates (the last
-    n_candidates rows of the point table; see _walk_back), sorted by length,
-    bounces and materials, ties in candidate order.
+def _collect_rays(table, n_candidates, walls, normals, materials, max_order):
+    """The Rays columns (link, length, materials, angles, points) of the
+    rays among the walked-back candidates (the last n_candidates rows of the
+    point table; see _walk_back), sorted by link, length, bounces and
+    materials, ties in candidate order.
 
     Leg j runs from point j to point j + 1 of a path, and its incident walls
     are those of its two points. Leg j is tested for occlusion only on the
@@ -285,17 +332,8 @@ def _collect_rays(table, n_candidates, n_links, walls, normals, materials, max_o
     link = path[:, -1]
     order = np.lexsort((*mats.T[::-1], k, length, link))
     order = order[ok[order]]
-    rays: list[list[Ray]] = [[] for _ in range(n_links)]
-    for n, n_k, total, ms, angles, bx, by in zip(
-        link[order].tolist(), k[order].tolist(), length[order].tolist(), mats[order].tolist(),
-        theta[order].tolist(), xs[order, 1:-1].tolist(), ys[order, 1:-1].tolist(),
-    ):
-        rays[n].append(Ray(
-            total_length_m=total,
-            reflections=tuple(map(Reflection, ms[:n_k], angles[:n_k])),
-            points=tuple(zip(bx[:n_k], by[:n_k])),
-        ))
-    return rays
+    return (link[order], length[order], mats[order], theta[order],
+            np.stack((xs[order, 1:-1], ys[order, 1:-1]), axis=-1))
 
 
 def trace_link(scenario: Scenario, link_index: int) -> list[Ray]:
@@ -312,7 +350,7 @@ def trace_link(scenario: Scenario, link_index: int) -> list[Ray]:
     return rays
 
 
-def rays_to_csv(ray_cache: list[list[Ray]], fh) -> None:
+def rays_to_csv(ray_cache: Sequence[list[Ray]], fh) -> None:
     """Debug dump: one row per ray (link, ray, length, bounces, materials, angles)."""
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(["link", "ray", "length_m", "n_bounces", "materials", "angles_rad"])

@@ -491,7 +491,8 @@ def synthesize_dataset(scenario: Scenario, sigma_z: float, seed: int) -> Dataset
         gains = forward_model.forward(scenario, ray_cache, eps_true)
     except UnusableLinkError as exc:  # a link without rays has total gain 0
         n = exc.link
-        why = "no unblocked ray" if not ray_cache[n] else "total gain below the floor at true_eps"
+        why = ("no unblocked ray" if n not in ray_cache.link
+               else "total gain below the floor at true_eps")
         raise ValidationError(f"links[{n}]: {why}, so no level can be synthesized "
                               f"for this link") from exc
     return Dataset(

@@ -90,12 +90,16 @@ def test_a_fixture_solve_calls_the_traced_steps_through_the_solver_module(
 @pytest.mark.parametrize("name", WORKLOAD_NAMES)
 def test_every_benchmark_workload_runs_an_op_that_passes_its_check(name, tmp_path, monkeypatch):
     # the benchmark calls the package as bench/workloads.py does; a changed
-    # name or signature there fails here as well as in the benchmark run
+    # name or signature there fails here as well as in the benchmark run.
+    # The traced run also calls counts(), which reads the traced rays link
+    # by link and ray by ray
     monkeypatch.syspath_prepend(str(BENCH))  # workloads.py imports bench/room.py
     workload = _load("workloads", monkeypatch).WORKLOADS[name]()
     workload.setup(11, str(tmp_path))
     checked = workload.check(0, workload.op(0))
     assert checked.failed == 0, checked.problems
+    counts = workload.counts()
+    assert counts["rays"] >= counts["kept_links"] >= 1 and counts["bounces"] >= 0
 
 
 def _imports(tree):

@@ -898,34 +898,73 @@ def test_sweep_points_equal_single_estimates_and_trace_once(monkeypatch):
 
 
 def test_sweep_failure_rows_keep_schema(tmp_path):
-    # A link sealed inside a box is unusable; with every link sealed the
-    # solve fails and the sweep must still emit status rows.
+    # with every prior_hi at 1.3e154 and x0 far below the midpoint, the first
+    # steps leap to eps ~1e153, where A^2 underflows at a later linearization:
+    # every point fails inside the solve and the sweep must still emit rows
+    def widen(raw):
+        for material in raw["materials"]:
+            material["prior_hi"] = 1.3e154
+    config = ExperimentConfig(
+        scenario_path=str(_edited_canyon(tmp_path, widen)), sigmas=[0.5], n_seeds=2,
+        overrides={"x0": [3.0, 6.0]}, out_dir=str(tmp_path / "o"),
+    )
+    rows, summary = run_sweep(config, workers=1)
+    assert len(rows) == 4
+    assert all(r["status"] == "error:SolverError" for r in rows)
+    assert all(r["eps_hat"] == "" for r in rows)
+    write_sweep_outputs(rows, summary, tmp_path / "o")
+    lines = (tmp_path / "o" / "runs.csv").read_text().strip().split("\n")
+    assert len(lines) == 5
+    assert [s["n_ok"] for s in summary] == [0, 0]
+
+
+def _sealed_scenario():
+    """One link, its TX sealed inside a box: no ray reaches the RX."""
     box = [
         Surface((-1.0, -1.0), (1.0, -1.0), 1),
         Surface((1.0, -1.0), (1.0, 1.0), 1),
         Surface((1.0, 1.0), (-1.0, 1.0), 1),
         Surface((-1.0, 1.0), (-1.0, -1.0), 1),
     ]
-    sc = Scenario(
+    return Scenario(
         surfaces=tuple(box),
         materials=(Material(1, 1.5, 10.0, 4.0),),
         links=(Link((0.0, 0.0), (5.0, 5.0), 30, 2, 2),),
         wavelength_m=0.1,
-        max_reflections=2,
     )
+
+
+def test_a_sweep_with_no_usable_link_exits_2_naming_links(tmp_path, capsys):
+    # the problem every point shares has no link: an input fault rather
+    # than a failure of each point
     path = tmp_path / "sealed.json"
-    save_scenario(sc, path)
-    config = ExperimentConfig(
-        scenario_path=str(path), sigmas=[0.5], n_seeds=2, out_dir=str(tmp_path / "o")
-    )
-    rows, summary = run_sweep(config, workers=1)
-    assert len(rows) == 2
-    assert all(r["status"] == "error:ValidationError" for r in rows)
-    assert all(r["eps_hat"] == "" for r in rows)
-    write_sweep_outputs(rows, summary, tmp_path / "o")
-    lines = (tmp_path / "o" / "runs.csv").read_text().strip().split("\n")
-    assert len(lines) == 3
-    assert summary[0]["n_ok"] == 0
+    save_scenario(_sealed_scenario(), path)
+    code, out, err = _run(capsys, "sweep", "--scenario", str(path), "--sigmas", "0.5,1",
+                          "--seeds", "2", "--out-dir", str(tmp_path / "o"))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: links: every link is unusable") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+def test_no_run_path_builds_a_ray_object(canyon, monkeypatch, capsys):
+    # rays travel as columns from the tracer to the ray table; Ray and
+    # Reflection objects are built only for a caller that asks for them
+    made = []
+    for cls in (raytracer.Ray, raytracer.Reflection):
+        def counted(self, *args, _init=cls.__init__, **kwargs):
+            made.append(type(self).__name__)
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counted)
+    raytracer.trace_link(canyon, 0)  # asks for link 0's Ray list
+    assert made.count("Ray") == 5 and "Reflection" in made
+    made.clear()
+    run_estimate(canyon, synthesize_dataset(canyon, 0.5, 1))
+    run_sweep(ExperimentConfig(scenario_path=bundled_scenario_path("canyon"), sigmas=[0.5, 1.0],
+                               n_seeds=2, overrides={"k_iter": 2}))
+    code, _, _ = _run(capsys, "oracle", "--scenario", bundled_scenario_path("canyon"),
+                      "--sigma", "0.5", "--seed", "1", "--grid-step", "0.5")
+    assert code == 0
+    assert made == []
 
 
 def test_sweep_without_truths_exits_2(tmp_path, capsys):
@@ -1076,20 +1115,8 @@ def test_sweep_drops_a_link_without_rays(canyon, tmp_path):
 
 
 def test_prepare_problem_all_unusable_raises(tmp_path):
-    box = [
-        Surface((-1.0, -1.0), (1.0, -1.0), 1),
-        Surface((1.0, -1.0), (1.0, 1.0), 1),
-        Surface((1.0, 1.0), (-1.0, 1.0), 1),
-        Surface((-1.0, 1.0), (-1.0, -1.0), 1),
-    ]
-    sc = Scenario(
-        surfaces=tuple(box),
-        materials=(Material(1, 1.5, 10.0, 4.0),),
-        links=(Link((0.0, 0.0), (5.0, 5.0), 30, 2, 2),),
-        wavelength_m=0.1,
-    )
     with pytest.raises(ValidationError, match="links: every link is unusable"):
-        prepare_problem(sc, Dataset(measured_db=np.zeros(1), noise_var=0.25))
+        prepare_problem(_sealed_scenario(), Dataset(measured_db=np.zeros(1), noise_var=0.25))
 
 
 @pytest.mark.parametrize("command", [["estimate"], ["estimate", "--oracle"], ["oracle"]],

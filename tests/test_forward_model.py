@@ -39,7 +39,7 @@ from permgamp.forward_model import (
     ray_table,
 )
 from permgamp.raytracer import Ray, Reflection
-from scalar_forward import fd_jacobian, fresnel_power_coeff, ray_gain_linear
+from scalar_forward import as_rays, fd_jacobian, fresnel_power_coeff, ray_gain_linear
 
 # mpmath (50 digits) evaluation of the stated TM formula at eps=4, theta=pi/3
 REF_TM_4_PI3 = 0.002689798300996443631259099
@@ -126,7 +126,7 @@ def test_fresnel_deriv_against_mpmath(rng):
 
 
 def _link_gain_db(rays, eps, wavelength_m):  # one link, TE: the kernel on its table
-    return float(gains_db(ray_table([rays], wavelength_m, "TE"), eps)[0])
+    return float(gains_db(ray_table(as_rays([rays]), wavelength_m, "TE"), eps)[0])
 
 
 def _los(length):
@@ -216,7 +216,7 @@ def test_canyon_link_gain_matches_direct_recomputation(canyon, canyon_rays):
         ref = sum(ray_gain_linear(r, eps, sc3.wavelength_m) for r in rays3[n])
         assert out[n] == 10 * math.log10(ref)
     single = [[r] for link in rays3 for r in link]
-    per_ray = link_totals(ray_table(single, sc3.wavelength_m, "TE"), eps[None])[0]
+    per_ray = link_totals(ray_table(as_rays(single), sc3.wavelength_m, "TE"), eps[None])[0]
     assert per_ray.tolist() == [
         ray_gain_linear(r, eps, sc3.wavelength_m) for (r,) in single
     ]
@@ -240,7 +240,7 @@ def test_forward_error_names_the_link():
         wavelength_m=0.1,
     )
     with pytest.raises(UnusableLinkError, match="link 1"):
-        forward(sc, rays, np.array([1.0]))
+        forward(sc, as_rays(rays), np.array([1.0]))
 
 
 def test_prepare_problem_keeps_the_links_above_the_floor(monkeypatch):
@@ -248,7 +248,7 @@ def test_prepare_problem_keeps_the_links_above_the_floor(monkeypatch):
     # ray; the prior midpoint is eps = 1 (the upper bound 1 + ulp rounds the
     # midpoint to 1) or eps = 4
     rays = [[_los(5.0)], [_bounce(5.0, 1, 0.2)], []]
-    monkeypatch.setattr(raytracer, "trace_scenario", lambda sc: rays)
+    monkeypatch.setattr(raytracer, "trace_scenario", lambda sc: as_rays(rays))
     kept = {}
     for mid, upper in ((1.0, math.nextafter(1.0, 2.0)), (4.0, 7.0)):
         sc = Scenario(
@@ -262,14 +262,14 @@ def test_prepare_problem_keeps_the_links_above_the_floor(monkeypatch):
         prob = prepare_problem(sc, Dataset(measured_db=[-1.0, -2.0, -3.0], noise_var=0.25))
         kept[mid] = prob.kept
         assert prob.dropped == [n for n in range(3) if n not in prob.kept]
-        assert prob.ray_cache == [rays[n] for n in prob.kept]
+        assert list(prob.ray_cache) == [rays[n] for n in prob.kept]
         assert prob.y.tolist() == (np.array([-1.0, -2.0, -3.0]) - sc.link_offsets())[prob.kept].tolist()
         # the kept links' table gives the gains forward gives on their rays
         eps = np.array([mid])
         assert np.array_equal(gains_db(prob.table, eps), forward(sc, prob.ray_cache, eps))
     assert kept == {1.0: [0], 4.0: [0, 1]}
     with pytest.raises(UnusableLinkError, match="link 2"):
-        forward(sc, rays, np.array([4.0]))
+        forward(sc, as_rays(rays), np.array([4.0]))
 
 
 def test_forward_single_link_reduces_to_link_gain():
@@ -315,7 +315,7 @@ def test_jacobian_single_bounce_closed_form():
         links=(Link((0.0, 1.0), (0.0, 3.0), 30, 2, 2),),
         wavelength_m=0.3,
     )
-    bounce_only = [[r for r in trace_link(sc, 0) if r.reflections]]
+    bounce_only = as_rays([[r for r in trace_link(sc, 0) if r.reflections]])
     for eps in (2.0, 4.0, 9.0):
         lin = _linearize(sc, bounce_only, np.array([eps]))
         expect = (10 / math.log(10)) * 2.0 / (math.sqrt(eps) * (eps - 1.0))

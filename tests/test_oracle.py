@@ -35,6 +35,7 @@ from permgamp.forward_model import ray_table
 from permgamp.oracle import _grid_ssr, grid_axes
 from permgamp.raytracer import Ray, Reflection
 from quadrature import quadrature_moments
+from scalar_forward import as_rays
 
 
 RUN_PATH_SCRIPT = """
@@ -135,7 +136,7 @@ def test_log_posterior_link_permutation_invariant(canyon, canyon_rays):
     perm = np.random.Generator(np.random.PCG64(5)).permutation(canyon.n_links)
     lp = log_posterior(canyon, canyon_rays, y, eps, 0.5)
     lp_perm = log_posterior(
-        canyon, [canyon_rays[i] for i in perm], y[perm], eps, 0.5
+        canyon, as_rays([canyon_rays[i] for i in perm]), y[perm], eps, 0.5
     )
     assert abs(lp - lp_perm) <= 1e-9 * abs(lp)
 
@@ -293,7 +294,7 @@ def _grid_problems(draw):
     y = draw(st.lists(st.floats(-160.0, -40.0), min_size=len(ray_cache),
                       max_size=len(ray_cache)))
     pol = draw(st.sampled_from(["TE", "TM"]))
-    return ray_table(ray_cache, 0.1, pol), axes, np.array(y)
+    return ray_table(as_rays(ray_cache), 0.1, pol), axes, np.array(y)
 
 
 @given(_grid_problems())
@@ -324,7 +325,7 @@ def _hand_table(pol, *links):
         [Ray(21.0 + 7.0 * j, tuple(Reflection(m, a) for m, a in ray)) for j, ray in enumerate(rays)]
         for rays in links
     ]
-    return ray_table(cache, 4.0 * math.pi * 20.0, pol)
+    return ray_table(as_rays(cache), 4.0 * math.pi * 20.0, pol)
 
 
 @pytest.mark.parametrize("pol", ["TE", "TM"])
