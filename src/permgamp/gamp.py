@@ -25,13 +25,17 @@ The pseudo-residual state s may optionally be damped (s <- rho * s_new +
 matrix makes the undamped recursion ring.
 
 solve_batch runs B problems on one ray table as this same recursion with a
-leading batch axis: their messages never mix, every product is a stacked
-matmul (so each result equals the problem's own solve bit for bit), and the
-truncated-Gaussian moments of all (problem, material) pairs are one
-elementwise kernel call per inner step. Batched problems share k_iter,
-k_gamp and damping; x0, tau_w and delta_tr are per problem. solve is
-solve_batch at B = 1; a batched report's wall_ms is the batch's wall time
-divided by B.
+leading batch axis: their messages never mix, and every product is a stacked
+matmul, so each result equals the problem's own solve bit for bit. What a
+linearization fixes is built once (linearized): A^2 stacked on A, whose one
+matmul gives tau_p and A x, and its transpose (A^2)^T tau_s and A^T s; y - mu;
+the support box as flat lists. The per-material side of a step (tau_c, c, one
+moment-kernel call over every (problem, material), the floor, held columns)
+is one pass over Python floats, which round + - * / as numpy does. A fused
+test ends each step; the exact _check_invariants runs only where it fails.
+Batched problems share k_iter, k_gamp and damping; x0, tau_w and delta_tr are
+per problem. solve is solve_batch at B = 1; a batched report's wall_ms is the
+batch's wall time divided by B.
 """
 
 from __future__ import annotations
@@ -113,16 +117,18 @@ def default_config(scenario: Scenario, noise_var: float, **overrides) -> GampCon
 class GampState:
     """Recursion state of B problems; every array has a leading batch axis."""
 
-    x_hat: np.ndarray              # current estimates (B, M)
-    tau_x: np.ndarray              # their variances (B, M)
-    s_hat: np.ndarray              # output-channel pseudo-residuals (B, N)
+    xt: np.ndarray                 # (2, B, M): tau_x, then the estimates x_hat
+    ts: np.ndarray                 # (2, B, N): tau_s, then the pseudo-residuals s_hat
     p_hat: np.ndarray              # Onsager-corrected predictions (B, N)
     tau_p: np.ndarray
-    tau_s: np.ndarray
     c_hat: np.ndarray              # input-channel pseudo-observations (B, M)
     tau_c: np.ndarray
     warnings: list[list[str]]      # per problem, in order of first occurrence
     k: int = 0
+    tau_x = property(lambda self: self.xt[0], lambda self, v: self.xt.__setitem__(0, v))
+    x_hat = property(lambda self: self.xt[1], lambda self, v: self.xt.__setitem__(1, v))
+    tau_s = property(lambda self: self.ts[0], lambda self, v: self.ts.__setitem__(0, v))
+    s_hat = property(lambda self: self.ts[1], lambda self, v: self.ts.__setitem__(1, v))
 
 
 def check_x0(scenario: Scenario, config: GampConfig) -> None:
@@ -154,12 +160,10 @@ def init_state(scenario: Scenario, configs: Sequence[GampConfig], n_links: int) 
     x0 = np.array([config.x0 for config in configs])
     prior_var = np.broadcast_to((hi - lo) ** 2 / 12.0, x0.shape)
     return GampState(
-        x_hat=x0,
-        tau_x=prior_var.copy(),
-        s_hat=np.zeros((len(x0), n_links)),
+        xt=np.array((prior_var, x0)),
+        ts=np.zeros((2, len(x0), n_links)),
         p_hat=np.zeros((len(x0), n_links)),
         tau_p=np.zeros((len(x0), n_links)),
-        tau_s=np.zeros((len(x0), n_links)),
         c_hat=x0.copy(),
         tau_c=prior_var.copy(),
         warnings=[[] for _ in configs],
@@ -207,76 +211,98 @@ def check_prior_scale(
     )
 
 
-def output_step(
-    state: GampState,
-    linearization: Linearization,
-    a_sq: np.ndarray,
-    y: np.ndarray,
-    tau_w,
-    damping: float = 1.0,
-) -> GampState:
+@dataclass(frozen=True)
+class Affine:
+    """One linearization as its k_gamp inner steps use it (see linearized)."""
+
+    stacked: np.ndarray            # (2, B, N, M): A squared elementwise, then A
+    resid: np.ndarray              # (B, N): y - mu
+    inactive: np.ndarray           # (B, N): 1.0 on A's zero rows, else 0.0
+    box: Interval                  # the support box (B, M) as flat lists
+    prior_var: list                # prior variance of each (problem, material), flat
+
+
+def linearized(lin: Linearization, a_sq, y, support: Interval, prior_var) -> Affine:
+    """lin, with a_sq its A squared elementwise, the measurements y (B, N),
+    the support box (B, M) and the prior variances (M,)."""
+    return Affine(
+        stacked=np.array((a_sq, lin.a_matrix)),
+        resid=np.asarray(y) - lin.mu,
+        inactive=np.all(lin.a_matrix == 0.0, axis=-1).astype(float),
+        box=Interval(support.lo.ravel().tolist(), support.hi.ravel().tolist()),
+        prior_var=prior_var.tolist() * len(a_sq),
+    )
+
+
+def output_step(state: GampState, affine: Affine, tau_w, damping: float = 1.0) -> bool:
     """Per-measurement update of every problem: tau_p, p, s, tau_s (mutates
-    state). a_sq is the linearization's A squared elementwise; y is (B, N);
-    tau_w is a scalar or one value per problem (B, 1)."""
-    with np.errstate(invalid="ignore", over="ignore"):  # checked just below
-        tau_p = _mv(a_sq, state.tau_x)
-        p_hat = _mv(linearization.a_matrix, state.x_hat) - tau_p * state.s_hat
-        s_new = (np.asarray(y) - linearization.mu - p_hat) / (tau_w + tau_p)
-        if damping < 1.0:
-            s_new = damping * s_new + (1.0 - damping) * state.s_hat
-        tau_s = 1.0 / (tau_p + tau_w)
-        # a sum is finite if every term is, unless it overflows: then the exact test
-        finite = math.isfinite(np.add.reduce((tau_p, p_hat, s_new), axis=None))
+    state); tau_w broadcasts to (B, N). False when the fused test of tau_s and
+    tau_p fails. Runs in the solver's np.errstate, naming what is not finite."""
+    # one product gives both A^2 tau_x and A x
+    prod = affine.stacked @ state.xt[..., None]
+    tau_p = prod[0, ..., 0]
+    out = np.empty((4,) + tau_p.shape)  # tau_p + inactive, tau_s, s_hat, p_hat
+    np.subtract(prod[1, ..., 0], tau_p * state.s_hat, out=out[3])
+    denom = tau_p + tau_w
+    np.divide(affine.resid - out[3], denom, out=out[2])
+    if damping < 1.0:
+        np.add(damping * out[2], (1.0 - damping) * state.s_hat, out=out[2])
+    np.divide(1.0, denom, out=out[1])
+    np.add(tau_p, affine.inactive, out=out[0])
+    # a finite s_hat needs a finite p_hat, and that a finite tau_p
+    finite = bool(np.isfinite(out[1:3]).all())
     if not finite:
-        for name, arr in (("tau_p", tau_p), ("p_hat", p_hat), ("s_hat", s_new)):
+        for name, arr in (("tau_p", tau_p), ("p_hat", out[3]), ("s_hat", out[2])):
             bad = ~np.isfinite(arr)
             if bad.any():
                 raise SolverError(
                     f"output step: non-finite {name} at link {bad.nonzero()[-1][0]} "
                     f"(iteration {state.k})"
                 )
-    state.tau_p, state.p_hat = tau_p, p_hat
-    state.s_hat, state.tau_s = s_new, tau_s
-    return state
+    state.tau_p, state.ts, state.p_hat = tau_p, out[1:3], out[3]
+    return finite and out[:2].min() > 0.0
 
 
-def input_step(
-    state: GampState,
-    linearization: Linearization,
-    a_sq: np.ndarray,
-    prior_var: np.ndarray,
-    support: Interval,
-) -> GampState:
+def input_step(state: GampState, affine: Affine) -> bool:
     """Per-parameter update of every problem: tau_c, c, then truncated-
-    Gaussian moments on the support box (B, M), prior ∩ trust region
-    (mutates state). a_sq is the linearization's A squared elementwise.
+    Gaussian moments on the support box, prior ∩ trust region (mutates
+    state); False when the fused test of x, tau_x and tau_c fails.
 
     A parameter whose sensing column is all zero is unobservable this
     round: its estimate is held, its variance reset to the prior variance,
     and a warning recorded.
     """
-    denom = _mv(a_sq.swapaxes(-1, -2), state.tau_s)
-    corr = _mv(linearization.a_matrix.swapaxes(-1, -2), state.s_hat)
-    held = denom <= 0.0  # a zero column: that parameter is unobserved
-    tau_c = 1.0 / np.where(held, 1.0, denom)
-    c_hat = state.x_hat + tau_c * corr
-    # also when tau_c is not finite; Python floats overflow without a warning
-    if not math.isfinite(sum(c_hat.ravel().tolist())) and not np.isfinite(c_hat).all():
+    n_problems, n_materials = state.x_hat.shape
+    # one product gives both (A^2)^T tau_s and A^T s; the rest is on floats
+    back = (affine.stacked.swapaxes(-1, -2) @ state.ts[..., None]).ravel().tolist()
+    denom, corr = back[:len(back) // 2], back[len(back) // 2:]
+    x = state.x_hat.ravel().tolist()
+    tau_c = [1.0 if d <= 0.0 else 1.0 / d for d in denom]  # d <= 0: a zero column
+    c_hat = [xj + t * g for xj, t, g in zip(x, tau_c, corr)]
+    # a sum of floats is finite only if every term is, unless it overflows
+    if not math.isfinite(sum(c_hat)) and not all(map(math.isfinite, c_hat)):
+        j = next(j for j, c in enumerate(c_hat) if not math.isfinite(c))
         raise SolverError(
             f"input step: non-finite pseudo-observation for material "
-            f"{(~np.isfinite(c_hat)).nonzero()[-1][0] + 1} (iteration {state.k})"
+            f"{j % n_materials + 1} (iteration {state.k})"
         )
-    mean, var = truncated_moments(c_hat, tau_c, support)
-    var = np.maximum(var, VARIANCE_FLOOR)
-    if held.any():
-        mean, var = np.where(held, state.x_hat, mean), np.where(held, prior_var, var)
-        c_hat, tau_c = np.where(held, state.x_hat, c_hat), np.where(held, prior_var, tau_c)
-        for b, m in zip(*held.nonzero()):
+    mean, var = truncated_moments(c_hat, tau_c, affine.box)
+    sound = True
+    for j, (d, lo, hi) in enumerate(zip(denom, affine.box.lo, affine.box.hi)):
+        if d <= 0.0:  # unobserved: hold it
+            mean[j] = c_hat[j] = x[j]
+            var[j] = tau_c[j] = affine.prior_var[j]
+            b, m = divmod(j, n_materials)
             msg = f"input step: material {m + 1} unobserved (zero column), estimate held"
             if msg not in state.warnings[b]:
                 state.warnings[b].append(msg)
-    state.c_hat, state.tau_c, state.x_hat, state.tau_x = c_hat, tau_c, mean, var
-    return state
+        elif var[j] < VARIANCE_FLOOR:  # not when nan: the test below fails
+            var[j] = VARIANCE_FLOOR
+        sound = (sound and lo <= mean[j] <= hi and 0.0 < var[j] < math.inf
+                 and 0.0 < tau_c[j] < math.inf)
+    new = np.array((var, mean, tau_c, c_hat)).reshape(4, n_problems, n_materials)
+    state.xt, state.tau_c, state.c_hat = new[:2], new[2], new[3]
+    return sound
 
 
 @dataclass
@@ -313,15 +339,9 @@ def _rms(v: np.ndarray) -> float:
 
 
 def _check_invariants(state: GampState, support: Interval, inactive: np.ndarray) -> None:
-    """x inside its support box, finite-positive variances, tau_p > 0 on
-    the active rows of A; inactive is 1.0 on A's zero rows, else 0.0."""
+    """x inside its support box, finite-positive variances, tau_p > 0 on the
+    active rows of A (inactive is 1.0 on A's zero rows): names the first fault."""
     x, lo, hi = state.x_hat, support.lo, support.hi
-    # one pass, all positive and finite when sound (a passed box test joins as
-    # 1.0, a zero row's tau_p of 0 is lifted to 1); the exact tests name a fault
-    fused = np.concatenate((lo <= x, x <= hi, state.tau_x, state.tau_c, state.tau_s,
-                            state.tau_p + inactive), axis=-1)
-    if fused.min() > 0.0 and fused.max() < math.inf:
-        return
     outside = ~((lo <= x) & (x <= hi))
     if outside.any():
         b, m = np.argwhere(outside)[0]
@@ -355,7 +375,7 @@ def solve_batch(
     lo, hi = scenario.prior_bounds()
     prior_var = (hi - lo) ** 2 / 12.0
     state = init_state(scenario, configs, Y.shape[1])
-    tau_w = np.array([[c.tau_w] for c in configs])
+    tau_w = np.repeat([[c.tau_w] for c in configs], Y.shape[1], axis=1)  # (B, N)
     half = np.array([c.delta_tr for c in configs]) / 2.0
 
     trajectory = [state.x_hat.copy()]
@@ -366,19 +386,20 @@ def solve_batch(
                 where = f"the linearization of outer iteration {k1}"
             expansion = state.x_hat.copy()
             lin = jacobian(table, expansion)
-            with np.errstate(over="ignore"):  # output_step names a non-finite tau_p
-                a_sq = lin.a_matrix * lin.a_matrix
-            if k1 == 0:
-                g_start = lin.gains  # the forward map at x0
-                check_prior_scale(scenario, lin, a_sq, tau_w)
             support = Interval(np.maximum(lo, expansion - half), np.minimum(hi, expansion + half))
-            inactive = np.all(lin.a_matrix == 0.0, axis=-1).astype(float)
-            for _ in range(k_gamp):
-                output_step(state, lin, a_sq, Y, tau_w, damping)
-                input_step(state, lin, a_sq, prior_var, support)
-                state.k += 1
-                trajectory.append(state.x_hat.copy())
-                _check_invariants(state, support, inactive)
+            with np.errstate(invalid="ignore", over="ignore"):  # the steps name non-finite values
+                a_sq = lin.a_matrix * lin.a_matrix
+                if k1 == 0:
+                    g_start = lin.gains  # the forward map at x0
+                    check_prior_scale(scenario, lin, a_sq, tau_w)
+                affine = linearized(lin, a_sq, Y, support, prior_var)
+                for _ in range(k_gamp):
+                    sound = output_step(state, affine, tau_w, damping)
+                    sound = input_step(state, affine) and sound
+                    state.k += 1
+                    trajectory.append(state.x_hat.copy())
+                    if not sound:
+                        _check_invariants(state, support, affine.inactive)
         where = "the final point"
         g_end = gains_db(table, state.x_hat)
     except UnusableLinkError as exc:

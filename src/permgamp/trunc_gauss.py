@@ -25,12 +25,12 @@ a tail or is narrow relative to s:
   var = floor with floor = 1e-12 (hi-lo)^2, so iterating callers never see
   NaN, inf, or an out-of-interval mean.
 
-truncated_moments takes floats or same-shape arrays; the solver calls it once
-per inner step over every (problem, material). Each element's regime is
-picked on Python floats. The one-sided, straddle and hopeless cases stay
-scalar (math.exp/expm1/erf and erfcx below, on Python floats), which on a
-few dozen elements costs less than masked numpy arrays; only the narrow
-rows go to numpy, as one (n, 64) quadrature pass.
+truncated_moments takes floats, same-shape arrays or the solver's flat lists
+(once per inner step, over every (problem, material)), all through one list
+kernel. Each element's regime is picked on Python floats. The one-sided,
+straddle and hopeless cases stay scalar (math.exp/expm1/erf and erfcx below,
+on Python floats), cheaper on a few dozen elements than masked numpy arrays;
+only the narrow rows go to numpy, as one (n, 64) quadrature pass.
 
 Phi/phi come from libm through math: erf directly, and the scaled
 complement erfcx(x) = exp(x^2) erfc(x) from exp and erfc (see erfcx), within
@@ -39,6 +39,7 @@ a few ulp in double precision.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -55,8 +56,8 @@ _GL_U, _GL_W = np.polynomial.legendre.leggauss(64)
 
 @dataclass(frozen=True)
 class Interval:
-    lo: float | np.ndarray  # arrays: one interval per element
-    hi: float | np.ndarray
+    lo: float | np.ndarray | list  # arrays or flat lists: one interval per element
+    hi: float | np.ndarray | list
 
     def __post_init__(self):
         if not all(np.less(self.lo, self.hi).flat):
@@ -65,6 +66,18 @@ class Interval:
     @property
     def width(self) -> float | np.ndarray:
         return self.hi - self.lo
+
+    @functools.cached_property
+    def floors(self) -> list[float]:
+        """Each element's variance floor VAR_FLOOR_SCALE * width^2, flat, inf
+        where it overflows; cached, as the solver reuses a box for many steps."""
+        floors = []
+        for lo, hi in zip(*np.array([self.lo, self.hi], float).reshape(2, -1).tolist()):
+            try:
+                floors.append(VAR_FLOOR_SCALE * (hi - lo) ** 2)
+            except OverflowError:  # a finite width whose square overflows
+                floors.append(math.inf)
+        return floors
 
 
 # erfcx's bands: below _ERFCX_SPLIT x^2 rounds too little to matter in exp;
@@ -164,14 +177,10 @@ def _narrow_moments(mid, h):
     return eu.tolist(), vu.tolist()
 
 
-def _settle(c, lo, hi, mean, var):
+def _settle(c, lo, hi, floor, mean, var):
     """The hopeless cases: a mean not inside (lo, hi) moves next to the
     endpoint nearer c, and a variance under the floor becomes the floor."""
-    try:
-        floor = VAR_FLOOR_SCALE * (hi - lo) ** 2
-    except OverflowError:  # a finite width whose square overflows
-        floor = math.inf
-    if floor == math.inf:  # so does a width that itself overflows to inf
+    if floor == math.inf:
         raise ValueError(f"interval ({lo}, {hi}): its width squared overflows")
     if not math.isfinite(mean) or not lo < mean < hi:
         edge = lo if abs(c - lo) <= abs(c - hi) else hi
@@ -184,29 +193,38 @@ def _settle(c, lo, hi, mean, var):
 def truncated_moments(c_hat, tau_c, interval: Interval):
     """Mean and variance of N(c_hat, tau_c) truncated to the interval.
 
-    c_hat, tau_c, interval.lo and interval.hi are floats or same-shape
-    arrays, and the result is two floats or two arrays to match. Guaranteed
-    for finite inputs with tau_c > 0: every mean strictly inside its
-    (lo, hi), every variance > 0, all finite. A non-finite input or a
-    tau_c <= 0 raises ValueError naming it, and so does an interval whose
-    width squared overflows.
+    c_hat, tau_c, interval.lo and interval.hi are floats, same-shape arrays
+    or flat lists of floats, and the result is two floats, two arrays or two
+    new lists to match. Guaranteed for finite inputs with tau_c > 0: every
+    mean strictly inside its (lo, hi), every variance > 0, all finite. A
+    non-finite input or a tau_c <= 0 raises ValueError naming it, and so
+    does an interval whose width squared overflows.
     """
+    if isinstance(c_hat, list):
+        return _moments(c_hat, tau_c, interval.lo, interval.hi, interval.floors)
     args = np.array([c_hat, tau_c, interval.lo, interval.hi])
-    rows = args.reshape(4, -1).tolist()
+    mean, var = _moments(*args.reshape(4, -1).tolist(), interval.floors)
+    if args.ndim == 1:
+        return mean[0], var[0]
+    return np.array(mean).reshape(args.shape[1:]), np.array(var).reshape(args.shape[1:])
+
+
+def _moments(c_hat, tau_c, lo, hi, floors):
+    """truncated_moments on flat lists of floats, with the interval's floors."""
     # a sum of floats is finite only if every term is; the rare sum that
     # overflows on finite terms just takes the exact test
-    for name, row in zip(("c_hat", "tau_c", "interval.lo", "interval.hi"), rows):
+    for name, row in zip(("c_hat", "tau_c", "interval.lo", "interval.hi"), (c_hat, tau_c, lo, hi)):
         if not math.isfinite(sum(row)) and not all(map(math.isfinite, row)):
             raise ValueError(f"{name} must be finite")
-    mean, var, narrow = [0.0] * len(rows[0]), [0.0] * len(rows[0]), []
-    for i, (c, tau, lo, hi) in enumerate(zip(*rows)):
+    mean, var, narrow = [0.0] * len(c_hat), [0.0] * len(c_hat), []
+    for i, (c, tau, a, b, floor) in enumerate(zip(c_hat, tau_c, lo, hi, floors)):
         if not tau > 0.0:
             raise ValueError(f"tau_c={tau} must be > 0")
         s = math.sqrt(tau)
-        alpha = (lo - c) / s
-        beta = (hi - c) / s
+        alpha = (a - c) / s
+        beta = (b - c) / s
         if beta - alpha <= 1.0 and abs(alpha + beta) * (beta - alpha) <= 160.0:
-            narrow.append((i, c, s, lo, hi, 0.5 * (alpha + beta), 0.5 * (beta - alpha)))
+            narrow.append((i, c, s, a, b, floor, 0.5 * (alpha + beta), 0.5 * (beta - alpha)))
             continue
         if alpha >= 0.0:
             r1, r2 = _one_sided_ratios(alpha, beta)
@@ -215,12 +233,12 @@ def truncated_moments(c_hat, tau_c, interval: Interval):
             r1 = -r1
         else:
             r1, r2 = _straddle_ratios(alpha, beta)
-        mean[i], var[i] = _settle(c, lo, hi, c + s * r1, tau * (1.0 + r2 - r1 * r1))
+        m, v = c + s * r1, tau * (1.0 + r2 - r1 * r1)
+        plain = a < m < b and floor <= v < math.inf  # else a hopeless case
+        mean[i], var[i] = (m, v) if plain else _settle(c, a, b, floor, m, v)
     if narrow:
-        idx, cn, sn, lon, hin, mid, h = zip(*narrow)
+        idx, cn, sn, lon, hin, fn, mid, h = zip(*narrow)
         eu, vu = _narrow_moments(np.array(mid), np.array(h))
-        for i, c, s, lo, hi, m, e, v in zip(idx, cn, sn, lon, hin, mid, eu, vu):
-            mean[i], var[i] = _settle(c, lo, hi, c + s * (m + e), s * s * v)
-    if args.ndim == 1:
-        return mean[0], var[0]
-    return np.array(mean).reshape(args.shape[1:]), np.array(var).reshape(args.shape[1:])
+        for i, c, s, a, b, floor, m, e, v in zip(idx, cn, sn, lon, hin, fn, mid, eu, vu):
+            mean[i], var[i] = _settle(c, a, b, floor, c + s * (m + e), s * s * v)
+    return mean, var

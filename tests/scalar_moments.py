@@ -110,9 +110,12 @@ def truncated_moments(c_hat, tau_c, interval):
 
 
 def moments_loop(c_hat, tau_c, interval):
-    """truncated_moments of every element of same-shape arrays, one call each."""
+    """truncated_moments of every element of same-shape arrays or flat lists,
+    one call each; the result takes the form of the arguments."""
+    c_hat, tau_c, lo, hi = np.array([c_hat, tau_c, interval.lo, interval.hi], float)
     mean, var = np.empty_like(c_hat), np.empty_like(c_hat)
     for i in np.ndindex(c_hat.shape):
-        box = Interval(interval.lo[i], interval.hi[i])
-        mean[i], var[i] = truncated_moments(c_hat[i], tau_c[i], box)
+        mean[i], var[i] = truncated_moments(c_hat[i], tau_c[i], Interval(lo[i], hi[i]))
+    if isinstance(interval.lo, list):
+        return mean.tolist(), var.tolist()
     return mean, var

@@ -25,7 +25,7 @@ from permgamp import (
 )
 from permgamp import gamp
 from permgamp.forward_model import Linearization, ray_table
-from permgamp.gamp import GampState, init_state, input_step, output_step
+from permgamp.gamp import GampConfig, GampState, init_state, input_step, output_step
 from quadrature import quadrature_moments
 from scalar_forward import fd_jacobian
 from test_oracle import _vacuum_canyon
@@ -35,12 +35,10 @@ def _state(x0, tau_x, n):
     """A one-problem batch: every array has a leading axis of length 1."""
     x0 = np.asarray(x0, float)[None]
     return GampState(
-        x_hat=x0.copy(),
-        tau_x=np.asarray(tau_x, float)[None].copy(),
-        s_hat=np.zeros((1, n)),
+        xt=np.array((np.asarray(tau_x, float)[None], x0)),
+        ts=np.zeros((2, 1, n)),
         p_hat=np.zeros((1, n)),
         tau_p=np.zeros((1, n)),
-        tau_s=np.zeros((1, n)),
         c_hat=x0.copy(),
         tau_c=np.ones_like(x0),
         warnings=[[]],
@@ -56,6 +54,22 @@ def _lin(a, mu):
 def _sq(lin):
     """A squared elementwise, as solve_batch builds it once per linearization."""
     return lin.a_matrix * lin.a_matrix
+
+
+def _affine(lin, y=None, support=None, prior_var=None):
+    """lin as the steps take it, built by gamp.linearized as solve_batch does.
+    Left out, y is zeros, the box [0, 1] and the prior variance 1: stand-ins
+    for what the step under test does not read."""
+    n, m = lin.a_matrix.shape[1:]
+    support = support or Interval(np.zeros((1, m)), np.ones((1, m)))
+    return gamp.linearized(lin, _sq(lin), np.zeros((1, n)) if y is None else y, support,
+                           np.ones(m) if prior_var is None else np.asarray(prior_var))
+
+
+def _solver_errstate():
+    """The floating-point error state solve_batch runs the steps in: they
+    name a non-finite value themselves."""
+    return np.errstate(invalid="ignore", over="ignore")
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +119,7 @@ def test_output_step_scalar_substitution():
     # a=1, tau_x=1, x=0, s_prev=0, y-mu=1, tau_w=1
     st = _state([0.0], [1.0], 1)
     lin = _lin([[1.0]], [0.0])
-    output_step(st, lin, _sq(lin), np.array([1.0]), tau_w=1.0)
+    output_step(st, _affine(lin, np.array([1.0])), tau_w=1.0)
     assert st.tau_p.tolist() == [[1.0]]
     assert st.p_hat.tolist() == [[0.0]]
     assert st.s_hat.tolist() == [[0.5]]
@@ -116,7 +130,7 @@ def test_output_step_zero_matrix():
     st = _state([2.0, 3.0], [1.0, 1.0], 4)
     y = np.array([1.0, -2.0, 0.5, 3.0])
     lin = _lin(np.zeros((4, 2)), np.zeros(4))
-    output_step(st, lin, _sq(lin), y, tau_w=0.5)
+    output_step(st, _affine(lin, y), tau_w=0.5)
     assert np.all(st.tau_p == 0.0)
     assert np.allclose(st.s_hat, y / 0.5, rtol=0, atol=0)
 
@@ -134,7 +148,7 @@ def test_output_step_matches_plain_loops(rng):
     st = _state(x, tau_x, n)
     st.s_hat = s_prev[None].copy()
     lin = _lin(a, mu)
-    output_step(st, lin, _sq(lin), y[None], tau_w=tau_w)
+    output_step(st, _affine(lin, y[None]), tau_w=tau_w)
 
     # independent elementwise transcription of the four update formulas
     for i in range(n):
@@ -158,15 +172,15 @@ def test_output_step_damping_blends():
     # 0.5 * 1.0 + 0.5 * 1.0 = 1.0 -- pick numbers where they differ
     st2 = _state([0.0], [1.0], 1)
     st2.s_hat = np.array([[0.0]])
-    output_step(st2, lin, _sq(lin), y, tau_w=1.0, damping=0.5)
+    output_step(st2, _affine(lin, y), tau_w=1.0, damping=0.5)
     assert st2.s_hat.tolist() == [[0.25]]  # 0.5 * 0.5 + 0.5 * 0
 
 
 def test_output_step_aborts_on_nonfinite():
     st = _state([0.0], [1.0], 2)
     lin = _lin([[np.inf], [1.0]], [0.0, 0.0])
-    with pytest.raises(SolverError, match="non-finite tau_p at link 0"):
-        output_step(st, lin, _sq(lin), np.array([[1.0, 1.0]]), 1.0)
+    with _solver_errstate(), pytest.raises(SolverError, match="non-finite tau_p at link 0"):
+        output_step(st, _affine(lin, np.array([[1.0, 1.0]])), 1.0)
 
 
 @pytest.mark.parametrize(
@@ -178,26 +192,26 @@ def test_output_step_aborts_on_nonfinite():
 def test_output_step_names_the_nonfinite_array(x, y, named):
     st = _state([x], [1.0], 2)
     lin = _lin([[1.0], [1.0]], [0.0, 0.0])
-    with pytest.raises(SolverError, match=named):
-        output_step(st, lin, _sq(lin), np.array([y]), 1.0)
+    with _solver_errstate(), pytest.raises(SolverError, match=named):
+        output_step(st, _affine(lin, np.array([y])), 1.0)
 
 
 def test_steps_pass_finite_values_whose_sum_overflows():
-    # each step's fused finiteness test is a sum; finite terms whose sum
-    # overflows must take the exact test and pass, without a warning
+    # finite terms whose sum overflows must pass each step's fused
+    # finiteness test (the input step's is a sum), without a warning
     n = 2
     lin = _lin(np.eye(n), np.zeros(n))
     st = _state([1e308, 1e308], [1.0, 1.0], n)  # p_hat sums past the float range
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        output_step(st, lin, _sq(lin), np.zeros((1, n)), 1.0)
+        output_step(st, _affine(lin), 1.0)
     assert st.p_hat.tolist() == [[1e308, 1e308]]
     st = _state([1e308, 1e308], [1.0, 1.0], n)  # c_hat sums past the float range
     st.tau_s = np.full((1, n), 0.5)
     support = Interval(np.ones((1, n)), np.full((1, n), 2.0))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        input_step(st, lin, _sq(lin), np.array([1.0, 1.0]), support)
+        input_step(st, _affine(lin, support=support, prior_var=[1.0, 1.0]))
     assert st.c_hat.tolist() == [[1e308, 1e308]]
     assert np.all((support.lo < st.x_hat) & (st.x_hat < support.hi))
 
@@ -214,11 +228,41 @@ def test_input_step_zero_column_holds_estimate():
     st.s_hat = np.array([[0.1, -0.2, 0.3]])
     lo, hi = np.array([[3.0, 5.0]]), np.array([[5.0, 7.0]])  # trust inside [1, 13]
     lin = _lin(a, np.zeros(n))
-    input_step(st, lin, _sq(lin), np.array([12.0, 12.0]), Interval(lo, hi))
+    input_step(st, _affine(lin, support=Interval(lo, hi), prior_var=[12.0, 12.0]))
     assert st.x_hat[0, 1] == 6.0  # unobserved: held
     assert st.tau_x[0, 1] == 12.0  # reset to the prior variance
     assert any("unobserved" in w for w in st.warnings[0])
     assert 3.0 < st.x_hat[0, 0] < 5.0  # observed component moved inside trust
+
+
+def test_a_zero_column_of_one_problem_holds_only_that_problem():
+    # a batch of two whose second problem alone has a zero column: only its
+    # warnings name it, and the first runs as it would alone, bit for bit
+    n = 3
+    a = np.array([[[1.0, 0.5], [0.5, -1.0], [-1.0, 2.0]],
+                  [[1.0, 0.0], [0.5, 0.0], [-1.0, 0.0]]])
+    y = np.array([[0.3, -0.1, 0.2], [0.1, 0.2, -0.3]])
+    lo, hi = np.array([[3.0, 5.0]] * 2), np.array([[5.0, 7.0]] * 2)
+
+    def run(members):
+        st = init_state(make_canyon_scenario(n_links=5, priors=((1.0, 13.0), (1.0, 13.0))),
+                        [GampConfig(x0=[4.0, 6.0], tau_w=0.5, delta_tr=2.0)] * len(members), n)
+        lin = Linearization(a_matrix=a[members], mu=np.zeros((len(members), n)),
+                            gains=np.zeros((len(members), n)))
+        affine = gamp.linearized(lin, a[members] ** 2, y[members],
+                                 Interval(lo[members], hi[members]), np.array([12.0, 12.0]))
+        for _ in range(3):
+            output_step(st, affine, 0.5)
+            input_step(st, affine)
+        return st
+
+    both, first, second = run([0, 1]), run([0]), run([1])
+    held = "input step: material 2 unobserved (zero column), estimate held"
+    assert both.warnings == [[], [held]]
+    assert both.x_hat[0].tobytes() == first.x_hat[0].tobytes()
+    assert both.x_hat[1].tobytes() == second.x_hat[0].tobytes()
+    assert both.x_hat[1, 1] == 6.0 and both.tau_x[1, 1] == 12.0  # held, prior variance
+    assert 3.0 < both.x_hat[0, 1] < 5.0 or 5.0 < both.x_hat[0, 1] < 7.0
 
 
 def test_input_step_untruncated_limit_returns_c_hat():
@@ -228,8 +272,8 @@ def test_input_step_untruncated_limit_returns_c_hat():
     st.tau_s = np.full((1, n), 100.0)  # tau_c = 1 / (9 * 100 * 40): tiny
     st.s_hat = np.full((1, n), 0.01)
     lin = _lin(a, np.zeros(n))
-    input_step(st, lin, _sq(lin), np.array([100.0 / 12.0]),
-               Interval(np.array([[0.0]]), np.array([[10.0]])))
+    input_step(st, _affine(lin, support=Interval(np.array([[0.0]]), np.array([[10.0]])),
+                           prior_var=[100.0 / 12.0]))
     tau_c = 1.0 / (9.0 * 100.0 * n)
     c_expect = 5.0 + tau_c * 3.0 * 0.01 * n
     assert abs(st.x_hat[0, 0] - c_expect) <= 1e-9
@@ -242,8 +286,9 @@ def test_input_step_names_the_material_of_a_nonfinite_pseudo_observation():
     st.tau_s = np.full((1, n), 0.5)
     lin = _lin(np.ones((n, 2)), np.zeros(n))
     support = Interval(np.array([[3.0, 5.0]]), np.array([[5.0, 7.0]]))
-    with pytest.raises(SolverError, match="non-finite pseudo-observation for material 2"):
-        input_step(st, lin, _sq(lin), np.array([12.0, 12.0]), support)
+    with _solver_errstate(), pytest.raises(
+            SolverError, match="non-finite pseudo-observation for material 2"):
+        input_step(st, _affine(lin, support=support, prior_var=[12.0, 12.0]))
 
 
 def test_composed_step_matches_quadrature(rng):
@@ -254,9 +299,10 @@ def test_composed_step_matches_quadrature(rng):
     x = np.array([4.0, 6.0])
     st = _state(x, np.array([2.0, 3.0]), n)
     lin = _lin(a, mu)
-    output_step(st, lin, _sq(lin), y[None], tau_w=0.5)
     lo, hi = np.array([[3.0, 5.0]]), np.array([[5.0, 7.0]])  # trust inside [1, 13]
-    input_step(st, lin, _sq(lin), np.array([12.0, 12.0]), Interval(lo, hi))
+    affine = _affine(lin, y[None], Interval(lo, hi), [12.0, 12.0])
+    output_step(st, affine, tau_w=0.5)
+    input_step(st, affine)
     for k in range(m):
         box = Interval(lo[0, k], hi[0, k])
         qm, qv = quadrature_moments(st.c_hat[0, k], st.tau_c[0, k], box)
@@ -273,9 +319,10 @@ def _run_frozen(a, mu, y, tau_w, prior, iters=400):
     st = _state([0.5 * (prior.lo + prior.hi)], [prior.width**2 / 12.0], n)
     lin = _lin(a, mu)
     support = Interval(np.array([[prior.lo]]), np.array([[prior.hi]]))
+    affine = _affine(lin, y[None], support, [prior.width**2 / 12.0])
     for _ in range(iters):
-        output_step(st, lin, _sq(lin), y[None], tau_w=tau_w)
-        input_step(st, lin, _sq(lin), np.array([prior.width**2 / 12.0]), support)
+        output_step(st, affine, tau_w=tau_w)
+        input_step(st, affine)
     return st
 
 
@@ -389,8 +436,8 @@ def test_solve_noiseless_residual_never_worse(canyon, canyon_table):
 @pytest.mark.parametrize(
     "broken,named",
     [
-        (lambda mean, var, box: (np.nextafter(box.hi, np.inf), var), r"x\[0\]"),
-        (lambda mean, var, box: (mean, np.full_like(var, math.nan)), "tau_x"),
+        (lambda mean, var, box: ([math.nextafter(hi, math.inf) for hi in box.hi], var), r"x\[0\]"),
+        (lambda mean, var, box: (mean, [math.nan] * len(var)), "tau_x"),
     ],
     ids=["mean_above_support", "nan_variance"],
 )
@@ -398,8 +445,9 @@ def test_solve_invariant_check_fires(canyon, canyon_table, monkeypatch, broken, 
     # a moment kernel that leaves the support box or loses its variance
     # must stop the solve with an error naming what broke
     def faulty(c_hat, tau_c, box):
-        # one call per inner step, over the whole (problem, material) batch
-        assert c_hat.shape == tau_c.shape == box.lo.shape == box.hi.shape == (1, 2)
+        # one call per inner step, over the whole (problem, material) batch,
+        # as flat lists of floats
+        assert len(c_hat) == len(tau_c) == len(box.lo) == len(box.hi) == 2
         return broken(*truncated_moments(c_hat, tau_c, box), box)
 
     ds = synthesize_dataset(canyon, 0.5, seed=2)
