@@ -98,7 +98,6 @@ def _add_problem_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dataset", default=None)
     p.add_argument("--sigma", type=float, default=None, help="synthesize with this noise")
     p.add_argument("--seed", type=_seed, default=None, help="noise seed of --sigma (default 0)")
-    p.add_argument("--grid-step", type=float, default=0.05, help="oracle grid step")
     p.add_argument("--out", default=None)
 
 
@@ -143,6 +142,10 @@ def cmd_generate(args) -> int:
 
 
 def cmd_estimate(args) -> int:
+    if args.grid_step is None:
+        args.grid_step = GridSpec.step
+    elif not args.oracle:  # refused, not ignored
+        raise ValidationError("--grid-step is an oracle flag and needs --oracle")
     scenario, dataset = _load_problem(args)
     report, info = run_estimate(
         scenario,
@@ -234,6 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
     e = sub.add_parser("estimate", help="run the solver on one dataset")
     _add_problem_flags(e)
     e.add_argument("--oracle", action="store_true", help="append grid-search comparison")
+    e.add_argument("--grid-step", type=float, default=None,
+                   help="oracle grid step (needs --oracle; default 0.05)")
     e.add_argument("--timing", action="store_true", help="report measured wall time")
     _add_solver_flags(e)
     e.set_defaults(func=cmd_estimate)
@@ -251,6 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     o = sub.add_parser("oracle", help="brute-force grid MAP for a dataset")
     _add_problem_flags(o)
+    o.add_argument("--grid-step", type=float, default=GridSpec.step, help="grid step")
     o.set_defaults(func=cmd_oracle)
 
     return parser

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ParseError, ValidationError
 # unused here: forward, scenario_from_dict, synthesize_dataset and trace_link,
 # which bench/ calls or wraps here
-from .forward_model import GAIN_FLOOR, RayTable, forward, gains_db, link_totals, ray_table
+from .forward_model import GAIN_FLOOR, forward, gains_db, link_totals
 from .gamp import EstimateReport, GampConfig, check_x0, default_config, solve, solve_batch
 from .oracle import GridSpec, grid_map
 from . import raytracer
@@ -49,31 +49,29 @@ from .scenario import (
 
 @dataclass
 class PreparedProblem:
-    """Normalized measurements, rays and their one ray table for the solvable links."""
+    """Normalized measurements and rays for the solvable links; the solver
+    and the oracle read the rays' one table."""
 
     y: np.ndarray
     ray_cache: Rays
-    table: RayTable
     kept: list[int]              # original link indices
     dropped: list[int]
 
 
 def _split_links(scenario: Scenario, ray_cache: Rays, y_all) -> PreparedProblem:
     """Keep the links usable at the prior midpoint (one kernel pass over the
-    ray table): a link without rays or with a total gain below GAIN_FLOOR
-    there is dropped, and then the table is rebuilt over the kept links.
-    ValidationError names links when no link is kept."""
+    rays' table): a link without rays or with a total gain below GAIN_FLOOR
+    there is dropped, and the kept links' rays build their own table on
+    first use. ValidationError names links when no link is kept."""
     lo, hi = scenario.prior_bounds()
-    table = ray_table(ray_cache, scenario.wavelength_m, scenario.polarization)
-    usable = ~(link_totals(table, [0.5 * (lo + hi)])[0] < GAIN_FLOOR)
+    usable = ~(link_totals(ray_cache.table, [0.5 * (lo + hi)])[0] < GAIN_FLOOR)
     kept, dropped = np.flatnonzero(usable).tolist(), np.flatnonzero(~usable).tolist()
     if not kept:
         raise ValidationError("links: every link is unusable (no unblocked ray, or a "
                               "total gain below the floor at the prior midpoint)")
     if dropped:
         ray_cache = ray_cache.take(kept)
-        table = ray_table(ray_cache, scenario.wavelength_m, scenario.polarization)
-    return PreparedProblem(y_all[kept], ray_cache, table, kept, dropped)
+    return PreparedProblem(y_all[kept], ray_cache, kept, dropped)
 
 
 def prepare_problem(scenario: Scenario, dataset: Dataset) -> PreparedProblem:
@@ -93,7 +91,7 @@ def run_estimate(
     """Prepare, solve, and (optionally) compare against the grid oracle."""
     prob = prepare_problem(scenario, dataset)
     config = default_config(scenario, dataset.noise_var, **(overrides or {}))
-    report = solve(scenario, prob.table, prob.y, config)
+    report = solve(scenario, prob.ray_cache.table, prob.y, config)
     info: dict = {"dropped_links": prob.dropped, "n_used": len(prob.kept)}
     if with_oracle:
         sigma_z = float(np.sqrt(dataset.noise_var))
@@ -210,7 +208,7 @@ def run_sweep(
     # links when none is usable), then the gains at the true eps
     prob = _split_links(scenario, raytracer.trace_scenario(scenario), np.zeros(scenario.n_links))
     try:
-        gains = gains_db(prob.table, eps_true)
+        gains = gains_db(prob.ray_cache.table, eps_true)
     except Exception as exc:  # e.g. a kept link below the floor: every point reports it
         outcomes = [exc] * len(points)
     else:
@@ -222,12 +220,12 @@ def run_sweep(
             for sigma, seed in points
         ])
         try:
-            outcomes = solve_batch(scenario, prob.table, Y, configs)
+            outcomes = solve_batch(scenario, prob.ray_cache.table, Y, configs)
         except Exception:  # solve alone, so only the failing points get error rows
             outcomes = []
             for y, point_config in zip(Y, configs):
                 try:
-                    outcomes.append(solve(scenario, prob.table, y, point_config))
+                    outcomes.append(solve(scenario, prob.ray_cache.table, y, point_config))
                 except Exception as exc:  # one failure must not kill the sweep
                     outcomes.append(exc)
     rows = [

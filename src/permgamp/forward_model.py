@@ -81,18 +81,19 @@ class RayTable(NamedTuple):
     polarization: str      # "TE" or "TM"
 
 
-def ray_table(rays, wavelength_m: float, polarization: str) -> RayTable:
-    """The table of a traced scenario's rays at wavelength_m under
+def ray_table(rays) -> RayTable:
+    """The table of a traced scenario's rays at their wavelength_m and
     polarization. rays has len() links and, one row per ray in (link, ray)
     order, the columns link, length, materials (bounce material indices, -1
-    past the last bounce) and angles (see raytracer.Rays)."""
+    past the last bounce) and angles (see raytracer.Rays, whose table
+    property builds it once)."""
     n_links = len(rays)
     per_link = np.bincount(rays.link, minlength=n_links)
     n_rays = int(per_link.max(initial=0))
     j = np.arange(len(rays.link)) - np.repeat(np.cumsum(per_link) - per_link, per_link)
     friis = np.zeros((n_rays, n_links))
     # float_power is libm pow, as Python's ** on a float is (** squares arrays)
-    friis[j, rays.link] = np.float_power(wavelength_m / (4.0 * math.pi * rays.length), 2)
+    friis[j, rays.link] = np.float_power(rays.wavelength_m / (4.0 * math.pi * rays.length), 2)
     bounce = rays.materials >= 0
     r, b = np.nonzero(bounce)  # in (link, ray, bounce) order
     slots = (b * n_rays + j[r]) * n_links + rays.link[r]
@@ -101,7 +102,7 @@ def ray_table(rays, wavelength_m: float, polarization: str) -> RayTable:
     groups = tuple((m, slots[mats == m], cos[mats == m])
                    for m in np.flatnonzero(np.bincount(mats)).tolist())
     return RayTable(friis, int(np.count_nonzero(bounce, axis=1).max(initial=0)), groups,
-                    polarization)
+                    rays.polarization)
 
 
 def _coefficients(table: RayTable, eps: np.ndarray):
@@ -161,12 +162,12 @@ def gains_db(table: RayTable, eps) -> np.ndarray:
 
 def forward(scenario: Scenario, ray_cache, eps) -> np.ndarray:
     """dB link gains for every link at one permittivity vector eps (M,),
-    or at each row of a batch (B, M): gains_db on a table of ray_cache, a
-    traced scenario's rays."""
+    or at each row of a batch (B, M): gains_db on the table of ray_cache,
+    a traced scenario's rays (raytracer.Rays)."""
     if np.shape(eps)[-1:] != (scenario.n_materials,):
         raise ValueError(f"eps={eps} must hold one permittivity per material, "
                          f"{scenario.n_materials}")
-    return gains_db(ray_table(ray_cache, scenario.wavelength_m, scenario.polarization), eps)
+    return gains_db(ray_cache.table, eps)
 
 
 @dataclass(frozen=True)

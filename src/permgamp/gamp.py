@@ -368,6 +368,9 @@ def solve_batch(
             f"Y has shape {Y.shape} for {len(configs)} configs and "
             f"{table.friis.shape[1]} links"
         )
+    bad = np.argwhere(~np.isfinite(Y))
+    if bad.size:
+        raise ValidationError(f"Y[{bad[0][0]}, {bad[0][1]}]={Y[tuple(bad[0])]} must be finite")
     shared = {(c.k_iter, c.k_gamp, c.damping) for c in configs}
     if len(shared) != 1:
         raise ValidationError(f"batch configs must share k_iter, k_gamp, damping: {shared}")

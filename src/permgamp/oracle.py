@@ -20,7 +20,7 @@ import numpy as np
 
 from . import forward_model
 from .errors import UnusableLinkError, ValidationError
-from .forward_model import GAIN_FLOOR, RayTable, forward, ray_table
+from .forward_model import GAIN_FLOOR, RayTable, forward
 from .scenario import Dataset, Scenario, check_noise_std, normalize_measurements
 
 GRID_GUARD = 10_000_000  # max number of grid nodes
@@ -207,12 +207,12 @@ def grid_map(scenario: Scenario, ray_cache, y, sigma_z: float, grid: GridSpec) -
     row-major order). sigma_z only scales the posterior, so the argmax is
     returned for any sigma_z >= 0. A node that leaves a link below
     GAIN_FLOOR is excluded, as forward would refuse it; UnusableLinkError
-    when every node is. ValidationError as log_posterior raises it.
+    when every node is. ValidationError as log_posterior raises it. The scan
+    runs over ray_cache.table, the table a traced scenario's rays build once.
     """
     y = _checked_levels(y, sigma_z, len(ray_cache))
     axes = grid_axes(scenario, grid)
-    table = ray_table(ray_cache, scenario.wavelength_m, scenario.polarization)
-    ssr = _grid_ssr(table, axes, y)
+    ssr = _grid_ssr(ray_cache.table, axes, y)
     best = np.unravel_index(np.argmin(ssr), ssr.shape)  # first = lexicographically smallest
     if ssr[best] == math.inf:
         raise UnusableLinkError(

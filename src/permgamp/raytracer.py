@@ -12,9 +12,10 @@ All candidates of a chunk of links are tested at once, exactly, in arrays,
 with plain real formulas and math.hypot; only the incidence angles of
 unblocked bounces are taken one by one, with math.acos. The tests check the
 rays bit for bit against a scalar reference that tests one sequence at a
-time. The rays leave the tracer as the columns of one Rays value, from which
-forward_model builds its ray table; Ray objects are built only for a caller
-that indexes or iterates it.
+time. The rays leave the tracer as the columns of one Rays value, with the
+scenario's wavelength and polarization; it builds its ray table with
+forward_model.ray_table once, on first use. Ray objects are built only for
+a caller that indexes or iterates it.
 
 - The tree. The line of sight is the order-0 candidate. The images form a
   tree with one level per order: each row holds its parent row, its wall
@@ -43,6 +44,7 @@ the finite segments are discarded; there is no diffraction model.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
@@ -50,6 +52,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import UnusableLinkError, ValidationError
+from .forward_model import RayTable, ray_table
 from .scenario import Point, Scenario
 
 GEOM_EPS = 1e-9        # meters; endpoint tolerance for occlusion tests
@@ -84,8 +87,10 @@ class Rays(Sequence):
     """The rays of every link of a traced scenario as columns, one row per
     ray: by link, then by length, bounce count and materials. The bounce
     columns are padded to max_reflections, with material -1 past a ray's
-    last bounce. As a sequence it holds one list of Ray per link, LOS first,
-    built only when asked for."""
+    last bounce. The rays carry the wavelength and polarization they were
+    traced for, and table is their ray table, built on first use. As a
+    sequence it holds one list of Ray per link, LOS first, built only when
+    asked for."""
 
     n_links: int
     link: np.ndarray       # (R,) ascending
@@ -93,6 +98,12 @@ class Rays(Sequence):
     materials: np.ndarray  # (R, K) material index of each bounce, -1 past the last
     angles: np.ndarray     # (R, K) incidence angles, radians
     points: np.ndarray     # (R, K, 2) bounce points
+    wavelength_m: float
+    polarization: str      # "TE" or "TM"
+
+    @functools.cached_property
+    def table(self) -> RayTable:
+        return ray_table(self)
 
     def __len__(self) -> int:
         return self.n_links
@@ -112,13 +123,20 @@ class Rays(Sequence):
         ]
 
     def take(self, links) -> "Rays":
-        """The rays of the given links, in ascending order, numbered from 0
-        in that order."""
+        """The rays of the given links, numbered from 0 in that order;
+        ValueError naming links unless they are strictly ascending link
+        indices."""
+        index = np.asarray(links)
+        if index.size and not (index.ndim == 1 and index.dtype.kind in "iu" and 0 <= index[0]
+                               and (np.diff(index) > 0).all() and index[-1] < self.n_links):
+            raise ValueError(f"links={links} must be strictly ascending link indices "
+                             f"in [0, {self.n_links})")
         number = np.full(self.n_links, -1)
         number[links] = np.arange(len(links))
         rows = np.flatnonzero(number[self.link] >= 0)
         return Rays(len(links), number[self.link[rows]], self.length[rows],
-                    self.materials[rows], self.angles[rows], self.points[rows])
+                    self.materials[rows], self.angles[rows], self.points[rows],
+                    self.wavelength_m, self.polarization)
 
 
 # -- candidates ----------------------------------------------------------------
@@ -278,7 +296,8 @@ def trace_scenario(scenario: Scenario) -> Rays:
             link, *columns = _collect_rays(*_walk_back(walls, u_eps, levels, rx), walls,
                                            normals, materials, max_order)
             chunks.append((link + s, *columns))
-    return Rays(len(pos), *map(np.concatenate, zip(*chunks)))
+    return Rays(len(pos), *map(np.concatenate, zip(*chunks)), scenario.wavelength_m,
+                scenario.polarization)
 
 
 def _collect_rays(table, n_candidates, walls, normals, materials, max_order):

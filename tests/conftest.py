@@ -6,7 +6,7 @@ from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from permgamp import bundled_scenario_path, load_scenario, trace_scenario
-from permgamp import experiment, forward_model, gamp, oracle
+from permgamp import experiment, forward_model, gamp, oracle, raytracer
 from permgamp.forward_model import ray_table
 
 # Same examples on every run, and no example database written to disk.
@@ -30,8 +30,8 @@ def canyon_rays(canyon):
 
 
 @pytest.fixture(scope="session")
-def canyon_table(canyon, canyon_rays):
-    return ray_table(canyon_rays, canyon.wavelength_m, canyon.polarization)
+def canyon_table(canyon_rays):
+    return ray_table(canyon_rays)
 
 
 @pytest.fixture()
@@ -41,14 +41,16 @@ def rng():
 
 @pytest.fixture()
 def ray_table_calls(monkeypatch):
-    """A list that grows by one at every ray_table call, made in any module."""
+    """A list that grows by one at every ray table the package builds,
+    through the rays' table or forward_model.ray_table."""
     calls = []
 
-    def counted(*args):
+    def counted(rays):
         calls.append(1)
-        return ray_table(*args)
+        return ray_table(rays)
 
-    assert not hasattr(gamp, "ray_table")  # the solver takes a built table
-    for module in (forward_model, experiment, oracle):
+    for module in (gamp, experiment, oracle):  # they take the rays' table
+        assert not hasattr(module, "ray_table"), module.__name__
+    for module in (forward_model, raytracer):
         monkeypatch.setattr(module, "ray_table", counted)
     return calls

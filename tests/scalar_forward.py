@@ -42,10 +42,10 @@ def ray_gain_linear(ray: Ray, eps, wavelength_m: float, polarization: str = "TE"
     return g
 
 
-def as_rays(ray_cache) -> Rays:
-    """Per-link Ray lists as the tracer's columns: rows in list order, the
-    bounces padded to the most any ray has, and NaN bounce points where a
-    ray has none."""
+def as_rays(ray_cache, wavelength_m: float, polarization: str) -> Rays:
+    """Per-link Ray lists as the tracer's columns, traced at wavelength_m
+    under polarization: rows in list order, the bounces padded to the most
+    any ray has, and NaN bounce points where a ray has none."""
     rows = [(n, ray) for n, rays in enumerate(ray_cache) for ray in rays]
     k = max((ray.n_bounces for _, ray in rows), default=0)
     materials = np.full((len(rows), k), -1)
@@ -58,7 +58,7 @@ def as_rays(ray_cache) -> Rays:
             points[i, :len(ray.points)] = ray.points
     return Rays(len(ray_cache), np.array([n for n, _ in rows], dtype=int),
                 np.array([ray.total_length_m for _, ray in rows], dtype=float),
-                materials, angles, points)
+                materials, angles, points, wavelength_m, polarization)
 
 
 def table_reference(ray_cache, wavelength_m: float):

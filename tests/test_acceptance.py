@@ -101,7 +101,7 @@ def test_criterion_2_jacobian():
         rays = trace_scenario(sc)
         lo, hi = sc.prior_bounds()
         eps = np.array([rng.uniform(lo[m] + 0.3, hi[m] - 0.3) for m in range(2)])
-        table = ray_table(rays, sc.wavelength_m, sc.polarization)
+        table = ray_table(rays)
         a = jacobian(table, eps[None]).a_matrix[0]
         fd, _ = fd_jacobian(table, eps)
         scale = np.maximum(np.abs(a), 1e-9)
@@ -111,7 +111,7 @@ def test_criterion_2_jacobian():
     sc = load_scenario(bundled_scenario_path("canyon"))
     rays = trace_scenario(sc)
     eps = np.array([3.0, 6.0])
-    lin = jacobian(ray_table(rays, sc.wavelength_m, sc.polarization), eps[None])
+    lin = jacobian(ray_table(rays), eps[None])
 
     def remainder(d):
         g = forward(sc, rays, eps + d)
@@ -145,7 +145,7 @@ def test_criterion_2_jacobian():
 def _criterion3_runs():
     sc = load_scenario(bundled_scenario_path("canyon"))
     rays = trace_scenario(sc)
-    table = ray_table(rays, sc.wavelength_m, sc.polarization)
+    table = ray_table(rays)
     out = []
     for seed in range(100, 110):
         ds = synthesize_dataset(sc, 0.5, seed=seed)
@@ -163,7 +163,7 @@ def _criterion4_runs():
             rays = trace_scenario(sc)
             ds = synthesize_dataset(sc, 0.0, seed=seed)
             y = normalize_measurements(sc, ds)
-            rep = solve(sc, ray_table(rays, sc.wavelength_m, sc.polarization), y,
+            rep = solve(sc, ray_table(rays), y,
                         default_config(sc, ds.noise_var))
             reports.append((n_mat, seed, float(np.max(np.abs(rep.eps_hat - sc.true_eps_vector())))))
     return reports

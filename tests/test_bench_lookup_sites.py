@@ -170,10 +170,10 @@ def test_the_package_imports_no_scipy_and_depends_on_numpy_alone():
     assert any(dep.startswith("scipy") for dep in project["optional-dependencies"]["test"])
 
 
-# the table builders and reflection cores in the package, and the scalar
-# references in tests/, which have no table to read
-TAKE_A_POLARIZATION = {"ray_table", "_fresnel", "_fresnel_slope"}
-SCALAR_REFERENCES_TAKE_A_POLARIZATION = {"fresnel_power_coeff", "ray_gain_linear"}
+# the reflection cores in the package, and the scalar references in tests/,
+# which have no table to read; the table builder reads the rays'
+TAKE_A_POLARIZATION = {"_fresnel", "_fresnel_slope"}
+SCALAR_REFERENCES_TAKE_A_POLARIZATION = {"fresnel_power_coeff", "ray_gain_linear", "as_rays"}
 
 
 def _polarization_takers(*modules):
@@ -186,10 +186,51 @@ def _polarization_takers(*modules):
 
 
 def test_only_table_builders_and_scalar_references_take_a_polarization():
-    # a ray table carries its polarization, so a kernel given one needs no other
-    assert _polarization_takers(forward_model, oracle, gamp) == TAKE_A_POLARIZATION
+    # traced rays carry their polarization into their ray table, so neither
+    # the table builder nor a kernel given a table needs another
+    modules = [importlib.import_module(f"permgamp.{p.stem}") for p in sorted(PACKAGE.glob("*.py"))]
+    assert _polarization_takers(*modules) == TAKE_A_POLARIZATION
     assert _polarization_takers(scalar_forward) == SCALAR_REFERENCES_TAKE_A_POLARIZATION
     assert list(inspect.signature(forward_model.jacobian).parameters) == ["table", "eps"]
     assert list(inspect.signature(scalar_forward.fd_jacobian).parameters) == [
         "table", "eps", "step"]
     assert "polarization" not in (PACKAGE / "gamp.py").read_text()
+
+
+def _attribute_reads(path, attrs):
+    """(function, object name) of every read of one of attrs off a plain
+    name in path's module, by the innermost function that makes it."""
+    reads = set()
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if (isinstance(node, ast.Attribute) and node.attr in attrs
+                and isinstance(node.value, ast.Name)):
+            reads.add((function, node.value.id, node.attr))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(path.read_text()), None)
+    return reads
+
+
+def test_only_the_tracer_reads_the_scenarios_wavelength_and_polarization():
+    # the tracer hands them to the rays, the rays to their table, and the
+    # table to the kernels; no other module chooses them
+    reads = {
+        (path.stem, *read)
+        for path in sorted(PACKAGE.glob("*.py")) if path.name != "scenario.py"
+        for read in _attribute_reads(path, {"wavelength_m", "polarization"})
+    }
+    assert reads == {
+        ("raytracer", "trace_scenario", "scenario", "wavelength_m"),
+        ("raytracer", "trace_scenario", "scenario", "polarization"),
+        ("raytracer", "take", "self", "wavelength_m"),
+        ("raytracer", "take", "self", "polarization"),
+        ("forward_model", "ray_table", "rays", "wavelength_m"),
+        ("forward_model", "ray_table", "rays", "polarization"),
+        ("forward_model", "_coefficients", "table", "polarization"),
+        ("forward_model", "jacobian", "table", "polarization"),
+        ("oracle", "fresnel", "table", "polarization"),
+    }

@@ -225,6 +225,13 @@ def test_estimate_oracle_flag_appends_comparison(tmp_path, capsys):
     assert payload["oracle"]["max_abs_diff"] < 0.2
 
 
+def test_estimate_refuses_a_grid_step_without_the_oracle(capsys):
+    code, out, err = _run(capsys, "estimate", "--scenario", bundled_scenario_path("canyon"),
+                          "--sigma", "0.5", "--seed", "1", "--grid-step", "nan")
+    assert (code, out) == (2, "")
+    assert err == "error: --grid-step is an oracle flag and needs --oracle\n"
+
+
 def test_estimate_missing_file_exits_2(capsys):
     code, _, err = _run(capsys, "estimate", "--scenario", "no-such-file.json", "--sigma", "0")
     assert code == 2
@@ -838,7 +845,8 @@ def test_sweep_point_failure_leaves_other_points_unchanged(tmp_path, monkeypatch
     got = (tmp_path / "nan" / "runs.csv").read_text().splitlines()
     failed = [i for i, r in enumerate(rows, start=1) if (r["sigma_z"], r["seed"]) == (2.0, 0)]
     assert len(failed) == 2
-    assert all(rows[i - 1]["status"] == "error:SolverError" for i in failed)
+    # the batch refuses the NaN levels, and alone only that point does
+    assert all(rows[i - 1]["status"] == "error:ValidationError" for i in failed)
     assert [line for i, line in enumerate(got) if i not in failed] == [
         line for i, line in enumerate(clean) if i not in failed
     ]
@@ -856,6 +864,17 @@ def test_sweep_builds_as_many_ray_tables_for_20_points_as_for_1(ray_table_calls)
         assert all(r["status"] == "ok" for r in rows)
         counts.append(len(ray_table_calls))
     assert counts == [1, 1]  # the prepared problem's one table
+
+
+@pytest.mark.parametrize("argv", [["oracle"], ["estimate", "--oracle"], ["estimate"]])
+def test_a_run_builds_one_ray_table_for_its_problem(argv, tmp_path, capsys, ray_table_calls):
+    canyon = load_scenario(bundled_scenario_path("canyon"))
+    save_dataset(synthesize_dataset(canyon, 0.5, 1), tmp_path / "ds.json")
+    ray_table_calls.clear()
+    code, _, _ = _run(capsys, *argv, "--scenario", bundled_scenario_path("canyon"),
+                      "--dataset", str(tmp_path / "ds.json"))
+    assert code == 0
+    assert len(ray_table_calls) == 1
 
 
 def test_sweep_points_equal_single_estimates_and_trace_once(monkeypatch):

@@ -18,7 +18,10 @@ from permgamp import (
     Surface,
     UnusableLinkError,
     default_config,
+    GridSpec,
     forward,
+    grid_map,
+    log_posterior,
     make_canyon_scenario,
     normalize_measurements,
     prepare_problem,
@@ -126,7 +129,7 @@ def test_fresnel_deriv_against_mpmath(rng):
 
 
 def _link_gain_db(rays, eps, wavelength_m):  # one link, TE: the kernel on its table
-    return float(gains_db(ray_table(as_rays([rays]), wavelength_m, "TE"), eps)[0])
+    return float(gains_db(ray_table(as_rays([rays], wavelength_m, "TE")), eps)[0])
 
 
 def _los(length):
@@ -216,7 +219,7 @@ def test_canyon_link_gain_matches_direct_recomputation(canyon, canyon_rays):
         ref = sum(ray_gain_linear(r, eps, sc3.wavelength_m) for r in rays3[n])
         assert out[n] == 10 * math.log10(ref)
     single = [[r] for link in rays3 for r in link]
-    per_ray = link_totals(ray_table(as_rays(single), sc3.wavelength_m, "TE"), eps[None])[0]
+    per_ray = link_totals(ray_table(as_rays(single, sc3.wavelength_m, "TE")), eps[None])[0]
     assert per_ray.tolist() == [
         ray_gain_linear(r, eps, sc3.wavelength_m) for (r,) in single
     ]
@@ -240,7 +243,7 @@ def test_forward_error_names_the_link():
         wavelength_m=0.1,
     )
     with pytest.raises(UnusableLinkError, match="link 1"):
-        forward(sc, as_rays(rays), np.array([1.0]))
+        forward(sc, as_rays(rays, 0.1, "TE"), np.array([1.0]))
 
 
 def test_prepare_problem_keeps_the_links_above_the_floor(monkeypatch):
@@ -248,7 +251,7 @@ def test_prepare_problem_keeps_the_links_above_the_floor(monkeypatch):
     # ray; the prior midpoint is eps = 1 (the upper bound 1 + ulp rounds the
     # midpoint to 1) or eps = 4
     rays = [[_los(5.0)], [_bounce(5.0, 1, 0.2)], []]
-    monkeypatch.setattr(raytracer, "trace_scenario", lambda sc: as_rays(rays))
+    monkeypatch.setattr(raytracer, "trace_scenario", lambda sc: as_rays(rays, 0.1, "TE"))
     kept = {}
     for mid, upper in ((1.0, math.nextafter(1.0, 2.0)), (4.0, 7.0)):
         sc = Scenario(
@@ -264,12 +267,13 @@ def test_prepare_problem_keeps_the_links_above_the_floor(monkeypatch):
         assert prob.dropped == [n for n in range(3) if n not in prob.kept]
         assert list(prob.ray_cache) == [rays[n] for n in prob.kept]
         assert prob.y.tolist() == (np.array([-1.0, -2.0, -3.0]) - sc.link_offsets())[prob.kept].tolist()
-        # the kept links' table gives the gains forward gives on their rays
+        # the kept links' rays give the gains of a table built from their lists
         eps = np.array([mid])
-        assert np.array_equal(gains_db(prob.table, eps), forward(sc, prob.ray_cache, eps))
+        kept_table = ray_table(as_rays([rays[n] for n in prob.kept], 0.1, "TE"))
+        assert np.array_equal(gains_db(kept_table, eps), forward(sc, prob.ray_cache, eps))
     assert kept == {1.0: [0], 4.0: [0, 1]}
     with pytest.raises(UnusableLinkError, match="link 2"):
-        forward(sc, as_rays(rays), np.array([4.0]))
+        forward(sc, as_rays(rays, 0.1, "TE"), np.array([4.0]))
 
 
 def test_forward_single_link_reduces_to_link_gain():
@@ -291,7 +295,7 @@ def test_forward_single_link_reduces_to_link_gain():
 
 def _linearize(sc, rays, eps):
     """The linearization at one point: a batch of one, unwrapped."""
-    lin = jacobian(ray_table(rays, sc.wavelength_m, sc.polarization), eps[None])
+    lin = jacobian(ray_table(rays), eps[None])
     return Linearization(a_matrix=lin.a_matrix[0], mu=lin.mu[0], gains=lin.gains[0])
 
 
@@ -315,7 +319,7 @@ def test_jacobian_single_bounce_closed_form():
         links=(Link((0.0, 1.0), (0.0, 3.0), 30, 2, 2),),
         wavelength_m=0.3,
     )
-    bounce_only = as_rays([[r for r in trace_link(sc, 0) if r.reflections]])
+    bounce_only = as_rays([[r for r in trace_link(sc, 0) if r.reflections]], 0.3, "TE")
     for eps in (2.0, 4.0, 9.0):
         lin = _linearize(sc, bounce_only, np.array([eps]))
         expect = (10 / math.log(10)) * 2.0 / (math.sqrt(eps) * (eps - 1.0))
@@ -352,7 +356,7 @@ def test_analytic_matches_central_fd(canyon, canyon_rays):
     ]
     for sc, rays, eps in cases:
         la = _linearize(sc, rays, eps)
-        fd, _ = fd_jacobian(ray_table(rays, sc.wavelength_m, sc.polarization), eps)
+        fd, _ = fd_jacobian(ray_table(rays), eps)
         assert np.all(np.isfinite(la.a_matrix))
         # At eps = 1 the FD step is one-sided, with an O(step) error that a
         # relative check cannot absorb; there d|Gamma|^2/d eps is exactly 0.
@@ -398,7 +402,7 @@ def test_first_order_remainder_ratio(canyon, canyon_rays, rng):
 def test_fd_one_sided_at_boundary():
     # eps exactly 1: a central step would cross the physical boundary
     sc = make_canyon_scenario(n_links=10, priors=((1.0, 10.0), (1.0, 12.0)))
-    table = ray_table(trace_scenario(sc), sc.wavelength_m, sc.polarization)
+    table = ray_table(trace_scenario(sc))
     _, warns = fd_jacobian(table, np.array([1.0, 5.0]))
     assert any("one-sided" in w and "material 1" in w for w in warns)
     _, warns = fd_jacobian(table, np.array([3.0, 5.0]))
@@ -407,7 +411,8 @@ def test_fd_one_sided_at_boundary():
 
 def test_solve_builds_ray_tables_once(canyon, canyon_table, ray_table_calls):
     # a solve and its 20 linearizations run on the caller's table, and an
-    # estimate builds the one table of its prepared problem (the oracle one more)
+    # estimate, with the oracle or without, builds the one table of its
+    # prepared problem
     dataset = synthesize_dataset(canyon, 0.5, 3)  # through forward: one table
     y = normalize_measurements(canyon, dataset)
     ray_table_calls.clear()
@@ -418,7 +423,18 @@ def test_solve_builds_ray_tables_once(canyon, canyon_table, ray_table_calls):
     assert len(ray_table_calls) == 1
     ray_table_calls.clear()
     run_estimate(canyon, dataset, with_oracle=True, grid_step=0.5)
-    assert len(ray_table_calls) == 2
+    assert len(ray_table_calls) == 1
+
+
+def test_an_oracle_op_builds_one_ray_table(canyon, ray_table_calls):
+    # the benchmark's canyon-oracle op: grid_map and log_posterior read the
+    # table that preparing the problem built
+    dataset = synthesize_dataset(canyon, 0.5, 1)
+    ray_table_calls.clear()
+    prob = prepare_problem(canyon, dataset)
+    eps_map = grid_map(canyon, prob.ray_cache, prob.y, 0.5, GridSpec(0.05))
+    assert math.isfinite(log_posterior(canyon, prob.ray_cache, prob.y, eps_map, 0.5))
+    assert len(ray_table_calls) == 1
 
 
 def test_fresnel_evaluations_per_estimate_and_linearization(canyon, canyon_table, monkeypatch):
@@ -485,7 +501,7 @@ import numpy as np
 import permgamp
 from permgamp.forward_model import gains_db, jacobian, ray_table
 canyon = permgamp.load_scenario(permgamp.bundled_scenario_path("canyon"))
-table = ray_table(permgamp.trace_scenario(canyon), canyon.wavelength_m, canyon.polarization)
+table = ray_table(permgamp.trace_scenario(canyon))
 lo, hi = canyon.prior_bounds()
 eps = lo + (hi - lo) * np.random.Generator(np.random.PCG64(0)).random((40, 2))
 lin = jacobian(table, eps)

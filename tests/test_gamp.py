@@ -370,7 +370,7 @@ def test_solve_noiseless_single_material():
     sc = make_canyon_scenario(
         n_links=40, n_materials=1, seed=3, true_eps=(6.0,), priors=((1.0, 13.0),)
     )
-    table = ray_table(trace_scenario(sc), sc.wavelength_m, sc.polarization)
+    table = ray_table(trace_scenario(sc))
     ds = synthesize_dataset(sc, 0.0, seed=1)
     y = normalize_measurements(sc, ds)
     cfg = default_config(sc, ds.noise_var, k_iter=20, k_gamp=5, delta_tr=2.0)
@@ -567,6 +567,18 @@ def test_solve_rejects_mismatched_lengths(canyon, canyon_table):
         solve(canyon, canyon_table, np.zeros(3), default_config(canyon, 0.25))
 
 
+def test_solve_refuses_a_non_finite_measurement(canyon, canyon_table):
+    # the boundary names the first non-finite level, before any step runs
+    y = normalize_measurements(canyon, synthesize_dataset(canyon, 0.5, 1))
+    y[5] = np.nan
+    with pytest.raises(ValidationError, match=r"^Y\[0, 5\]=nan must be finite$"):
+        solve(canyon, canyon_table, y, default_config(canyon, 0.25))
+    Y = np.array([y, y])
+    Y[0, 5], Y[1, 2] = 1.0, -np.inf
+    with pytest.raises(ValidationError, match=r"^Y\[1, 2\]=-inf must be finite$"):
+        gamp.solve_batch(canyon, canyon_table, Y, [default_config(canyon, 0.25)] * 2)
+
+
 def test_solve_with_damping_still_recovers(canyon, canyon_table):
     ds = synthesize_dataset(canyon, 0.0, seed=4)
     y = normalize_measurements(canyon, ds)
@@ -602,7 +614,7 @@ def test_solve_tm_polarization(canyon):
         max_reflections=canyon.max_reflections,
         polarization="TM",
     )
-    table = ray_table(trace_scenario(tm), tm.wavelength_m, tm.polarization)
+    table = ray_table(trace_scenario(tm))
     ds = synthesize_dataset(tm, 0.0, seed=1)
     y = normalize_measurements(tm, ds)
     rep = solve(tm, table, y, default_config(tm, ds.noise_var))
@@ -613,7 +625,7 @@ def test_a_start_point_that_leaves_a_link_below_the_floor_is_named(canyon):
     # the first linearization gives the start residual's gains, so its
     # unusable link is reported at the initial point
     sc = _vacuum_canyon(canyon)
-    table = ray_table(trace_scenario(sc), sc.wavelength_m, sc.polarization)
+    table = ray_table(trace_scenario(sc))
     with pytest.raises(SolverError, match="forward model failed at the initial point: link 100:"):
         solve(sc, table, np.zeros(sc.n_links), default_config(sc, 0.25, x0=[1.0, 1.0]))
 
@@ -651,7 +663,7 @@ def _variant(canyon, kind):
 @pytest.mark.parametrize("kind", ["TE", "TM", "unobserved"])
 def test_solve_batch_equals_each_point_solved_alone(canyon, kind):
     sc = _variant(canyon, kind)
-    table = ray_table(trace_scenario(sc), sc.wavelength_m, sc.polarization)
+    table = ray_table(trace_scenario(sc))
     x0 = [2.0, 9.0, 5.0][: sc.n_materials]
     ys, configs = [], []
     for sigma, seed, overrides in [

@@ -136,7 +136,8 @@ def test_log_posterior_link_permutation_invariant(canyon, canyon_rays):
     perm = np.random.Generator(np.random.PCG64(5)).permutation(canyon.n_links)
     lp = log_posterior(canyon, canyon_rays, y, eps, 0.5)
     lp_perm = log_posterior(
-        canyon, as_rays([canyon_rays[i] for i in perm]), y[perm], eps, 0.5
+        canyon, as_rays([canyon_rays[i] for i in perm], canyon.wavelength_m, canyon.polarization),
+        y[perm], eps, 0.5
     )
     assert abs(lp - lp_perm) <= 1e-9 * abs(lp)
 
@@ -294,7 +295,7 @@ def _grid_problems(draw):
     y = draw(st.lists(st.floats(-160.0, -40.0), min_size=len(ray_cache),
                       max_size=len(ray_cache)))
     pol = draw(st.sampled_from(["TE", "TM"]))
-    return ray_table(as_rays(ray_cache), 0.1, pol), axes, np.array(y)
+    return ray_table(as_rays(ray_cache, 0.1, pol)), axes, np.array(y)
 
 
 @given(_grid_problems())
@@ -325,7 +326,7 @@ def _hand_table(pol, *links):
         [Ray(21.0 + 7.0 * j, tuple(Reflection(m, a) for m, a in ray)) for j, ray in enumerate(rays)]
         for rays in links
     ]
-    return ray_table(as_rays(cache), 4.0 * math.pi * 20.0, pol)
+    return ray_table(as_rays(cache, 4.0 * math.pi * 20.0, pol))
 
 
 @pytest.mark.parametrize("pol", ["TE", "TM"])
@@ -377,7 +378,7 @@ def test_grid_map_evaluates_fresnel_once_per_axis_node(canyon, canyon_rays, monk
     evaluated.clear()
     grid_map(canyon, canyon_rays, y, 0.5, GridSpec(0.05))
     axes = grid_axes(canyon, GridSpec(0.05))
-    groups = ray_table(canyon_rays, canyon.wavelength_m, canyon.polarization).groups
+    groups = ray_table(canyon_rays).groups
     distinct = sum(len(axes[m]) * len(slots) for m, slots, _ in groups)
     assert distinct == 171 * 300 + 181 * 300  # 18,570,600 at one call per node
     assert 0 < sum(evaluated) <= distinct
@@ -419,7 +420,7 @@ def test_grid_map_excludes_a_node_that_leaves_a_link_below_the_gain_floor(canyon
     assert all(ray.reflections for ray in rays[-1])
     y = forward(sc, rays, sc.true_eps_vector()) + 0.5 * rng.standard_normal(sc.n_links)
     axes = grid_axes(sc, GridSpec(0.25))
-    ssr = _grid_ssr(ray_table(rays, sc.wavelength_m, sc.polarization), axes, y)
+    ssr = _grid_ssr(ray_table(rays), axes, y)
     assert ssr[0, 0] == math.inf  # eps = (1, 1), no warning either
     assert np.isfinite(ssr.ravel()[1:]).all()
     got = grid_map(sc, rays, y, 0.5, GridSpec(0.25))

@@ -1,5 +1,6 @@
 """Image-method tracer against exact geometry and a Fermat-principle oracle."""
 
+import dataclasses
 import hashlib
 import io
 import math
@@ -680,8 +681,7 @@ def _assert_reference_table(table, ray_cache, wavelength_m):
 
 def _traced_table(sc):
     rays = trace_scenario(sc)
-    _assert_reference_table(ray_table(rays, sc.wavelength_m, sc.polarization), list(rays),
-                            sc.wavelength_m)
+    _assert_reference_table(ray_table(rays), list(rays), sc.wavelength_m)
     return rays
 
 
@@ -711,7 +711,7 @@ def test_the_kept_links_table_equals_the_per_ray_reference(canyon):
     assert prob.dropped == [100]
     kept = [rays[n] for n in prob.kept]
     assert _reprs(prob.ray_cache) == _reprs(kept)
-    _assert_reference_table(prob.table, kept, sc.wavelength_m)
+    _assert_reference_table(prob.ray_cache.table, kept, sc.wavelength_m)
 
 
 def test_friis_is_libm_pow_as_pythons_float_power_is():
@@ -723,9 +723,9 @@ def test_friis_is_libm_pow_as_pythons_float_power_is():
               for j, (length, angle) in enumerate(zip(ls, a))]
              for ls, a in zip(lengths[0], angles)]
     cache += [[Ray(float(length))] for length in lengths[1].ravel()]
-    rays = scalar_forward.as_rays(cache)
+    rays = scalar_forward.as_rays(cache, 0.1, "TE")
     assert [list(rays[n]) for n in (0, 150, 299)] == [cache[n] for n in (0, 150, 299)]
-    _assert_reference_table(ray_table(rays, 0.1, "TE"), cache, 0.1)
+    _assert_reference_table(ray_table(rays), cache, 0.1)
     friis = np.float_power(0.1 / (4.0 * math.pi * rays.length), 2)
     assert np.count_nonzero(friis != (0.1 / (4.0 * math.pi * rays.length)) ** 2) > 0
 
@@ -740,3 +740,43 @@ def test_random_scenes_build_the_reference_table(sc):
 def test_random_scenes_walk_back_like_the_scalar_reference(sc):
     # the prune may drop only candidates that the walk back would reject
     assert _walked_back(sc)[0] == _scalar_walked_back(sc)
+
+
+# ---------------------------------------------------------------------------
+# Traced rays as one handle: their wavelength, polarization and table.
+# ---------------------------------------------------------------------------
+
+def _table_bits(table):
+    return (table.friis.shape, table.friis.tobytes(), table.n_bounces, table.polarization,
+            [(m, slots.tolist(), cos.tobytes()) for m, slots, cos in table.groups])
+
+
+def test_traced_rays_carry_the_wavelength_and_polarization_their_table_is_built_at(canyon):
+    tm = dataclasses.replace(canyon, wavelength_m=0.3, polarization="TM")
+    for sc in (canyon, tm):
+        rays = trace_scenario(sc)
+        kept = rays.take([1, 3])
+        for r in (rays, kept):
+            assert (r.wavelength_m, r.polarization) == (sc.wavelength_m, sc.polarization)
+        assert rays.table is rays.table  # built once
+        assert _table_bits(rays.table) == _table_bits(ray_table(rays))
+    # the rays' polarization, not the scenario's, decides the table
+    as_tm = dataclasses.replace(trace_scenario(canyon), polarization="TM")
+    want = trace_scenario(dataclasses.replace(canyon, polarization="TM")).table
+    assert _table_bits(as_tm.table) == _table_bits(want)
+
+
+@pytest.mark.parametrize("links", [[3, 1], [1, 1], [200], [-1], [True], [[1, 2]], 3])
+def test_take_refuses_links_that_are_not_strictly_ascending_link_indices(canyon_rays, links):
+    # [3, 1] would number its rows out of order (link 0 holding both links'
+    # rays), [1, 1] would report 2 links all on one, [200] is out of range
+    with pytest.raises(ValueError, match=r"^links=.* must be strictly ascending link indices "
+                                         r"in \[0, 100\)$"):
+        canyon_rays.take(links)
+
+
+def test_take_keeps_the_given_links_in_order(canyon_rays):
+    kept = canyon_rays.take([1, 3])
+    assert len(kept) == 2 and kept.link.tolist() == [0] * 5 + [1] * 5
+    assert [list(kept[0]), list(kept[1])] == [list(canyon_rays[1]), list(canyon_rays[3])]
+    assert len(canyon_rays.take([])) == 0

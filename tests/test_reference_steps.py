@@ -127,7 +127,7 @@ def test_the_lean_steps_equal_the_array_reference_bit_for_bit(case, canyon, cany
     elif case == "zero-column":
         scenario = _variant(canyon, "unobserved")
     if scenario is not canyon:
-        table = ray_table(trace_scenario(scenario), scenario.wavelength_m, scenario.polarization)
+        table = ray_table(trace_scenario(scenario))
     Y, configs = _problems(scenario, points, **overrides)
     reports, steps = _side_by_side(monkeypatch, scenario, table, Y, configs)
     assert steps == configs[0].k_iter * configs[0].k_gamp
